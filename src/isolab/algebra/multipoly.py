@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _igcd
+from math import frexp, ldexp, gcd as _igcd
 
 
 def _content_of(ints):
@@ -38,6 +38,25 @@ def _renormalized(variables, int_terms, content):
         return MultiPoly(out.vars, {e: Fraction(c) * out._content
                                     for e, c in out._terms.items()})
     return out
+
+
+def _scaled(c: Fraction, x):
+    """c * x for a float or complex x. A content c outside the float range is
+    applied as m * 2**e, |m| in (1/2, 2), so that a representable product
+    neither overflows nor flushes to zero on the way."""
+    n, d = c.numerator, c.denominator
+    e = n.bit_length() - d.bit_length()
+    if -1000 < e < 1000:
+        return float(c) * x
+    m = n / (d << e) if e > 0 else (n << -e) / d
+    if isinstance(x, complex):
+        return complex(_ldexp_mul(m, x.real, e), _ldexp_mul(m, x.imag, e))
+    return _ldexp_mul(m, x, e)
+
+
+def _ldexp_mul(m: float, x: float, e: int) -> float:
+    xm, xe = frexp(x)
+    return ldexp(m * xm, xe + e)
 
 
 class MultiPoly:
@@ -360,7 +379,7 @@ class MultiPoly:
             return Fraction(0)
         c = self._content
         if isinstance(out, complex) or isinstance(out, float):
-            return float(c) * out
+            return _scaled(c, out)
         return c * out
 
     # ---------------- exact division and gcd ----------------

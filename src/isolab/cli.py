@@ -9,8 +9,7 @@ periods    CSV of a numeric period matrix plus its rank
 reproduce  check a named worked example against embedded golden values
 
 Exit codes: 0 pass, 1 verification failure, 2 usage/parameter error.
-JSON output is deterministic (sorted keys, canonical expression text);
-ISOLAB_THREADS bounds the verification worker pool.
+JSON output is deterministic (sorted keys, canonical expression text).
 """
 
 from __future__ import annotations
@@ -19,19 +18,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
-
-
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("ISOLAB_THREADS", "0"))) or (os.cpu_count() or 1)
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 class ParameterError(Exception):
@@ -143,9 +133,48 @@ def cmd_generate(args) -> int:
 # verify
 
 
+# required keys of each verifiable document kind and their JSON types; [t]
+# is a list of t, {str: t} an object with values of type t
+_DOC_SCHEMA = {
+    "pvi-family": {"y": str, "theta": [str], "params": [str]},
+    "triangular-schlesinger": {"p": int, "N": int, "variables": [str],
+                               "exponents": [[str]], "entries": {str: str}},
+    "garnier-algebraic": {"M": int, "b": [str], "betas": [str],
+                          "beta_inf": str},
+}
+
+
+def _matches(value, want) -> bool:
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_matches(v, want[0])
+                                               for v in value)
+    if isinstance(want, dict):
+        return isinstance(value, dict) and all(_matches(v, want[str])
+                                               for v in value.values())
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
+def _check_doc(doc) -> str:
+    """Kind of a verifiable document; ParameterError if it is malformed."""
+    if not isinstance(doc, dict):
+        raise ParameterError("document must be a JSON object")
+    kind = doc.get("kind")
+    schema = _DOC_SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise ParameterError(f"cannot verify document of kind {kind!r}")
+    for key, want in schema.items():
+        if key not in doc:
+            raise ParameterError(f"{kind} document lacks key {key!r}")
+        if not _matches(doc[key], want):
+            raise ParameterError(f"{kind} document has a malformed {key!r}")
+    return kind
+
+
 def _verify_pvi_doc(doc, tol) -> list:
     from .algebra import parse_ratfunc
     from . import painleve
+    if len(doc["theta"]) != 4 or len(doc["params"]) != 4:
+        raise ParameterError("pvi-family document needs 4 theta and 4 params")
     y = parse_ratfunc(doc["y"])
     theta = painleve.ThetaTuple.of(*[Fraction(s) for s in doc["theta"]])
     params = painleve.PVIParams(*[Fraction(s) for s in doc["params"]])
@@ -169,8 +198,7 @@ def _verify_pvi_doc(doc, tol) -> list:
             r = painleve.pvi_residual(yc, params)
             return (f"pvi-residual-{cname}={cv}", r.is_zero(),
                     "0" if r.is_zero() else "nonzero")
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-            checks.extend(sorted(pool.map(one, samples)))
+        checks.extend(sorted(map(one, samples)))
     checks.append(("theta-sum-zero", theta.triangular_sum() == 0,
                    str(theta.triangular_sum())))
     return checks
@@ -193,8 +221,11 @@ def _verify_triangular_doc(doc, tol) -> list:
 def _verify_garnier_doc(doc, args, tol) -> list:
     from .algebra import parse_ratfunc
     from . import garnier
+    M = doc["M"]
+    if M < 1 or len(doc["b"]) != M + 2 or len(doc["betas"]) != M + 2:
+        raise ParameterError("garnier-algebraic document needs M >= 1 and "
+                             "M + 2 entries in b and betas")
     b = [parse_ratfunc(t) for t in doc["b"]]
-    M = int(doc["M"])
     betas = [Fraction(s) for s in doc["betas"]]
     sol = garnier.GarnierAlgebraicSolution(
         M=M, b=b, betas=betas, beta_inf=Fraction(doc["beta_inf"]))
@@ -216,8 +247,7 @@ def _verify_garnier_doc(doc, args, tol) -> list:
             r = float(garnier.garnier_residual_m2(sol, apt, eps))
             return (f"garnier-m2-eps{''.join('+' if e > 0 else '-' for e in eps)}",
                     bool(r < tol), f"{r:.3e}")
-        with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-            checks.extend(sorted(pool.map(one, eps_list)))
+        checks.extend(sorted(map(one, eps_list)))
     return checks
 
 
@@ -230,20 +260,21 @@ def _all_eps(k):
 
 def cmd_verify(args) -> int:
     if args.input:
-        with open(args.input) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.input) as fh:
+                doc = json.load(fh)
+        except OSError as e:
+            raise ParameterError(f"cannot read {args.input}: {e.strerror}")
     else:
         doc = _generate_doc(args)
     tol = float(args.tol) if args.tol else 1e-6
-    kind = doc.get("kind")
+    kind = _check_doc(doc)
     if kind == "pvi-family":
         checks = _verify_pvi_doc(doc, tol)
     elif kind == "triangular-schlesinger":
         checks = _verify_triangular_doc(doc, tol)
-    elif kind == "garnier-algebraic":
-        checks = _verify_garnier_doc(doc, args, tol)
     else:
-        raise ParameterError(f"cannot verify document of kind {kind!r}")
+        checks = _verify_garnier_doc(doc, args, tol)
     ok = all(p for _, p, _ in checks)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import MultiPoly, RatFunc, binom, to_rational
+from .algebra import MultiPoly, RatFunc, binom, poly_gcd, to_rational
 from .schlesinger import (HypothesisError, build_rational_solution,
                           default_variables, _check)
 
@@ -56,12 +56,16 @@ def theta_from_eps(betas, eps, beta_inf) -> GarnierSpec:
 
 @dataclass
 class GarnierAlgebraicSolution:
-    """Exact b-vector plus the data needed for numeric verification."""
+    """Exact b-vector plus the data needed for numeric verification.
+
+    The b-vector is treated as immutable after construction: P_M is built
+    from it once and cached on the instance."""
     M: int
     b: list                    # M + 2 entries, RatFunc in a_1..a_M
     betas: list                # the M + 2 eigenvalues beta_i
     beta_inf: Fraction
     provenance: dict = field(default_factory=dict)
+    _pm: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def variables(self):
@@ -85,7 +89,13 @@ class GarnierAlgebraicSolution:
         return out
 
     def pm_coefficients(self) -> list:
-        return pm_polynomial(self.b, [self.pole(i) for i in range(1, self.M + 3)])
+        """Coefficients of P_M, ascending in z; built on the first call.
+
+        Returns a fresh list each time, so callers cannot alter the cache."""
+        if self._pm is None:
+            self._pm = pm_polynomial(
+                self.b, [self.pole(i) for i in range(1, self.M + 3)])
+        return list(self._pm)
 
     def spec_for(self, eps) -> GarnierSpec:
         return theta_from_eps(self.betas, eps, self.beta_inf)
@@ -106,33 +116,43 @@ class GarnierAlgebraicSolution:
 def pm_polynomial(b, poles) -> list:
     """Coefficients (ascending in z) of prod_i (z - a_i) sum_i b_i/(z - a_i).
 
-    Requires sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks."""
+    Requires sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks.
+    The poles must be polynomials. The build is fraction-free: every b_i is
+    put over L = lcm of the denominators, the numerators are accumulated in
+    MultiPoly and each coefficient is reduced once, as num_k / L."""
     b = [RatFunc._coerce(bi) for bi in b]
     poles = [RatFunc._coerce(p) for p in poles]
-    total = RatFunc.zero()
+    if not all(p.is_poly() for p in poles):
+        raise ValueError("poles must be polynomials in a")
+    poles = [p.num for p in poles]  # a reduced polynomial RatFunc has den 1
+    L = MultiPoly.const(1)
     for bi in b:
-        total = total + bi
+        if not bi.is_zero():
+            L = L * bi.den.divexact(poly_gcd(L, bi.den))
+    nums = [bi.num * L.divexact(bi.den) for bi in b]
+    total = MultiPoly.zero()
+    for ni in nums:
+        total = total + ni
     if not total.is_zero():
         raise ValueError("sum of b_i must vanish identically")
     npoles = len(poles)
-    coeffs = [RatFunc.zero()] * npoles  # degree <= npoles - 1, top cancels
-    for i, bi in enumerate(b):
-        if bi.is_zero():
+    coeffs = [MultiPoly.zero()] * (npoles - 1)  # the z^(npoles-1) term is the sum
+    for i, ni in enumerate(nums):
+        if ni.is_zero():
             continue
         # prod_{j != i} (z - a_j), expanded in z
-        prod = [RatFunc.one()]
+        prod = [MultiPoly.const(1)]
         for j, aj in enumerate(poles):
             if j == i:
                 continue
-            new = [RatFunc.zero()] * (len(prod) + 1)
+            new = [MultiPoly.zero()] * (len(prod) + 1)
             for k, ck in enumerate(prod):
                 new[k + 1] = new[k + 1] + ck
                 new[k] = new[k] - ck * aj
             prod = new
-        for k, ck in enumerate(prod):
-            coeffs[k] = coeffs[k] + bi * ck
-    assert coeffs[-1].is_zero()
-    return coeffs[:-1]
+        for k in range(npoles - 1):
+            coeffs[k] = coeffs[k] + ni * prod[k]
+    return [RatFunc(c, L) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------

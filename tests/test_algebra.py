@@ -65,6 +65,20 @@ class TestMultiPoly:
         assert p.evaluate({"x": F(3), "y": F(2)}) == 16
         assert abs(p.evaluate({"x": 1j, "y": 2.0}) - (-4 + 0j)) < 1e-14
 
+    def test_evaluate_huge_content_at_tiny_point(self):
+        # the content 10**400 overflows a float, the value 1e100 does not
+        p = 10 ** 400 * x
+        assert p.evaluate({"x": 1e-300}) == pytest.approx(1e100, rel=1e-15)
+        z = p.evaluate({"x": 1e-300j})
+        assert z.real == 0 and z.imag == pytest.approx(1e100, rel=1e-15)
+
+    def test_evaluate_tiny_content_at_huge_point(self):
+        # the content 10**-400 flushes to 0.0 as a float, the value does not
+        p = F(1, 10 ** 400) * x
+        assert p.evaluate({"x": 1e300}) == pytest.approx(1e-100, rel=1e-15)
+        z = p.evaluate({"x": -1e300 + 2e300j})
+        assert z == pytest.approx(-1e-100 + 2e-100j, rel=1e-15)
+
 
 @st.composite
 def small_polys(draw, names=("x", "y")):

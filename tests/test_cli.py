@@ -71,6 +71,59 @@ class TestVerify:
         assert code == 0 and rep["pass"]
 
 
+class TestVerifyInputValidation:
+    def verify_doc(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "verify", "--input", str(path))
+
+    def test_garnier_missing_b(self, capsys, tmp_path):
+        code, out, err = self.verify_doc(
+            capsys, tmp_path, {"kind": "garnier-algebraic", "M": 2})
+        assert code == 2 and out == ""
+        assert "'b'" in err and "Traceback" not in err
+
+    def test_each_kind_missing_key(self, capsys, tmp_path):
+        generated = {
+            "y": ("--theorem", "6", "--n", "-1"),
+            "entries": ("--theorem", "4", "--p", "2", "--N", "3", "--m", "1",
+                        "--n", "-1"),
+            "betas": ("--theorem", "10", "--M", "2", "--m", "4", "--n", "1"),
+        }
+        for key, args in generated.items():
+            _, out, _ = run_cli(capsys, "generate", *args)
+            doc = json.loads(out)
+            del doc[key]
+            code, _, err = self.verify_doc(capsys, tmp_path, doc)
+            assert code == 2 and repr(key) in err, (key, err)
+
+    def test_top_level_not_an_object(self, capsys, tmp_path):
+        code, _, err = self.verify_doc(capsys, tmp_path, ["garnier-algebraic"])
+        assert code == 2 and "JSON object" in err
+
+    def test_unknown_kind(self, capsys, tmp_path):
+        code, _, err = self.verify_doc(capsys, tmp_path, {"kind": ["x"]})
+        assert code == 2 and "kind" in err
+
+    def test_wrong_types_rejected(self, capsys, tmp_path):
+        for doc in ({"kind": "garnier-algebraic", "M": 2, "b": 5,
+                     "betas": [], "beta_inf": "1"},
+                    {"kind": "garnier-algebraic", "M": 2, "b": ["0"] * 4,
+                     "betas": ["1/4"] * 3, "beta_inf": "-1"},
+                    {"kind": "pvi-family", "y": "x", "theta": ["0"] * 3,
+                     "params": ["0"] * 4},
+                    {"kind": "triangular-schlesinger", "p": 2, "N": 3,
+                     "variables": ["a1"], "exponents": [[None]],
+                     "entries": {}}):
+            code, _, err = self.verify_doc(capsys, tmp_path, doc)
+            assert code == 2 and "Traceback" not in err, doc
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "verify", "--input",
+                               str(tmp_path / "absent.json"))
+        assert code == 2 and "cannot read" in err
+
+
 class TestZeros:
     def test_row_counts_small(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--n", "1")

@@ -38,6 +38,47 @@ class TestPmPolynomial:
                            RatFunc.const(0), RatFunc.const(1)])
 
 
+class TestPmCache:
+    def test_built_once_per_solution(self, monkeypatch):
+        import isolab.garnier as garnier
+        calls = []
+
+        def counting(b, poles):
+            calls.append(1)
+            return pm_polynomial(b, poles)
+        monkeypatch.setattr(garnier, "pm_polynomial", counting)
+        s = thm10_solution(2, 2, 1)
+        for eps in itertools.product((1, -1), repeat=4):
+            assert garnier_residual_m2(s, (2.0, 3.5), eps) < 1e-6
+        assert len(calls) == 1
+
+    def test_returned_list_is_a_copy(self):
+        s = thm10_solution(2, 4, 1)
+        first = s.pm_coefficients()
+        want = list(first)
+        first[0] = RatFunc.const(99)
+        first.append(RatFunc.one())
+        assert s.pm_coefficients() == want
+
+    def test_rational_family_golden_text(self):
+        den = ("a1^3*a2^2 - a1^2*a2^3 - a1^3*a2 + a1*a2^3 + a1^2*a2"
+               " - a1*a2^2")
+        want = [
+            f"(a1^3*a2^2 - a1^2*a2^3 - 2*a1^3 - a2^3 + 2*a1^2 + a2^2)/({den})",
+            f"(-2*a1^3*a2 + 2*a1*a2^3 + 4*a1^3 + 2*a2^3 - 4*a1 - 2*a2)/({den})",
+            f"(3*a1^2*a2 - 3*a1*a2^2 - 6*a1^2 - 3*a2^2 + 6*a1 + 3*a2)/({den})",
+        ]
+        fam = thm11_family(2, -1, [F(2), F(-1)])
+        assert [c.to_text() for c in fam.pm_coefficients()] == want
+
+    def test_rational_pole_rejected(self):
+        ra1 = RatFunc.var("a1")
+        with pytest.raises(ValueError):
+            pm_polynomial([RatFunc.zero()] * 4,
+                          [1 / ra1, RatFunc.var("a2"), RatFunc.const(0),
+                           RatFunc.const(1)])
+
+
 class TestPolynomialSolutions:
     def test_case1_printed(self):
         s = thm10_solution(2, 2, 1)
