@@ -206,7 +206,15 @@ class FactoredFrac:
         return out
 
     def to_ratfunc(self) -> RatFunc:
-        return RatFunc(self.num, self.den_expanded())
+        """The canonical reduced form. Linear factors are irreducible, so
+        once cancel() has divided out every one that divides the numerator,
+        the fraction is reduced and needs no gcd."""
+        if any(f.total_degree() != 1 for f in self.den):
+            return RatFunc(self.num, self.den_expanded())
+        reduced = self.cancel()
+        den = reduced.den_expanded()
+        scale = 1 / den.leading()[1]
+        return RatFunc(reduced.num * scale, den * scale, _normalized=True)
 
     def evaluate(self, assignment: dict):
         val = self.num.evaluate(assignment)

@@ -368,13 +368,17 @@ class MultiPoly:
 
     def evaluate(self, assignment: dict):
         """Numeric/exact evaluation with every variable assigned."""
-        out = None
-        for e, v in self._terms.items():
-            t = v
-            for name, p in zip(self.vars, e):
-                if p:
-                    t = t * assignment[name] ** p
-            out = t if out is None else out + t
+        try:
+            out = None
+            for e, v in self._terms.items():
+                t = v
+                for name, p in zip(self.vars, e):
+                    if p:
+                        t = t * assignment[name] ** p
+                out = t if out is None else out + t
+        except OverflowError:
+            # an integer coefficient (or a partial sum) beyond the float range
+            return self._evaluate_scaled(assignment)
         if out is None:
             return Fraction(0)
         c = self._content
@@ -382,16 +386,35 @@ class MultiPoly:
             return _scaled(c, out)
         return c * out
 
+    def _evaluate_scaled(self, assignment: dict):
+        """Float evaluation that applies each term's exact coefficient to its
+        monomial as m * 2**e, so that no coefficient is converted whole."""
+        out = 0.0
+        for e, v in self._terms.items():
+            t = 1
+            for name, p in zip(self.vars, e):
+                if p:
+                    t = t * assignment[name] ** p
+            cv = self._content * v
+            out += (_scaled(cv, t) if isinstance(t, (float, complex))
+                    else _scaled(cv * t, 1.0))
+        return out
+
     # ---------------- exact division and gcd ----------------
 
     def divexact(self, other: "MultiPoly"):
-        """Return self/other if the division is exact, else None."""
+        """Return self/other if the division is exact, else None.
+
+        Runs on the primitive integer parts: if the division is exact over Q,
+        the quotient of two primitive parts is itself an integer polynomial
+        (Gauss), so a leading-term step that leaves a remainder proves the
+        division inexact."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
         allv, t1, t2 = self._aligned(other)
-        rem = {e: Fraction(v) for e, v in t1.items()}
+        rem = dict(t1)
         lt2 = max(t2, key=lambda e: (sum(e), e))
         lc2 = t2[lt2]
         quot = {}
@@ -400,17 +423,23 @@ class MultiPoly:
             qe = tuple(a - b for a, b in zip(lt1, lt2))
             if any(p < 0 for p in qe):
                 return None
-            qc = rem[lt1] / lc2
+            qc, r = divmod(rem[lt1], lc2)
+            if r:
+                return None
             quot[qe] = qc
             for e2, v2 in t2.items():
                 e = tuple(a + b for a, b in zip(qe, e2))
-                w = rem.get(e, Fraction(0)) - qc * v2
+                w = rem.get(e, 0) - qc * v2
                 if w:
                     rem[e] = w
                 elif e in rem:
                     del rem[e]
-        q = MultiPoly(allv, quot)
-        return q * (self._content / other._content)
+        used = [i for i in range(len(allv)) if any(e[i] for e in quot)]
+        if len(used) != len(allv):
+            allv = tuple(allv[i] for i in used)
+            quot = {tuple(e[i] for i in used): c for e, c in quot.items()}
+        # primitive over primitive: the quotient is primitive, leading coeff > 0
+        return MultiPoly(allv, quot, _content=self._content / other._content)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -469,7 +498,7 @@ def parse_poly(text: str) -> MultiPoly:
         else:
             tokens.append(("op", m.group(3)))
         pos = m.end()
-    out = MultiPoly.zero()
+    monomials = []
     i = 0
     sign = 1
 
@@ -522,9 +551,15 @@ def parse_poly(text: str) -> MultiPoly:
             i += 1
             continue
         coeff, powers, i = take_term(i)
-        out = out + MultiPoly.monomial(sign * coeff, powers)
+        monomials.append((sign * coeff, powers))
         sign = 1
-    return out
+    # one construction instead of one sum per term
+    names = sorted({v for _, powers in monomials for v in powers})
+    terms = {}
+    for coeff, powers in monomials:
+        e = tuple(powers.get(v, 0) for v in names)
+        terms[e] = terms.get(e, 0) + coeff
+    return MultiPoly(names, terms)
 
 
 # ---------------- gcd machinery ----------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .algebra import to_rational
 from .painleve import thm7_b1, coefficient_list
@@ -90,6 +89,7 @@ class LiouvillianFamily:
         return lo
 
     def integral(self, x: float, base: float = None) -> float:
+        from scipy.integrate import quad
         if abs(self.b1p(x)) < 1e-9:
             raise ValueError(f"sample point {x} is a zero of the polynomial solution")
         base = self.base_point(x) if base is None else base
@@ -103,6 +103,7 @@ class LiouvillianFamily:
         """b1L on the grid x + k*h, |k| <= width, with one long quadrature
         plus tiny increments, so the dominant quadrature error cancels in
         finite differences."""
+        from scipy.integrate import quad
         iv = {0: self.integral(x)}
         for k in range(1, width + 1):
             iv[k] = iv[k - 1] + quad(self.integrand, x + (k - 1) * h, x + k * h,

@@ -96,6 +96,27 @@ class IdentityFrame:
     def to_a(self, f: FactoredFrac) -> RatFunc:
         return f.to_ratfunc()
 
+    def factored(self, r: RatFunc) -> FactoredFrac:
+        """r with its denominator split into powers of the gaps a_i - a_j.
+
+        The factors are the primitive gaps that the residual's 1/(a_i - a_j)
+        uses, so parsed entries take part in sums by small deficits only. A
+        cofactor that is no product of gaps stays behind as one more factor;
+        the value is r exactly in every case."""
+        rest = r.den
+        den = {}
+        N = len(self.variables)
+        for i in range(1, N + 1):
+            for j in range(i + 1, N + 1):
+                g = self.gap(i, j).primitive()
+                q = rest.divexact(g)
+                while q is not None:
+                    den[g] = den.get(g, 0) + 1
+                    rest = q
+                    q = rest.divexact(g)
+        out = FactoredFrac.quotient(r.num, rest)
+        return FactoredFrac(out.num, {**out.den, **den})
+
 
 class ShiftedFrame:
     """Entries are rational functions of D_h = a_nu - a_h (h != nu)."""
@@ -124,19 +145,19 @@ class ShiftedFrame:
         return self.dvar(j) - self.dvar(i)
 
     def to_a(self, f: FactoredFrac) -> RatFunc:
-        subs = {}
-        for h, name in self.dvars.items():
-            subs[name] = (MultiPoly.var(self.variables[self.nu - 1])
-                          - MultiPoly.var(self.variables[h - 1]))
-        num = f.num
-        for name, val in subs.items():
-            num = num.substitute(name, val)
-        out = RatFunc.from_poly(num)
-        for fac, e in f.den.items():
+        subs = {name: (MultiPoly.var(self.variables[self.nu - 1])
+                       - MultiPoly.var(self.variables[h - 1]))
+                for h, name in self.dvars.items()}
+
+        def in_a(poly):
             for name, val in subs.items():
-                fac = fac.substitute(name, val)
-            out = out / RatFunc.from_poly(fac) ** e
-        return out
+                poly = poly.substitute(name, val)
+            return poly
+
+        out = FactoredFrac.from_poly(in_a(f.num))
+        for fac, e in f.den.items():
+            out = out * FactoredFrac.quotient(MultiPoly.const(1), in_a(fac), e)
+        return out.to_ratfunc()
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +192,51 @@ class TriangularSolution:
         prov["perturbed"] = (i, k, l)
         return TriangularSolution(self.grid, entries, self.frame, prov)
 
-    def to_identity_frame(self) -> "TriangularSolution":
-        if isinstance(self.frame, IdentityFrame):
-            return self
-        frame = IdentityFrame(self.frame.variables)
-        entries = {key: FactoredFrac.from_ratfunc(self.frame.to_a(v))
-                   for key, v in self.entries.items()}
-        return TriangularSolution(self.grid, entries, frame, dict(self.provenance))
-
     def to_json_dict(self) -> dict:
-        ident = self.to_identity_frame()
         return {
             "schema_version": 1,
             "kind": "triangular-schlesinger",
             "provenance": {k: str(v) for k, v in self.provenance.items()},
             "p": self.p,
             "N": self.N,
-            "variables": list(ident.frame.variables),
+            "variables": list(self.frame.variables),
             "exponents": [[str(b) for b in row] for row in self.grid.beta],
-            "entries": {f"{i},{k},{l}": ident.frame.to_a(v).to_text()
-                        for (i, k, l), v in sorted(ident.entries.items())},
+            "entries": {f"{i},{k},{l}": self.frame.to_a(v).to_text()
+                        for (i, k, l), v in sorted(self.entries.items())},
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TriangularSolution":
+        """Parse a document; ValueError names what is malformed. Entries are
+        split into gap powers (IdentityFrame.factored) on the way in."""
         from .algebra import parse_ratfunc
-        grid = ExponentGrid(doc["p"], doc["N"],
-                            tuple(tuple(Fraction(b) for b in row)
-                                  for row in doc["exponents"]))
-        frame = IdentityFrame(doc["variables"])
+        p, N, variables = doc["p"], doc["N"], doc["variables"]
+        if p < 1 or N < 1:
+            raise ValueError("triangular-schlesinger document needs p >= 1 "
+                             "and N >= 1")
+        if len(variables) != N or len(set(variables)) != N:
+            raise ValueError(f"triangular-schlesinger document needs {N} "
+                             f"distinct variable names, got {variables}")
+        grid = ExponentGrid(p, N, tuple(tuple(Fraction(b) for b in row)
+                                        for row in doc["exponents"]))
+        frame = IdentityFrame(variables)
         entries = {}
         for key, text in doc["entries"].items():
-            i, k, l = (int(t) for t in key.split(","))
-            entries[(i, k, l)] = FactoredFrac.from_ratfunc(parse_ratfunc(text))
+            parts = key.split(",")
+            ikl = tuple(int(t) for t in parts if t.isdecimal())
+            if len(parts) != 3 or len(ikl) != 3 or not (
+                    1 <= ikl[0] <= N and 1 <= ikl[1] < ikl[2] <= p):
+                raise ValueError(f"bad entry key {key!r}: want i,k,l with "
+                                 f"1 <= i <= {N} and 1 <= k < l <= {p}")
+            if ikl in entries:
+                raise ValueError(f"entry {key!r} is given twice")
+            entries[ikl] = frame.factored(parse_ratfunc(text))
+        missing = [(i, k, l) for i in range(1, N + 1) for k in range(1, p + 1)
+                   for l in range(k + 1, p + 1) if (i, k, l) not in entries]
+        if missing:
+            i, k, l = missing[0]
+            raise ValueError(f"triangular-schlesinger document lacks entry "
+                             f"'{i},{k},{l}'")
         return cls(grid, entries, frame, dict(doc.get("provenance", {})))
 
 

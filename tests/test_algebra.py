@@ -50,6 +50,36 @@ class TestMultiPoly:
         assert (x ** 2 - 1).divexact(x - 1) == x + 1
         assert (x ** 2 + 1).divexact(x - 1) is None
 
+    def test_divexact_integer_steps(self):
+        # (x + 1)/(2x + 1) leaves the remainder 1/2: not exact over Q
+        assert (x + 1).divexact(2 * x + 1) is None
+        assert (2 * x + 2).divexact(x + 1) == MultiPoly.const(2)
+        assert (F(2, 3) * x + F(2, 3)).divexact(3 * x + 3) == MultiPoly.const(F(2, 9))
+
+    def test_divexact_seeded_product(self):
+        import random
+        rng = random.Random(20261018)
+        z = MultiPoly.var("z")
+        names = (x, y, z)
+
+        def rand_poly(nterms):
+            out = MultiPoly.zero()
+            for _ in range(nterms):
+                mono = MultiPoly.const(F(rng.randint(-9, 9), rng.randint(1, 5)))
+                for v in names:
+                    mono = mono * v ** rng.randint(0, 3)
+                out = out + mono
+            return out
+
+        for _ in range(5):
+            f, g = rand_poly(6), rand_poly(4)
+            if f.is_zero() or g.is_zero():
+                continue
+            assert (f * g).divexact(g) == f
+            assert (f * g).divexact(f) == g
+            q = (f * g + 1).divexact(g)
+            assert q is None or g.is_constant()
+
     def test_unused_variable_pruned(self):
         p = MultiPoly(("x", "y"), {(1, 0): F(1)})
         assert p == x and p.vars == ("x",)
@@ -71,6 +101,17 @@ class TestMultiPoly:
         assert p.evaluate({"x": 1e-300}) == pytest.approx(1e100, rel=1e-15)
         z = p.evaluate({"x": 1e-300j})
         assert z.real == 0 and z.imag == pytest.approx(1e100, rel=1e-15)
+
+    def test_evaluate_huge_coefficient_at_tiny_point(self):
+        # the primitive coefficient 10**400 overflows a float, 1e100 does not
+        p = 10 ** 400 * x + 1
+        assert p.evaluate({"x": 1e-300}) == pytest.approx(1e100, rel=1e-15)
+        z = p.evaluate({"x": 1e-300j})
+        assert z.real == 1 and z.imag == pytest.approx(1e100, rel=1e-15)
+        # a tiny content over huge coefficients: the value is about 1
+        q = (10 ** 400 + x) * F(1, 10 ** 400)
+        assert q.evaluate({"x": 2.0}) == pytest.approx(1.0, rel=1e-15)
+        assert p.evaluate({"x": F(1, 10 ** 300)}) == 10 ** 100 + 1
 
     def test_evaluate_tiny_content_at_huge_point(self):
         # the content 10**-400 flushes to 0.0 as a float, the value does not
@@ -192,6 +233,22 @@ class TestFactoredFrac:
         f = FactoredFrac.quotient(2 * x * (x - 1), x ** 2 + 5, 1)
         assert f.partial("x").to_ratfunc() == RatFunc(2 * x * (x - 1),
                                                       x ** 2 + 5).partial("x")
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_polys(), st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                             st.integers(-2, 2), st.integers(1, 3)),
+                                   max_size=3),
+           st.integers(0, 2))
+    def test_linear_factors_reduce_without_gcd(self, num, facs, shared):
+        # the gcd-free reduction must give the canonical form RatFunc gives
+        den = {}
+        for a, b, c, e in facs:
+            if a or b:
+                fac = a * x + b * y + c
+                num = num * fac ** min(shared, e)
+                den[fac] = den.get(fac, 0) + e
+        f = FactoredFrac(num, den)
+        assert f.to_ratfunc() == RatFunc(f.num, f.den_expanded())
 
     def test_reciprocal_and_cancel(self):
         f = FactoredFrac.quotient(x ** 2 - 1, x - 1, 1)

@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from isolab.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *args):
@@ -34,6 +40,13 @@ class TestGenerate:
     def test_missing_parameters(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--theorem", "7", "--n", "1")
         assert code == 2
+
+    def test_theorem4_documents_golden(self, capsys):
+        # texts recorded before entries were converted once in to_json_dict
+        golden = json.loads((DATA / "theorem4_documents.json").read_text())
+        for argv, text in golden.items():
+            code, out, _ = run_cli(capsys, "generate", *argv.split())
+            assert code == 0 and out == text, argv
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "generate", "--theorem", "6", "--n", "-2")
@@ -118,10 +131,45 @@ class TestVerifyInputValidation:
             code, _, err = self.verify_doc(capsys, tmp_path, doc)
             assert code == 2 and "Traceback" not in err, doc
 
+    def test_malformed_schlesinger_documents(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "4", "--p", "2",
+                            "--N", "3", "--m", "1", "--n", "-1")
+        good = json.loads(out)
+        entries = good["entries"]
+        bad = {"names": ("variables", ["a1", "a2"]),
+               "distinct": ("variables", ["a1", "a1", "a2"]),
+               "rows": ("exponents", [["-1/2", "1/2"]] * 2),
+               "row length": ("exponents", [["-1/2", "1/2", "3/2"]] * 3),
+               "pole index": ("entries", {**entries, "4,1,2": "0"}),
+               "k < l": ("entries", {**entries, "1,2,1": "0"}),
+               "l <= p": ("entries", {**entries, "1,1,3": "0"}),
+               "three indices": ("entries", {**entries, "1,1": "0"}),
+               "integers": ("entries", {**entries, "a,b,c": "0"}),
+               "twice": ("entries", {**entries, "01,1,2": "0"}),
+               "missing": ("entries", {"1,1,2": "0"}),
+               "p >= 1": ("p", 0)}
+        for label, (key, value) in bad.items():
+            code, out, err = self.verify_doc(capsys, tmp_path,
+                                             {**good, key: value})
+            assert code == 2 and out == "", label
+            assert err.startswith("error: ") and err.count("\n") == 1, label
+            assert "Traceback" not in err, label
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--input",
                                str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = ("import sys, isolab.cli; "
+                "sys.exit('scipy.integrate' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestZeros:

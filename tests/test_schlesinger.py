@@ -4,7 +4,8 @@ import pytest
 
 from isolab.algebra import MultiPoly, RatFunc, FactoredFrac, parse_ratfunc
 from isolab.curves import SuperellipticCurve, residue_series_oracle
-from isolab.schlesinger import (ExponentGrid, HypothesisError, TriangularSolution,
+from isolab.schlesinger import (ExponentGrid, HypothesisError, IdentityFrame,
+                                TriangularSolution,
                                 build_polynomial_solution, build_rational_solution,
                                 cross_terms, residual_is_zero, schlesinger_residual,
                                 sum_constraint, tau_exponents)
@@ -192,3 +193,54 @@ class TestSerialization:
             assert back.entry_ratfunc(*key) == sol.entry_ratfunc(*key)
         assert residual_is_zero(back)
         assert doc["schema_version"] == 1
+
+
+class TestDocumentPath:
+    """Parsed documents carry their denominators as powers of the gaps."""
+
+    INSTANCES = [((2, 3, 1, -1), 1), ((2, 3, 1, -1), 2), ((3, 3, 2, -1), 1),
+                 ((3, 4, 2, -1), 1), ((4, 3, 2, -3), 1), ((2, 2, 1, -2), 1)]
+
+    def test_dens_split_into_gaps(self):
+        for g, nu in self.INSTANCES:
+            sol = build_rational_solution(*g, nu=nu)
+            back = TriangularSolution.from_json_dict(sol.to_json_dict())
+            N = sol.N
+            gaps = {back.frame.gap(i, j).primitive()
+                    for i in range(1, N + 1) for j in range(i + 1, N + 1)}
+            for key, entry in back.entries.items():
+                assert set(entry.den) <= gaps, (g, key, entry)
+                assert back.entry_ratfunc(*key) == sol.entry_ratfunc(*key)
+            assert residual_is_zero(back), g
+
+    def test_non_gap_factor_kept_exactly(self):
+        texts = {"1,1,2": "(1)/(a1^3 - a1^2*a2 + a1 - a2)",  # (a1-a2)(a1^2+1)
+                 "2,1,2": "(a3)/(a1^2 + 1)",
+                 "3,1,2": "(1)/(a2 - a3)"}
+        doc = {"p": 2, "N": 3, "variables": ["a1", "a2", "a3"],
+               "exponents": [["1/2", "-1/2"]] * 3, "entries": texts}
+        back = TriangularSolution.from_json_dict(doc)
+        a1, a2 = MultiPoly.var("a1"), MultiPoly.var("a2")
+        assert back.entry(1, 1, 2).den == {a1 - a2: 1, a1 ** 2 + 1: 1}
+        for key, text in texts.items():
+            i, k, l = (int(t) for t in key.split(","))
+            assert back.entry_ratfunc(i, k, l) == parse_ratfunc(text)
+        # the same verdicts as one expanded denominator per entry
+        whole = TriangularSolution(
+            back.grid, {key: FactoredFrac.from_ratfunc(back.entry_ratfunc(*key))
+                        for key in back.entries}, back.frame)
+        got = schlesinger_residual(back, as_ratfunc=False)
+        want = schlesinger_residual(whole, as_ratfunc=False)
+        assert got.keys() == want.keys()
+        assert [k for k, v in got.items() if v.is_zero()] == \
+            [k for k, v in want.items() if v.is_zero()]
+        assert any(not v.is_zero() for v in got.values())
+
+    def test_factored_value_is_exact(self):
+        frame = IdentityFrame(("a1", "a2", "a3"))
+        for text in ("(a1 + 3)/(2*a1^2 - 4*a1*a2 + 2*a2^2)", "a2^2 - 1",
+                     "(1)/(3*a2 - 3*a3)", "(a3)/(a1^2*a3 - a2^2*a3 + 5)"):
+            r = parse_ratfunc(text)
+            f = frame.factored(r)
+            assert f.to_ratfunc() == r
+            assert all(fac.content() == 1 for fac in f.den)
