@@ -1,18 +1,116 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A MultiPoly is immutable. Internally it is stored as a primitive
-integer-coefficient term dict together with a rational content, so that hot
-loops (products, big cancelling sums) run on machine/long ints and Fractions
-only appear at the boundary. The term order is graded lexicographic over the
-alphabetically sorted variable names; unused variables are pruned, which makes
-structural equality meaningful.
+A MultiPoly is immutable. It is stored as a primitive integer-coefficient
+term dict together with a rational content, so that hot loops (products, big
+cancelling sums) run on ints and Fractions only appear at the boundary.
+
+Packed monomials (Monagan & Pearce, ISSAC 2009). Every variable name gets a
+fixed bit field of `_W` bits in one process-wide slot table, the first time
+any polynomial uses it, and a monomial is the int sum of exponent << offset.
+All polynomials share the table, so operands never need aligning: the
+monomial of a product is `e1 + e2`, a power of a one-term polynomial is
+`n * e`, and dividing monomials is a subtraction.
+
+Overflow rule. A field must never carry into the next one. Each polynomial
+keeps an upper bound on its total degree (exact for products of exact
+bounds, the maximum for sums), which bounds every exponent in it. Every
+product and power checks the bound of its result, and raises
+ExponentOverflowError before any exponent could pass `_MAX_EXP`; the top
+bit of each field therefore stays clear, which divexact uses as a borrow
+guard. A tuple-keyed construction checks the same limit.
+
+The table is append-only and nothing the public view shows depends on the
+order of its slots. Packed keys mean something only within one process, so
+a pickled MultiPoly carries its tuple-keyed form.
+
+Canonical form: the primitive part has a positive coefficient at its
+largest packed key (lex order with later slots more significant, a monomial
+order, so products of canonical parts are canonical by Gauss's lemma), and
+the content carries the sign. The public view does not depend on the slot
+order: `vars` is the sorted tuple of used names; `terms()`, `leading()`,
+`coefficient()` and `to_text()` use graded lex over the alphabetically
+sorted names; `content()` and `primitive()` make the graded-lex leading
+coefficient of the primitive part positive.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from fractions import Fraction
-from math import frexp, ldexp, gcd as _igcd
+from math import frexp, ldexp, gcd as _igcd, lcm as _ilcm
+
+
+class ExponentOverflowError(OverflowError, ValueError):
+    """An exponent would not fit its packed field."""
+
+
+_W = 16                         # bits per exponent field
+_FIELD = (1 << _W) - 1
+_MAX_EXP = (1 << (_W - 1)) - 1  # the top bit of every field stays clear
+_SLOTS = {}                     # name -> bit offset of its field
+_NAMES = []                     # field index -> name
+_GUARD = 0                      # the top bit of every allocated field
+_ALLOCATING = threading.Lock()
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+_TINY = sys.float_info.min      # below this a float has lost precision
+
+
+def _offset(name: str) -> int:
+    """Bit offset of name's field, allocated on first use."""
+    global _GUARD
+    off = _SLOTS.get(name)
+    if off is None:
+        with _ALLOCATING:
+            off = _SLOTS.get(name)
+            if off is None:
+                off = _W * len(_NAMES)
+                _NAMES.append(name)
+                _GUARD |= 1 << (off + _W - 1)
+                _SLOTS[name] = off
+    return off
+
+
+def _degree_of(e: int) -> int:
+    """Total degree of a packed monomial."""
+    d = 0
+    while e:
+        d += e & _FIELD
+        e >>= _W
+    return d
+
+
+def _names_of(terms) -> tuple:
+    mask = 0
+    for e in terms:
+        mask |= e
+    names = []
+    k = 0
+    while mask:
+        if mask & _FIELD:
+            names.append(_NAMES[k])
+        mask >>= _W
+        k += 1
+    return tuple(sorted(names))
+
+
+def _grlex(names):
+    """Sort key of packed monomials: graded lex over the given sorted names."""
+    offs = [_SLOTS[n] for n in names]
+
+    def key(e):
+        exps = tuple((e >> o) & _FIELD for o in offs)
+        return sum(exps), exps
+    return key
+
+
+def _checked(deg: int) -> int:
+    if deg > _MAX_EXP:
+        raise ExponentOverflowError(
+            f"total degree {deg} exceeds the packed exponent limit {_MAX_EXP}")
+    return deg
 
 
 def _content_of(ints):
@@ -24,34 +122,43 @@ def _content_of(ints):
     return g
 
 
-def _renormalized(variables, int_terms, content):
-    """Rebuild the canonical (primitive ints, signed content) split after an
-    operation that may leave shared integer factors behind."""
+def _new(terms: dict, content: Fraction, deg: int) -> "MultiPoly":
+    """Trusted constructor: primitive ints with a positive coefficient at
+    the largest key, the sign in content, deg >= the total degree."""
+    p = object.__new__(MultiPoly)
+    p._terms = terms
+    p._content = content
+    p._deg = deg
+    p._hash = None
+    p._vars = None
+    p._plan = None
+    return p
+
+
+def _renormalized(int_terms: dict, content: Fraction, deg: int):
+    """The canonical (primitive ints, signed content) split after an
+    operation that may leave shared integer factors or a negative lead."""
     g = _content_of(int_terms.values())
-    lead = max(int_terms, key=lambda e: (sum(e), e))
-    if int_terms[lead] < 0:
+    if int_terms[max(int_terms)] < 0:
         g = -g
-    out = MultiPoly(variables, {e: v // g for e, v in int_terms.items()},
-                    _content=content * g)
-    if any(not any(e[i] for e in out._terms) for i in range(len(out.vars))):
-        # unused variable slipped through (e.g. the main var of a bucket)
-        return MultiPoly(out.vars, {e: Fraction(c) * out._content
-                                    for e, c in out._terms.items()})
-    return out
+    if g == 1:
+        return _new(int_terms, content, deg)
+    return _new({e: v // g for e, v in int_terms.items()}, content * g, deg)
 
 
-def _scaled(c: Fraction, x):
-    """c * x for a float or complex x. A content c outside the float range is
-    applied as m * 2**e, |m| in (1/2, 2), so that a representable product
-    neither overflows nor flushes to zero on the way."""
+def _scaled(c: Fraction, x, e: int = 0):
+    """c * x * 2**e for a float or complex x. A content c outside the float
+    range is applied as m * 2**k, |m| in (1/2, 2), so that a representable
+    product neither overflows nor flushes to zero on the way."""
     n, d = c.numerator, c.denominator
-    e = n.bit_length() - d.bit_length()
-    if -1000 < e < 1000:
+    k = n.bit_length() - d.bit_length()
+    if not e and -1000 < k < 1000:
         return float(c) * x
-    m = n / (d << e) if e > 0 else (n << -e) / d
+    m = n / (d << k) if k > 0 else (n << -k) / d
     if isinstance(x, complex):
-        return complex(_ldexp_mul(m, x.real, e), _ldexp_mul(m, x.imag, e))
-    return _ldexp_mul(m, x, e)
+        return complex(_ldexp_mul(m, x.real, k + e),
+                       _ldexp_mul(m, x.imag, k + e))
+    return _ldexp_mul(m, x, k + e)
 
 
 def _ldexp_mul(m: float, x: float, e: int) -> float:
@@ -59,81 +166,117 @@ def _ldexp_mul(m: float, x: float, e: int) -> float:
     return ldexp(m * xm, xe + e)
 
 
-class MultiPoly:
-    __slots__ = ("vars", "_terms", "_content", "_hash")
+def _split(x):
+    """x = m * 2**k with the larger part of m of magnitude in [1/2, 1)."""
+    if isinstance(x, complex):
+        k = frexp(max(abs(x.real), abs(x.imag)))[1]
+        return complex(ldexp(x.real, -k), ldexp(x.imag, -k)), k
+    return frexp(x)
 
-    def __init__(self, variables, terms, _content=None):
-        """Build from {exponent tuple: coefficient}; prefer the classmethods."""
+
+def _power_split(x, p: int):
+    """x**p as (m, k) with x**p = m * 2**k, by squaring on normalised
+    mantissas, so that neither underflow nor overflow can occur."""
+    m, k = 1.0, 0
+    xm, xk = _split(x)
+    while p:
+        if p & 1:
+            m, j = _split(m * xm)
+            k += xk + j
+        p >>= 1
+        if p:
+            xm, j = _split(xm * xm)
+            xk = 2 * xk + j
+    return m, k
+
+
+class _Underflow(Exception):
+    """A float monomial of nonzero inputs came out 0.0 or subnormal."""
+
+
+class MultiPoly:
+    __slots__ = ("_terms", "_content", "_deg", "_hash", "_vars", "_plan")
+
+    def __init__(self, variables, terms):
+        """Build from {exponent tuple over variables: coefficient}."""
         variables = tuple(variables)
-        if _content is not None:
-            # trusted path: terms are primitive ints, content carries sign
-            self.vars = variables
-            self._terms = terms
-            self._content = _content
-            self._hash = None
-            return
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable name in {variables}")
+        offs = [_offset(v) for v in variables]
         clean = {}
         for exps, c in terms.items():
             c = c if isinstance(c, Fraction) else Fraction(c)
             if c:
-                clean[tuple(exps)] = clean.get(tuple(exps), Fraction(0)) + c
+                if len(exps) != len(offs):
+                    raise ValueError(f"exponent tuple {exps} does not match "
+                                     f"the variables {variables}")
+                e = 0
+                for o, p in zip(offs, exps):
+                    if p:
+                        if p < 0:
+                            raise ValueError(f"negative exponent in {exps}")
+                        if p > _MAX_EXP:
+                            raise ExponentOverflowError(
+                                f"exponent {p} exceeds the packed exponent "
+                                f"limit {_MAX_EXP}")
+                        e += p << o
+                clean[e] = clean.get(e, 0) + c
         clean = {e: c for e, c in clean.items() if c}
+        self._hash = None
+        self._vars = None
+        self._plan = None
         if not clean:
-            self.vars = ()
             self._terms = {}
-            self._content = Fraction(1)
-            self._hash = None
+            self._content = _ONE
+            self._deg = 0
             return
-        # prune unused variables
-        used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        # sort variables alphabetically for a canonical order
-        order = sorted(range(len(variables)), key=lambda i: variables[i])
-        if order != list(range(len(variables))):
-            variables = tuple(variables[i] for i in order)
-            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-        # extract rational content; primitive part has positive leading coeff
-        from math import lcm
+        self._deg = _checked(max(map(_degree_of, clean)))
         den = 1
         for c in clean.values():
-            den = lcm(den, c.denominator)
+            den = _ilcm(den, c.denominator)
         ints = {e: int(c * den) for e, c in clean.items()}
         g = _content_of(ints.values())
-        lead = max(ints, key=lambda e: (sum(e), e))
-        sign = 1 if ints[lead] > 0 else -1
-        g *= sign
-        self.vars = variables
+        if ints[max(ints)] < 0:
+            g = -g
         self._terms = {e: v // g for e, v in ints.items()}
         self._content = Fraction(g, den)
-        self._hash = None
 
     # ---------------- constructors ----------------
 
     @classmethod
     def zero(cls):
-        return cls((), {}, _content=Fraction(1))
+        return _ZERO
 
     @classmethod
     def const(cls, q):
+        if q == 1:
+            return _UNIT
         q = q if isinstance(q, Fraction) else Fraction(q)
         if not q:
-            return cls.zero()
-        return cls((), {(): 1}, _content=q)
+            return _ZERO
+        return _new({0: 1}, q, 0)
 
     @classmethod
     def var(cls, name: str):
-        return cls((name,), {(1,): 1}, _content=Fraction(1))
+        p = _VARS.get(name)
+        if p is None:
+            p = _VARS[name] = _new({1 << _offset(name): 1}, _ONE, 1)
+        return p
 
     @classmethod
     def monomial(cls, coeff, var_powers: dict):
         """coeff * prod(var^e) from a {name: exponent} mapping."""
-        names = tuple(sorted(var_powers))
-        exps = tuple(var_powers[v] for v in names)
-        return cls(names, {exps: coeff})
+        names = tuple(var_powers)
+        return cls(names, {tuple(var_powers[v] for v in names): coeff})
 
     # ---------------- basics ----------------
+
+    @property
+    def vars(self) -> tuple:
+        """The sorted names of the variables that occur."""
+        if self._vars is None:
+            self._vars = _names_of(self._terms)
+        return self._vars
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -142,120 +285,126 @@ class MultiPoly:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return not self.vars or all(not any(e) for e in self._terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self._content * next(iter(self._terms.values()))
+        return self._content * self._terms[0]
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
+        return max(map(_degree_of, self._terms), default=0)
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
+        off = _SLOTS.get(name)
+        if off is None:
             return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self._terms), default=0)
+        return max(((e >> off) & _FIELD for e in self._terms), default=0)
 
     def terms(self):
         """Iterate (exponent tuple, Fraction coefficient), graded-lex descending."""
-        for e in sorted(self._terms, key=lambda e: (sum(e), e), reverse=True):
-            yield e, self._content * self._terms[e]
+        key = _grlex(self.vars)
+        for (_, exps), v in sorted(((key(e), v) for e, v in self._terms.items()),
+                                   reverse=True):
+            yield exps, self._content * v
+
+    def _leading_key(self) -> int:
+        """The packed graded-lex leading monomial."""
+        t = self._terms
+        if len(t) == 1:
+            return next(iter(t))
+        return max(t, key=_grlex(self.vars))
 
     def leading(self):
         """Leading (exponents, coefficient) in graded lex."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=lambda t: (sum(t), t))
-        return e, self._content * self._terms[e]
+        e = self._leading_key()
+        return _grlex(self.vars)(e)[1], self._content * self._terms[e]
 
     def coefficient(self, exps) -> Fraction:
-        return self._content * self._terms.get(tuple(exps), 0)
+        names = self.vars
+        if len(exps) != len(names) or not all(0 <= p <= _MAX_EXP for p in exps):
+            return Fraction(0)
+        e = sum(p << _SLOTS[n] for n, p in zip(names, exps) if p)
+        return self._content * self._terms.get(e, 0)
+
+    def _sign(self) -> int:
+        """Sign of the graded-lex leading coefficient of the primitive part."""
+        return 1 if self._terms[self._leading_key()] > 0 else -1
 
     def content(self) -> Fraction:
         """Rational content (signed); zero polynomial reports 0."""
-        return self._content if self._terms else Fraction(0)
+        if not self._terms:
+            return Fraction(0)
+        return self._content if self._sign() > 0 else -self._content
 
     def primitive(self) -> "MultiPoly":
         """Integer-primitive part with positive leading coefficient."""
         if self.is_zero():
             return self
-        return MultiPoly(self.vars, dict(self._terms), _content=Fraction(1))
+        return _new(self._terms, _ONE if self._sign() > 0 else _MINUS_ONE,
+                    self._deg)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.vars == other.vars and self._content == other._content
-                and self._terms == other._terms)
+        return self._terms == other._terms and (
+            self._content is other._content or self._content == other._content)
 
     def __hash__(self):
         if self._hash is None:
-            key = (self.vars, self._content,
-                   tuple(sorted(self._terms.items())))
-            self._hash = hash(key)
+            self._hash = hash((self._content,
+                               frozenset(self._terms.items())))
         return self._hash
-
-    # ---------------- variable alignment ----------------
-
-    def _aligned(self, other):
-        if self.vars == other.vars:
-            return self.vars, self._terms, other._terms
-        allv = tuple(sorted(set(self.vars) | set(other.vars)))
-        return allv, self._remap(allv), other._remap(allv)
-
-    def _remap(self, allv):
-        idx = [allv.index(v) for v in self.vars]
-        n = len(allv)
-        out = {}
-        for e, c in self._terms.items():
-            ne = [0] * n
-            for i, p in zip(idx, e):
-                ne[i] = p
-            out[tuple(ne)] = c
-        return out
 
     # ---------------- arithmetic ----------------
 
     def __neg__(self):
         if self.is_zero():
             return self
-        return MultiPoly(self.vars, dict(self._terms), _content=-self._content)
+        return _new(self._terms, -self._content, self._deg)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.is_zero():
+        t1, t2 = self._terms, other._terms
+        if not t1:
             return other
-        if other.is_zero():
+        if not t2:
             return self
-        allv, t1, t2 = self._aligned(other)
         c1, c2 = self._content, other._content
-        # scale both contents by a common rational so coefficients stay ints
-        gn = _igcd(c1.numerator, c2.numerator)
-        gl = c1.denominator * c2.denominator // _igcd(c1.denominator, c2.denominator)
-        g = Fraction(gn, gl)
-        m1 = int(c1 / g)
-        m2 = int(c2 / g)
-        out = {e: m1 * v for e, v in t1.items()}
+        # scale both contents by g = gcd(numerators)/lcm(denominators), so
+        # that c1/g and c2/g are the integers m1, m2
+        n1, d1 = c1.numerator, c1.denominator
+        n2, d2 = c2.numerator, c2.denominator
+        gn = _igcd(n1, n2)
+        gl = d1 if d1 == d2 else d1 * d2 // _igcd(d1, d2)
+        m1 = n1 // gn * (gl // d1)
+        m2 = n2 // gn * (gl // d2)
+        out = dict(t1) if m1 == 1 else {e: m1 * v for e, v in t1.items()}
+        get = out.get
         for e, v in t2.items():
-            w = out.get(e, 0) + m2 * v
+            w = get(e, 0) + m2 * v
             if w:
                 out[e] = w
-            elif e in out:
+            else:
                 del out[e]
         if not out:
-            return MultiPoly.zero()
+            return _ZERO
         gg = _content_of(out.values())
-        lead = max(out, key=lambda e: (sum(e), e))
-        if out[lead] < 0:
+        if out[max(out)] < 0:
             gg = -gg
-        return MultiPoly(allv, {e: v // gg for e, v in out.items()},
-                         _content=g * gg)
+        if gg != 1:
+            out = {e: v // gg for e, v in out.items()}
+        gn *= gg
+        content = _ONE if gn == 1 and gl == 1 else Fraction(gn, gl)
+        return _new(out, content, max(self._deg, other._deg))
 
     __radd__ = __add__
 
@@ -268,37 +417,55 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q or self.is_zero():
-                return MultiPoly.zero()
-            return MultiPoly(self.vars, dict(self._terms), _content=self._content * q)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return MultiPoly.zero()
-        allv, t1, t2 = self._aligned(other)
-        out = {}
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other or not self._terms:
+                return _ZERO
+            if other == 1:
+                return self
+            return _new(self._terms, self._content * other, self._deg)
+        t1, t2 = self._terms, other._terms
+        if not t1 or not t2:
+            return _ZERO
+        deg = self._deg + other._deg
+        if deg > _MAX_EXP:  # the bounds may be loose: check the exact degrees
+            deg = _checked(self.total_degree() + other.total_degree())
+        c1, c2 = self._content, other._content
+        c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
         if len(t1) > len(t2):
             t1, t2 = t2, t1
+        if len(t1) == 1:
+            # a one-term primitive part is the monomial itself (coefficient 1)
+            e1 = next(iter(t1))
+            out = t2 if not e1 else {e1 + e: v for e, v in t2.items()}
+            return _new(out, c, deg)
+        out = {}
+        get = out.get
         for e1, v1 in t1.items():
             for e2, v2 in t2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(e, 0) + v1 * v2
+                e = e1 + e2
+                w = get(e, 0) + v1 * v2
                 if w:
                     out[e] = w
-                elif e in out:
+                else:
                     del out[e]
-        if not out:  # cannot happen over an integral domain, but be safe
-            return MultiPoly.zero()
         # product of primitive parts is primitive (Gauss), skip re-extraction
-        return MultiPoly(allv, out, _content=self._content * other._content)
+        return _new(out, c, deg)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n == 0:
+            return _UNIT
+        t = self._terms
+        if len(t) == 1:
+            e = next(iter(t))
+            deg = _checked(n * _degree_of(e))
+            c = self._content
+            return _new({n * e: 1}, c if c is _ONE else c ** n, deg)
         out = MultiPoly.const(1)
         base = self
         while n:
@@ -310,18 +477,18 @@ class MultiPoly:
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative."""
-        if name not in self.vars:
-            return MultiPoly.zero()
-        i = self.vars.index(name)
+        off = _SLOTS.get(name)
+        if off is None:
+            return _ZERO
+        unit = 1 << off
         out = {}
         for e, v in self._terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = v * e[i]
+            p = (e >> off) & _FIELD
+            if p:
+                out[e - unit] = v * p
         if not out:
-            return MultiPoly.zero()
-        return _renormalized(self.vars, out, self._content)
+            return _ZERO
+        return _renormalized(out, self._content, self._deg - 1)
 
     # ---------------- substitution / evaluation ----------------
 
@@ -329,13 +496,12 @@ class MultiPoly:
         """View as {power of name: MultiPoly in the remaining variables}."""
         if name not in self.vars:
             return {0: self} if self._terms else {}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
+        off = _SLOTS[name]
         buckets = {}
         for e, v in self._terms.items():
-            re_ = e[:i] + e[i + 1:]
-            buckets.setdefault(e[i], {})[re_] = v
-        return {k: _renormalized(rest, t, self._content)
+            p = (e >> off) & _FIELD
+            buckets.setdefault(p, {})[e - (p << off)] = v
+        return {k: _renormalized(t, self._content, self._deg - k)
                 for k, t in buckets.items()}
 
     def substitute(self, name: str, value):
@@ -366,38 +532,62 @@ class MultiPoly:
                 vp = vp * value
         return out
 
+    def _evaluation_plan(self):
+        """Per term: (primitive coefficient, ((index into vars, power), ...)),
+        built once; evaluation at many points reuses it."""
+        if self._plan is None:
+            offs = [_SLOTS[n] for n in self.vars]
+            self._plan = [(v, tuple((i, (e >> o) & _FIELD)
+                                    for i, o in enumerate(offs)
+                                    if (e >> o) & _FIELD))
+                          for e, v in self._terms.items()]
+        return self._plan
+
     def evaluate(self, assignment: dict):
         """Numeric/exact evaluation with every variable assigned."""
+        if not self._terms:
+            return Fraction(0)
+        xs = [assignment[n] for n in self.vars]
+        floats = False
+        for x in xs:
+            if isinstance(x, (float, complex)):
+                floats = True
+                break
+        plan = self._evaluation_plan()
         try:
             out = None
-            for e, v in self._terms.items():
+            for v, powers in plan:
                 t = v
-                for name, p in zip(self.vars, e):
-                    if p:
-                        t = t * assignment[name] ** p
+                for i, p in powers:
+                    t = t * xs[i] ** p
+                if floats and abs(t) < _TINY and all(xs[i] for i, _ in powers):
+                    raise _Underflow  # a monomial of nonzero inputs was lost
                 out = t if out is None else out + t
-        except OverflowError:
-            # an integer coefficient (or a partial sum) beyond the float range
-            return self._evaluate_scaled(assignment)
-        if out is None:
-            return Fraction(0)
+        except (OverflowError, _Underflow):
+            # a coefficient, monomial or partial sum beyond the float range
+            return self._evaluate_scaled(xs, plan)
         c = self._content
-        if isinstance(out, complex) or isinstance(out, float):
+        if isinstance(out, (float, complex)):
             return _scaled(c, out)
         return c * out
 
-    def _evaluate_scaled(self, assignment: dict):
-        """Float evaluation that applies each term's exact coefficient to its
-        monomial as m * 2**e, so that no coefficient is converted whole."""
+    def _evaluate_scaled(self, xs, plan):
+        """Float evaluation that keeps each float monomial as m * 2**k and
+        applies the term's exact coefficient to it, so that no coefficient
+        is converted whole and no monomial underflows or overflows."""
         out = 0.0
-        for e, v in self._terms.items():
-            t = 1
-            for name, p in zip(self.vars, e):
-                if p:
-                    t = t * assignment[name] ** p
+        for v, powers in plan:
             cv = self._content * v
-            out += (_scaled(cv, t) if isinstance(t, (float, complex))
-                    else _scaled(cv * t, 1.0))
+            m, k = 1.0, 0
+            for i, p in powers:
+                x = xs[i]
+                if isinstance(x, (float, complex)):
+                    xm, xk = _power_split(x, p)
+                    m, j = _split(m * xm)
+                    k += xk + j
+                else:
+                    cv = cv * x ** p
+            out += _scaled(cv, m, k)
         return out
 
     # ---------------- exact division and gcd ----------------
@@ -408,38 +598,49 @@ class MultiPoly:
         Runs on the primitive integer parts: if the division is exact over Q,
         the quotient of two primitive parts is itself an integer polynomial
         (Gauss), so a leading-term step that leaves a remainder proves the
-        division inexact."""
-        if other.is_zero():
+        division inexact. The leading terms are the largest packed keys (a
+        monomial order); a monomial divides another when subtracting it
+        borrows from no field, which the guard bits show. An exact division
+        only meets monomials of q * other, whose exponents are those of
+        self at most, so a remainder monomial with a guard bit set proves
+        the division inexact, before any field could carry."""
+        t2 = other._terms
+        if not t2:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
+        if not self._terms:
             return self
-        allv, t1, t2 = self._aligned(other)
-        rem = dict(t1)
-        lt2 = max(t2, key=lambda e: (sum(e), e))
+        rem = dict(self._terms)
+        lt2 = max(t2)
         lc2 = t2[lt2]
+        guard = _GUARD
         quot = {}
         while rem:
-            lt1 = max(rem, key=lambda e: (sum(e), e))
-            qe = tuple(a - b for a, b in zip(lt1, lt2))
-            if any(p < 0 for p in qe):
+            lt1 = max(rem)
+            if ((lt1 | guard) - lt2) & guard != guard:
                 return None
             qc, r = divmod(rem[lt1], lc2)
             if r:
                 return None
+            qe = lt1 - lt2
             quot[qe] = qc
+            get = rem.get
             for e2, v2 in t2.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
-                w = rem.get(e, 0) - qc * v2
+                e = qe + e2
+                if e & guard:
+                    return None
+                w = get(e, 0) - qc * v2
                 if w:
                     rem[e] = w
-                elif e in rem:
+                else:
                     del rem[e]
-        used = [i for i in range(len(allv)) if any(e[i] for e in quot)]
-        if len(used) != len(allv):
-            allv = tuple(allv[i] for i in used)
-            quot = {tuple(e[i] for i in used): c for e, c in quot.items()}
-        # primitive over primitive: the quotient is primitive, leading coeff > 0
-        return MultiPoly(allv, quot, _content=self._content / other._content)
+        # primitive over primitive: the quotient is primitive, its largest
+        # key has a positive coefficient; its terms go in graded-lex
+        # descending order, the order evaluate sums them in
+        if len(quot) > 1:
+            quot = {e: quot[e] for e in sorted(quot, key=_grlex(_names_of(quot)),
+                                                reverse=True)}
+        return _new(quot, self._content / other._content,
+                    max(0, self._deg - _degree_of(lt2)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -476,6 +677,14 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
+
+    def __reduce__(self):
+        return MultiPoly, (self.vars, dict(self.terms()))
+
+
+_ZERO = _new({}, _ONE, 0)
+_UNIT = _new({0: 1}, _ONE, 0)
+_VARS = {}
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|\(|\)|/))")
@@ -566,11 +775,10 @@ def parse_poly(text: str) -> MultiPoly:
 
 def _dense_coeffs(p: MultiPoly, var: str):
     """Integer coefficient list (ascending) of the primitive part."""
-    i = p.vars.index(var)
-    deg = max(e[i] for e in p._terms)
-    out = [0] * (deg + 1)
+    off = _SLOTS[var]
+    out = [0] * (p.degree_in(var) + 1)
     for e, v in p._terms.items():
-        out[e[i]] = v
+        out[(e >> off) & _FIELD] = v
     return out
 
 
@@ -647,9 +855,8 @@ def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly, x: str) -> bool:
         fa = [Fu.get(k, MultiPoly.zero()).evaluate(point) for k in range(max(Fu) + 1)]
         ga = [Gu.get(k, MultiPoly.zero()).evaluate(point) for k in range(max(Gu) + 1)]
         den = 1
-        from math import lcm
         for v in fa + ga:
-            den = lcm(den, v.denominator)
+            den = _ilcm(den, v.denominator)
         fi = [int(v * den) for v in fa]
         gi = [int(v * den) for v in ga]
         h = _univ_gcd_int(fi, gi)

@@ -201,12 +201,19 @@ class RatFunc:
         return f"RatFunc({self.to_text()!r})"
 
 
-def parse_ratfunc(text: str) -> RatFunc:
-    """Parse the canonical '(num)/(den)' or bare polynomial form."""
+def parse_fraction(text: str):
+    """Numerator and denominator of the canonical '(num)/(den)' or bare
+    polynomial form, exactly as written: no gcd, no normalization."""
     s = text.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         cut = s.index(")/(")
-        num = parse_poly(s[1:cut])
-        den = parse_poly(s[cut + 3:-1])
-        return RatFunc(num, den)
-    return RatFunc.from_poly(parse_poly(s))
+        return parse_poly(s[1:cut]), parse_poly(s[cut + 3:-1])
+    return parse_poly(s), MultiPoly.const(1)
+
+
+def parse_ratfunc(text: str) -> RatFunc:
+    """Parse the canonical '(num)/(den)' or bare polynomial form."""
+    num, den = parse_fraction(text)
+    if den == MultiPoly.const(1):
+        return RatFunc.from_poly(num)
+    return RatFunc(num, den)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import MultiPoly, RatFunc, binom, poly_gcd, to_rational
 from .schlesinger import (HypothesisError, build_rational_solution,
-                          default_variables, _check)
+                          default_variables, _check, _convolve)
 
 __all__ = ["GarnierSpec", "GarnierAlgebraicSolution", "HypothesisError",
            "pm_polynomial", "thm10_solution", "thm11_family",
@@ -195,18 +195,6 @@ def thm10_solution(M: int, m: int, n: int) -> GarnierAlgebraicSolution:
     return GarnierAlgebraicSolution(M=M, b=b, betas=betas, beta_inf=beta_inf,
                                     provenance={"theorem": "garnier-polynomial",
                                                 "M": M, "m": m, "n": n})
-
-
-def _convolve(a, fac, r):
-    out = [MultiPoly.zero()] * (r + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(0, r + 1 - i):
-            fj = fac[j]
-            if not fj.is_zero():
-                out[i + j] = out[i + j] + ai * fj
-    return out
 
 
 def residue_basis_vector(M: int, n: int, j: int) -> list:

@@ -96,26 +96,28 @@ class IdentityFrame:
     def to_a(self, f: FactoredFrac) -> RatFunc:
         return f.to_ratfunc()
 
-    def factored(self, r: RatFunc) -> FactoredFrac:
-        """r with its denominator split into powers of the gaps a_i - a_j.
+    def factored(self, num: MultiPoly, den: MultiPoly) -> FactoredFrac:
+        """num/den with den split into powers of the gaps a_i - a_j.
 
         The factors are the primitive gaps that the residual's 1/(a_i - a_j)
         uses, so parsed entries take part in sums by small deficits only. A
         cofactor that is no product of gaps stays behind as one more factor;
-        the value is r exactly in every case."""
-        rest = r.den
-        den = {}
+        the value is num/den exactly in every case, reduced or not."""
+        if den.is_zero():
+            raise ZeroDivisionError("entry with zero denominator")
+        rest = den
+        gaps = {}
         N = len(self.variables)
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 g = self.gap(i, j).primitive()
                 q = rest.divexact(g)
                 while q is not None:
-                    den[g] = den.get(g, 0) + 1
+                    gaps[g] = gaps.get(g, 0) + 1
                     rest = q
                     q = rest.divexact(g)
-        out = FactoredFrac.quotient(r.num, rest)
-        return FactoredFrac(out.num, {**out.den, **den})
+        out = FactoredFrac.quotient(num, rest)
+        return FactoredFrac(out.num, {**out.den, **gaps})
 
 
 class ShiftedFrame:
@@ -208,8 +210,9 @@ class TriangularSolution:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TriangularSolution":
         """Parse a document; ValueError names what is malformed. Entries are
-        split into gap powers (IdentityFrame.factored) on the way in."""
-        from .algebra import parse_ratfunc
+        split into gap powers (IdentityFrame.factored) on the way in, with
+        no gcd: the residual needs only their exact values."""
+        from .algebra import parse_fraction
         p, N, variables = doc["p"], doc["N"], doc["variables"]
         if p < 1 or N < 1:
             raise ValueError("triangular-schlesinger document needs p >= 1 "
@@ -230,7 +233,7 @@ class TriangularSolution:
                                  f"1 <= i <= {N} and 1 <= k < l <= {p}")
             if ikl in entries:
                 raise ValueError(f"entry {key!r} is given twice")
-            entries[ikl] = frame.factored(parse_ratfunc(text))
+            entries[ikl] = frame.factored(*parse_fraction(text))
         missing = [(i, k, l) for i in range(1, N + 1) for k in range(1, p + 1)
                    for l in range(k + 1, p + 1) if (i, k, l) not in entries]
         if missing:

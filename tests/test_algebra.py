@@ -1,10 +1,17 @@
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, pochhammer,
                             parse_poly, parse_ratfunc, poly_gcd)
+from isolab.algebra.multipoly import ExponentOverflowError, _W
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -102,6 +109,17 @@ class TestMultiPoly:
         z = p.evaluate({"x": 1e-300j})
         assert z.real == 0 and z.imag == pytest.approx(1e100, rel=1e-15)
 
+    def test_evaluate_huge_coefficient_on_underflowing_monomial(self):
+        # x**2 at 1e-200 is 0.0 as a float; the coefficient brings it back
+        p = 10 ** 400 * x ** 2 + 1
+        assert p.evaluate({"x": 1e-200}) == pytest.approx(2.0, rel=1e-15)
+        assert p.evaluate({"x": 1e-200j}) == pytest.approx(0.0, abs=1e-15)
+        q = 10 ** 300 * x ** 2 * y
+        assert q.evaluate({"x": 1e-200, "y": 3.0}) == pytest.approx(
+            3e-100, rel=1e-15)
+        # a zero input still gives an exact zero term
+        assert (x ** 2 * y + 1).evaluate({"x": 0.0, "y": 1e-300}) == 1.0
+
     def test_evaluate_huge_coefficient_at_tiny_point(self):
         # the primitive coefficient 10**400 overflows a float, 1e100 does not
         p = 10 ** 400 * x + 1
@@ -130,6 +148,208 @@ def small_polys(draw, names=("x", "y")):
         exps = {n: draw(st.integers(0, 3)) for n in names}
         p = p + MultiPoly.monomial(coeff, exps)
     return p
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against a plain tuple-keyed Fraction reference
+
+NAMES = ("x", "y", "z", "a1", "_D2")
+LIMIT = 2 ** (_W - 1) - 1  # the largest exponent a packed field may hold
+
+
+@st.composite
+def ref_polys(draw):
+    """{exponent tuple over NAMES: nonzero Fraction} on a drawn subset of NAMES."""
+    used = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                         unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.integers(0, 3)) if n in used else 0
+                     for n in NAMES)
+        c = F(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        terms[exps] = terms.get(exps, 0) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def from_ref(ref, order=NAMES):
+    """The polynomial of a reference dict, built over the names in order."""
+    pos = [NAMES.index(n) for n in order]
+    return MultiPoly(order, {tuple(e[i] for i in pos): c for e, c in ref.items()})
+
+
+def to_ref(p):
+    out = {}
+    for exps, c in p.terms():
+        powers = dict(zip(p.vars, exps))
+        out[tuple(powers.get(n, 0) for n in NAMES)] = c
+    return out
+
+
+def used_names(ref):
+    return tuple(sorted(n for i, n in enumerate(NAMES)
+                        if any(e[i] for e in ref)))
+
+
+class TestPackedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(ref_polys(), ref_polys(), ref_polys())
+    def test_ring_laws_match_reference(self, rf, rg, rh):
+        f, g, h = from_ref(rf), from_ref(rg), from_ref(rh)
+        assert to_ref(f + g) == ref_add(rf, rg)
+        assert to_ref(f * g) == ref_mul(rf, rg)
+        assert to_ref(f - f) == {}
+        assert f + g == g + f and f * g == g * f
+        assert (f + g) + h == f + (g + h)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+        assert f * MultiPoly.const(1) == f and f + MultiPoly.zero() == f
+        assert (f * g).vars == used_names(ref_mul(rf, rg))
+        assert to_ref(f ** 2) == ref_mul(rf, rf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_polys(), ref_polys())
+    def test_divexact_recovers_factor(self, rf, rg):
+        f, g = from_ref(rf), from_ref(rg)
+        if g.is_zero():
+            return
+        assert (f * g).divexact(g) == f
+        q = (f * g + MultiPoly.var("x") ** 4).divexact(g)
+        assert q is None or q * g == f * g + MultiPoly.var("x") ** 4
+
+    def test_inexact_division_stays_inside_the_fields(self):
+        # one of the two runs leads with the x (or y) term, and its
+        # remainder powers of the other variable grow past the field limit
+        for u, v in ((x, y), (y, x)):
+            assert (u ** 5).divexact(u - v ** 10000) is None
+            assert (u ** 5 * v).divexact(u * v - v ** 9000) is None
+            f = (u ** 3 + 7) * (u - v ** 10000)
+            assert f.divexact(u - v ** 10000) == u ** 3 + 7
+
+    def test_pickle_across_slot_tables(self):
+        # another process allocates the slots in another order
+        p = 3 * x ** 2 * y - MultiPoly.var("a1") * F(1, 2)
+        code = ("import pickle, sys; from isolab.algebra import MultiPoly; "
+                "MultiPoly.var('zz'); MultiPoly.var('y'); "
+                "print(pickle.loads(sys.stdin.buffer.read()).to_text())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code],
+                              input=pickle.dumps(p), capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.stdout.decode().strip() == p.to_text(), done.stderr
+
+    def test_threads_share_the_slot_table(self):
+        names = [f"t{k}" for k in range(40)]
+        errors = []
+
+        def work(shift):
+            try:
+                for k in range(len(names)):
+                    n = names[(k + shift) % len(names)]
+                    p = (MultiPoly.var(n) + x) ** 2
+                    assert p.to_text() == sorted_square(n), p.to_text()
+            except AssertionError as exc:
+                errors.append(exc)
+
+        def sorted_square(n):
+            a, b = sorted((n, "x"))
+            return f"{a}^2 + 2*{a}*{b} + {b}^2"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_polys())
+    def test_text_round_trip(self, rf):
+        f = from_ref(rf)
+        assert parse_poly(f.to_text()) == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_polys(), st.permutations(NAMES), st.randoms(use_true_random=False))
+    def test_value_independent_of_construction_order(self, rf, order, rng):
+        f = from_ref(rf)
+        g = from_ref(rf, tuple(order))
+        items = list(rf.items())
+        rng.shuffle(items)
+        h = MultiPoly.zero()
+        for e, c in items:
+            h = h + MultiPoly.monomial(c, {n: p for n, p in zip(NAMES, e) if p})
+        assert f == g == h
+        assert hash(f) == hash(g) == hash(h)
+        assert f.vars == g.vars == h.vars == used_names(rf)
+        if rf:
+            lead = max(rf, key=lambda e: (sum(e), [e[NAMES.index(n)]
+                                                   for n in sorted(NAMES)]))
+            exps, c = f.leading()
+            assert c == rf[lead]
+            assert dict(zip(f.vars, exps)) == {
+                n: p for n, p in zip(NAMES, lead) if n in f.vars}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.integers(LIMIT - 3, LIMIT + 3),
+                     st.integers(2 ** _W - 3, 2 ** _W + 3),
+                     st.integers(0, 2 ** (_W + 1))),
+           st.integers(0, 2 ** _W + 3), st.sampled_from(NAMES),
+           st.sampled_from(NAMES))
+    def test_exponent_limit_never_wraps(self, a, b, u, v):
+        want = {u: a}
+        want[v] = want.get(v, 0) + b
+        want = {n: p for n, p in want.items() if p}
+        try:
+            p = MultiPoly.var(u) ** a * MultiPoly.var(v) ** b
+        except ExponentOverflowError:
+            assert a + b > LIMIT
+        else:
+            assert a + b <= LIMIT
+            exps, c = p.leading()
+            assert c == 1 and len(list(p.terms())) == 1
+            assert p.vars == tuple(sorted(want))
+            assert dict(zip(p.vars, exps)) == want
+            assert p.divexact(MultiPoly.var(v) ** b) == MultiPoly.var(u) ** a
+        # a sum with a second term: the product is exact or raises
+        try:
+            q = (MultiPoly.var(u) ** a + 1) * (MultiPoly.var(v) ** b - 1)
+        except ExponentOverflowError:
+            assert a + b > LIMIT
+        else:
+            one = (0,) * len(NAMES)
+            ra = ref_add({tuple(a if n == u else 0 for n in NAMES): F(1)},
+                         {one: F(1)})
+            rb = ref_add({tuple(b if n == v else 0 for n in NAMES): F(1)},
+                         {one: F(-1)})
+            assert to_ref(q) == ref_mul(ra, rb)
+        try:
+            r = MultiPoly((u,), {(a,): 3})
+        except ExponentOverflowError:
+            assert a > LIMIT
+        else:
+            assert r.degree_in(u) == a and r.total_degree() == a
 
 
 @st.composite

@@ -147,6 +147,8 @@ class TestVerifyInputValidation:
                "integers": ("entries", {**entries, "a,b,c": "0"}),
                "twice": ("entries", {**entries, "01,1,2": "0"}),
                "missing": ("entries", {"1,1,2": "0"}),
+               "zero denominator": ("entries", {**entries, "1,1,2": "(a1)/(0)"}),
+               "exponent limit": ("entries", {**entries, "1,1,2": "a1^40000"}),
                "p >= 1": ("p", 0)}
         for label, (key, value) in bad.items():
             code, out, err = self.verify_doc(capsys, tmp_path,

@@ -241,6 +241,6 @@ class TestDocumentPath:
         for text in ("(a1 + 3)/(2*a1^2 - 4*a1*a2 + 2*a2^2)", "a2^2 - 1",
                      "(1)/(3*a2 - 3*a3)", "(a3)/(a1^2*a3 - a2^2*a3 + 5)"):
             r = parse_ratfunc(text)
-            f = frame.factored(r)
+            f = frame.factored(r.num, r.den)
             assert f.to_ratfunc() == r
             assert all(fac.content() == 1 for fac in f.den)
