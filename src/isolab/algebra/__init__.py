@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
-from .scalars import Rational, binom, pochhammer, to_rational
+from .scalars import Rational, binom, binomials, pochhammer, to_rational
 from .multipoly import MultiPoly, parse_poly, poly_gcd
 from .ratfunc import RatFunc, parse_fraction, parse_ratfunc
 from .factored import FactoredFrac
 
 __all__ = [
-    "Fraction", "Rational", "binom", "pochhammer", "to_rational",
+    "Fraction", "Rational", "binom", "binomials", "pochhammer",
+    "to_rational",
     "MultiPoly", "parse_poly", "poly_gcd", "RatFunc", "parse_fraction",
     "parse_ratfunc",
     "FactoredFrac",

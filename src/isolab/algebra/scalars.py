@@ -1,4 +1,5 @@
-"""Exact scalar helpers: generalized binomials and rising factorials.
+"""Exact scalar helpers: generalized binomials, one at a time or as a row,
+and rising factorials.
 
 All exact arithmetic in this package runs on ``fractions.Fraction``; complex
 floats are a separate numeric layer and conversions are always explicit.
@@ -36,6 +37,20 @@ def binom(beta, j: int) -> Fraction:
     for k in range(2, j + 1):
         num /= k
     return num
+
+
+def binomials(beta, jmax: int) -> list:
+    """[binom(beta, 0), ..., binom(beta, jmax)], empty for jmax < 0, by the
+    ratio recurrence binom(beta, k + 1) = binom(beta, k) * (beta - k) / (k + 1)."""
+    if jmax < 0:
+        return []
+    beta = to_rational(beta)
+    b = Fraction(1)
+    row = [b]
+    for k in range(jmax):
+        b = b * (beta - k) / (k + 1)
+        row.append(b)
+    return row
 
 
 def pochhammer(theta, j: int) -> Fraction:

@@ -122,8 +122,6 @@ def _generate_doc(args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.format == "csv":
-        raise ParameterError("generate emits JSON documents; use --format json")
     doc = _generate_doc(args)
     _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -541,12 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", help="rational parameter c (or Garnier c1,c2,..)")
         p.add_argument("--a-int", dest="a_int", help=argparse.SUPPRESS)
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     g = sub.add_parser("generate", help="build a family, print JSON")
     common(g)
     g.add_argument("--a", help="integer parameter a (theorem 8)")
-    g.set_defaults(func=cmd_generate)
 
     v = sub.add_parser("verify", help="verify a generated or supplied document")
     common(v)
@@ -556,11 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--a", help="comma-separated a-point, e.g. 2,3.5")
     v.add_argument("--eps", help="sign vector like ++-+ (default: all)")
     v.add_argument("--tol", help="numeric tolerance (default 1e-6)")
-    v.set_defaults(func=cmd_verify)
 
     z = sub.add_parser("zeros", help="CSV of P/Q roots with symmetry columns")
     common(z)
-    z.set_defaults(func=cmd_zeros)
 
     pe = sub.add_parser("periods", help="CSV of a numeric period matrix")
     common(pe)
@@ -569,20 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tol", help="quadrature tolerance")
     pe.add_argument("--trace", help="dump the w-continuation trace of the "
                                     "given cycle index instead")
-    pe.set_defaults(func=cmd_periods)
 
     r = sub.add_parser("reproduce", help="check a worked example id")
     r.add_argument("example_id", help="example-1, example-2, ..., or 'all'")
     r.add_argument("--out", help="write output to this path")
-    r.set_defaults(func=cmd_reproduce)
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up at call time, so that a wrapper put on a cmd_* name of this
+    # module sees the call
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

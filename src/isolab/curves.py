@@ -273,23 +273,19 @@ class SuperellipticCurve:
 # local charts
 
 
-def _binomial_factor_series(base_const, exponent: Fraction, step: int,
+def _binomial_factor_series(base, exponent: Fraction, step: int,
                             order: int, exact: bool):
-    """(1 + base_const * t^step)^exponent as a truncated series.
+    """(1 + base * t^step)^exponent as a truncated series.
 
-    base_const is an exact MultiPoly/Fraction or a complex number.
+    base is an exact MultiPoly or FactoredFrac, or a complex number. Each
+    binomial comes from `binom` on its own, so the oracle built on this
+    shares no code with the closed-form builders it cross-checks.
     """
     kmax = (order - 1) // step if order > 0 else 0
     coeffs = []
     for k in range(0, kmax + 1):
         b = binom(exponent, k)
-        if exact:
-            c = MultiPoly.const(b)
-            for _ in range(k):
-                c = c * base_const
-        else:
-            c = complex(b) * base_const ** k
-        coeffs.append(c)
+        coeffs.append(base ** k * (b if exact else complex(b)))
         if k < kmax:
             coeffs.extend([0] * (step - 1))
     return TruncatedSeries(0, coeffs, order)
@@ -415,7 +411,8 @@ class BranchChart:
                 inv_gap = FactoredFrac.quotient(MultiPoly.const(1), gap, 1)
                 lead = (FactoredFrac.from_poly(gap) ** (e // m) if e >= 0
                         else FactoredFrac.quotient(MultiPoly.const(1), gap, -e // m))
-                fac = _factor_series_exact(inv_gap, Fraction(e, m), m, rel)
+                fac = _binomial_factor_series(inv_gap, Fraction(e, m), m, rel,
+                                              True)
             else:
                 gap = complex(self.curve.point_numeric(self.nu)
                               - self.curve.point_numeric(h))
@@ -434,7 +431,7 @@ class BranchChart:
         if self.exact:
             gap = self.gap(i)
             inv_gap = FactoredFrac.quotient(MultiPoly.const(1), gap, 1)
-            ser = _factor_series_exact(inv_gap, Fraction(-1), m, rel)
+            ser = _binomial_factor_series(inv_gap, Fraction(-1), m, rel, True)
             return ser * TruncatedSeries.monomial(inv_gap, 0, rel)
         gap = complex(self.curve.point_numeric(self.nu) - self.curve.point_numeric(i))
         ser = _binomial_factor_series(1.0 / gap, Fraction(-1), m, rel, False)
@@ -443,20 +440,6 @@ class BranchChart:
     def omega_series(self, i: int, j: int) -> TruncatedSeries:
         e = j * self.curve.n
         return self.w_power(e) * self.dz_series() * self.one_over_z_minus(i)
-
-
-def _factor_series_exact(base_frac, exponent: Fraction, step: int, order: int):
-    """(1 + base_frac * t^step)^exponent with FactoredFrac coefficients."""
-    kmax = (order - 1) // step if order > 0 else 0
-    coeffs = []
-    for k in range(kmax + 1):
-        c = FactoredFrac.const(binom(exponent, k))
-        for _ in range(k):
-            c = c * base_frac
-        coeffs.append(c)
-        if k < kmax:
-            coeffs.extend([0] * (step - 1))
-    return TruncatedSeries(0, coeffs, order)
 
 
 # ---------------------------------------------------------------------------

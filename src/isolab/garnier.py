@@ -20,9 +20,9 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import MultiPoly, RatFunc, binom, poly_gcd, to_rational
+from .algebra import MultiPoly, RatFunc, poly_gcd, to_rational
 from .schlesinger import (HypothesisError, build_rational_solution,
-                          default_variables, _check, _convolve)
+                          default_variables, _check, _poly_class_entries)
 
 __all__ = ["GarnierSpec", "GarnierAlgebraicSolution", "HypothesisError",
            "pm_polynomial", "thm10_solution", "thm11_family",
@@ -76,11 +76,6 @@ class GarnierAlgebraicSolution:
         if i <= self.M:
             return RatFunc.var(f"a{i}")
         return RatFunc.const(0 if i == self.M + 1 else 1)
-
-    def pole_numeric(self, i: int, a) -> complex:
-        if i <= self.M:
-            return complex(a[i - 1])
-        return 0j if i == self.M + 1 else 1 + 0j
 
     def sum_b(self) -> RatFunc:
         out = RatFunc.zero()
@@ -161,35 +156,16 @@ def pm_polynomial(b, poles) -> list:
 
 def thm10_solution(M: int, m: int, n: int) -> GarnierAlgebraicSolution:
     """Polynomial b-vector for n > 0, m > 1 dividing M + 2 (residues at the
-    m points over z = infinity); beta_i = n/(2m)."""
+    m points over z = infinity); beta_i = n/(2m). It is the 2 x 2
+    Schlesinger class entry at the poles (a_1..a_M, 0, 1)."""
     _check(n > 0, "hypothesis n > 0 fails")
     _check(m > 1, "hypothesis m > 1 fails")
     _check(gcd(n, m) == 1, "hypothesis gcd(n, m) = 1 fails")
     _check((M + 2) % m == 0, f"hypothesis fails: m = {m} does not divide M + 2 = {M + 2}")
-    M1 = (M + 2) // m
-    q = Fraction(n, m)
-    variables = default_variables(M)
-    r = M1 * n
-    avals = [MultiPoly.var(v) for v in variables] + [MultiPoly.zero(),
-                                                     MultiPoly.const(1)]
-    # shared product over the M + 2 factors, graded by total index
-    acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * r
-    for av in avals:
-        fac = []
-        apow = MultiPoly.const(1)
-        for k in range(r + 1):
-            fac.append(apow * binom(q, k))
-            apow = apow * av
-        acc = _convolve(acc, fac, r)
-    b = []
-    for i in range(M + 2):
-        gi = []
-        apow = MultiPoly.const(1)
-        for qq in range(r + 1):
-            gi.append(apow * ((-1) ** qq))
-            apow = apow * avals[i]
-        out = _convolve(acc, gi, r)[r]
-        b.append(RatFunc.from_poly(out))
+    points = ([MultiPoly.var(v) for v in default_variables(M)]
+              + [MultiPoly.zero(), MultiPoly.const(1)])
+    b = [RatFunc.from_poly(e) for e in
+         _poly_class_entries(points, (M + 2) // m * n, Fraction(n, m))]
     betas = [Fraction(n, 2 * m)] * (M + 2)
     beta_inf = -Fraction((M + 2) * n, 2 * m)
     return GarnierAlgebraicSolution(M=M, b=b, betas=betas, beta_inf=beta_inf,
@@ -313,10 +289,6 @@ def _lam(x, u):
     return (x - u[0]) * (x - u[1])
 
 
-def _lam_prime_at(uj, other):
-    return uj - other
-
-
 def _T(x, a):
     return x * (x - 1) * (x - a[0]) * (x - a[1])
 
@@ -345,7 +317,7 @@ def garnier_hamiltonians_m2(a, u, v, spec: GarnierSpec):
         total = 0j
         for j in (0, 1):
             uj = u[j]
-            lamp = _lam_prime_at(uj, u[1 - j])
+            lamp = uj - u[1 - j]
             theta_terms = ((th[0] - (1 if which == 0 else 0)) / (uj - a[0])
                            + (th[1] - (1 if which == 1 else 0)) / (uj - a[1])
                            + th[2] / uj + th[3] / (uj - 1))

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .algebra import MultiPoly, RatFunc, FactoredFrac, binom, to_rational
+from .algebra import MultiPoly, RatFunc, FactoredFrac, binomials, to_rational
 
 X = "x"
 C = "c"
@@ -231,39 +232,46 @@ def hamiltonian_system_residual(y: RatFunc, p: RatFunc, theta: ThetaTuple):
 # the solution families
 
 
+def _binomial_sum(alpha, beta, top: int, shifted: bool = False) -> MultiPoly:
+    """sum_{j=0}^{top} binom(alpha, j) binom(beta, top - j) t^j with t = x,
+    or t = 1 - x when shifted: the shape of every printed sum below.
+
+    The coefficients come from two binomial rows and the polynomial from
+    one construction; a (1 - x)-sum is first re-expanded in powers of x."""
+    coeffs = [u * v for u, v in zip(binomials(alpha, top),
+                                    reversed(binomials(beta, top)))]
+    if shifted:
+        # sum_j c_j (1 - x)^j = sum_i (-x)^i sum_{j >= i} comb(j, i) c_j
+        coeffs = [(-1) ** i * sum(comb(j, i) * coeffs[j]
+                                  for j in range(i, top + 1))
+                  for i in range(top + 1)]
+    return MultiPoly((X,), {(j,): c for j, c in enumerate(coeffs)})
+
+
+def _b3_from_b1(b1: RatFunc, b, c) -> RatFunc:
+    """b3 = -(x b1' + b b1)/(1 + b - c), shared by theorems 7 and 8."""
+    x = RatFunc.var(X)
+    return -(x * b1.partial(X) + b * b1) / (1 + b - c)
+
+
 def polynomial_triple(n: int):
     """Degree-n polynomial solutions (b1, b2, b3) of the hypergeometric pair
     for beta_i = n/6, exactly as printed (including the (-1)^(n+1) factor)."""
     if n <= 0 or n % 3 == 0:
         raise ValueError("need a positive n not divisible by 3")
     q = Fraction(n, 3)
-    x = MultiPoly.var(X)
     sign = Fraction((-1) ** (n + 1))
-    b1 = MultiPoly.zero()
-    b2 = MultiPoly.zero()
-    b3 = MultiPoly.zero()
-    for j in range(n + 1):
-        xj = x ** j
-        b1 = b1 + xj * (sign * binom(q, j) * binom(q, n - j))
-        b2 = b2 + xj * (sign * binom(q, j) * binom(q - 1, n - j))
-        b3 = b3 + xj * (sign * binom(q - 1, j) * binom(q, n - j))
-    return b1, b2, b3
+    return (_binomial_sum(q, q, n) * sign, _binomial_sum(q, q - 1, n) * sign,
+            _binomial_sum(q - 1, q, n) * sign)
 
 
 def pq_polynomials(n: int):
-    """P_{n+1} and Q_{n+1} with y = P/Q (positive n, 3 does not divide n)."""
+    """P_{n+1} and Q_{n+1} with y = P/Q (positive n, 3 does not divide n):
+    the theorem 7 pair at (b, c) = (-n/3, 1 - 2n/3)."""
     if n <= 0 or n % 3 == 0:
         raise ValueError("need a positive n not divisible by 3")
     q = Fraction(n, 3)
-    x = MultiPoly.var(X)
-    P = MultiPoly.zero()
-    Q = MultiPoly.zero()
-    for j in range(n + 2):
-        if j >= 1:
-            P = P + x ** j * (binom(q, j - 1) * binom(q, n - j + 1))
-        Q = Q + x ** j * (binom(q, j) * binom(q, n - j + 1))
-    Q = Q * Fraction(-3 * (n + 1), n)
-    return P, Q
+    return _thm7_pq(n, -q, 1 - 2 * q)
 
 
 def thm5_solution(n: int) -> PVISolutionFamily:
@@ -279,32 +287,23 @@ def thm5_solution(n: int) -> PVISolutionFamily:
 
 def rational_sextet(n: int):
     """The six rational hypergeometric solutions for negative n, as printed:
-    keys b1, b2, b3 (poles at x = 0) and tb1, tb2, tb3 (poles at x = 1)."""
+    keys b1, b2, b3 (poles at x = 0) and tb1, tb2, tb3 (poles at x = 1).
+    The reflection x -> 1 - x takes the sums of b1, b2, b3 to those of
+    tb2, tb1, tb3."""
     if n >= 0:
         raise ValueError("need negative n")
     k = -n
     x = MultiPoly.var(X)
     sign = Fraction((-1) ** k)
-    one_m_x = 1 - x
 
-    def series(coeff_fn, jmax, base):
-        out = MultiPoly.zero()
-        for j in range(jmax + 1):
-            out = out + base ** j * coeff_fn(j)
-        return out
+    def pair(alpha, beta, top, pole):
+        return (RatFunc(_binomial_sum(alpha, beta, top) * sign, x ** pole),
+                RatFunc(_binomial_sum(alpha, beta, top, shifted=True),
+                        (1 - x) ** pole))
 
-    b1 = RatFunc(series(lambda j: sign * binom(-k, j) * binom(-k, k - j), k, x),
-                 x ** (2 * k))
-    b2 = RatFunc(series(lambda j: sign * binom(-k - 1, j) * binom(-k, k - 1 - j),
-                        k - 1, x), x ** (2 * k - 1))
-    b3 = RatFunc(series(lambda j: sign * binom(-k, j) * binom(-k - 1, k - 1 - j),
-                        k - 1, x), x ** (2 * k))
-    tb1 = RatFunc(series(lambda j: binom(-k - 1, j) * binom(-k, k - 1 - j),
-                         k - 1, one_m_x), one_m_x ** (2 * k - 1))
-    tb2 = RatFunc(series(lambda j: binom(-k, j) * binom(-k, k - j), k, one_m_x),
-                  one_m_x ** (2 * k))
-    tb3 = RatFunc(series(lambda j: binom(-k, j) * binom(-k - 1, k - 1 - j),
-                         k - 1, one_m_x), one_m_x ** (2 * k))
+    b1, tb2 = pair(-k, -k, k, 2 * k)
+    b2, tb1 = pair(-k - 1, -k, k - 1, 2 * k - 1)
+    b3, tb3 = pair(-k, -k - 1, k - 1, 2 * k)
     return {"b1": b1, "b2": b2, "b3": b3, "tb1": tb1, "tb2": tb2, "tb3": tb3}
 
 
@@ -324,13 +323,7 @@ def thm6_family(n: int) -> PVISolutionFamily:
 
 def thm7_b1(n: int, b, c) -> MultiPoly:
     """Degree-n polynomial hypergeometric solution with parameters (b, c)."""
-    b = to_rational(b)
-    c = to_rational(c)
-    x = MultiPoly.var(X)
-    out = MultiPoly.zero()
-    for j in range(n + 1):
-        out = out + x ** j * (binom(-b, j) * binom(c + n - 1, n - j))
-    return out
+    return _binomial_sum(-to_rational(b), to_rational(c) + n - 1, n)
 
 
 def _thm7_check_params(n, b, c):
@@ -345,17 +338,17 @@ def _thm7_check_params(n, b, c):
     return b, c
 
 
+def _thm7_pq(n: int, b: Fraction, c: Fraction):
+    """P_{n+1} = x b1 and Q_{n+1} of the (b, c) family, not reduced."""
+    P = MultiPoly.var(X) * thm7_b1(n, b, c)
+    Q = _binomial_sum(-b, c + n - 1, n + 1) * (Fraction(-(n + 1)) / (1 + b - c))
+    return P, Q
+
+
 def thm7_solution(n: int, b, c) -> PVISolutionFamily:
     """Generalized isolated rational solution with parameters (b, c)."""
     b, c = _thm7_check_params(n, b, c)
-    x = MultiPoly.var(X)
-    P = MultiPoly.zero()
-    Q = MultiPoly.zero()
-    for j in range(n + 2):
-        if j >= 1:
-            P = P + x ** j * (binom(-b, j - 1) * binom(c + n - 1, n - j + 1))
-        Q = Q + x ** j * (binom(-b, j) * binom(c + n - 1, n - j + 1))
-    Q = Q * (Fraction(-(n + 1)) / (1 + b - c))
+    P, Q = _thm7_pq(n, b, c)
     theta = ThetaTuple.of((1 + b - c) / 2, (n + c - 1) / 2, -b / 2,
                           Fraction(-n, 2))
     return PVISolutionFamily(
@@ -366,9 +359,7 @@ def thm7_solution(n: int, b, c) -> PVISolutionFamily:
 def thm7_b3(n: int, b, c) -> RatFunc:
     """b3 = -x b1'/(1+b-c) - b b1/(1+b-c) for the (b, c) polynomial family."""
     b, c = _thm7_check_params(n, b, c)
-    b1 = RatFunc.from_poly(thm7_b1(n, b, c))
-    x = RatFunc.var(X)
-    return -(x * b1.partial(X) + b * b1) / (1 + b - c)
+    return _b3_from_b1(RatFunc.from_poly(thm7_b1(n, b, c)), b, c)
 
 
 def thm8_b_functions(a: int, b: int, c: int):
@@ -377,23 +368,13 @@ def thm8_b_functions(a: int, b: int, c: int):
     if 1 + b - c == 0:
         raise ValueError("c = b + 1 makes the b3 formulas singular")
     x = MultiPoly.var(X)
-    one_m_x = 1 - x
     # x^{1-c} F(b-c+1, a-c+1, 2-c, x) and (1-x)^{c-a-b} F(c-a, c-b, 1-a-b+c, 1-x)
     # in binomial form; the degree-(c-b-1) and degree-(a-c) sums pair
     # binom(-b, .) with the top power, matching the n < 0 special case.
-    s1 = MultiPoly.zero()
-    for j in range(c - b):
-        s1 = s1 + x ** j * (binom(-b, c - b - 1 - j) * binom(c - a - 1, j))
-    b1 = RatFunc(s1, x ** (c - 1))
-    s2 = MultiPoly.zero()
-    for j in range(a - c + 1):
-        s2 = s2 + one_m_x ** j * (binom(-b, a - c - j) * binom(b - c, j))
-    tb1 = RatFunc(s2, one_m_x ** (a + b - c))
-    xr = RatFunc.var(X)
-    denom = Fraction(1 + b - c)
-    b3 = -(xr * b1.partial(X) + b * b1) / denom
-    tb3 = -(xr * tb1.partial(X) + b * tb1) / denom
-    return b1, b3, tb1, tb3
+    b1 = RatFunc(_binomial_sum(c - a - 1, -b, c - b - 1), x ** (c - 1))
+    tb1 = RatFunc(_binomial_sum(b - c, -b, a - c, shifted=True),
+                  (1 - x) ** (a + b - c))
+    return b1, _b3_from_b1(b1, b, c), tb1, _b3_from_b1(tb1, b, c)
 
 
 def thm8_family(a: int, b: int, c: int) -> PVISolutionFamily:

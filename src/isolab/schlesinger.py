@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .algebra import MultiPoly, RatFunc, FactoredFrac, binom, to_rational
+from .algebra import MultiPoly, RatFunc, FactoredFrac, binomials, to_rational
 
 
 class HypothesisError(ValueError):
@@ -274,15 +275,14 @@ def build_polynomial_solution(p: int, N: int, m: int, n: int,
     grid = ExponentGrid.traceless(p, N, m, n)
     N1 = N // s
     frame = IdentityFrame(variables)
+    points = [MultiPoly.var(v) for v in variables]
     entries = {}
     for L in range(1, p):
         if (s * L) % m == 0 and L % m != 0:
             d = L * n * s // m
-            exponent = Fraction(L * n, m)  # = d/s
-            polys = [_poly_class_entry(variables, i, d, s, N1, exponent)
-                     * to_rational(constants[L - 1])
-                     for i in range(1, N + 1)]
-            vals = [FactoredFrac.from_poly(q) for q in polys]
+            const = to_rational(constants[L - 1])
+            vals = [FactoredFrac.from_poly(q * const) for q in
+                    _poly_class_entries(points, N1 * d, Fraction(L * n, m))]
         else:
             vals = [FactoredFrac.zero() for _ in range(N)]
         for k in range(1, p):
@@ -295,28 +295,23 @@ def build_polynomial_solution(p: int, N: int, m: int, n: int,
                                "m": m, "n": n, "constants": constants})
 
 
-def _poly_class_entry(variables, i, d, s, N1, exponent) -> MultiPoly:
-    """sum_{k_1+..+k_N+q = N1*d} (-1)^q binom(d/s,k_1)...binom(d/s,k_N)
-    a_1^{k_1}...a_N^{k_N} a_i^q, via truncated polynomial convolution."""
-    r = N1 * d
-    # factor series in an auxiliary grading variable, coefficients in a
+def _poly_class_entries(points, r, exponent) -> list:
+    """The class entries at every pole a_i of `points`:
+
+        sum_{k_1+..+k_N+q = r} (-1)^q binom(exponent, k_1)...binom(exponent, k_N)
+            a_1^{k_1}...a_N^{k_N} a_i^q,
+
+    the t^r coefficient of prod_h (1 + a_h t)^exponent / (1 + a_i t). The
+    N-fold product is convolved once, truncated at grade r, from one
+    binomial row; each entry then takes sum_q (-a_i)^q of its grade r - q.
+    The points are polynomials: variables, or constants such as the poles
+    0 and 1 of the Garnier b-vector."""
+    row = binomials(exponent, r)
     acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * r
-    for name in variables:
-        av = MultiPoly.var(name)
-        fac = []
-        apow = MultiPoly.const(1)
-        for k in range(r + 1):
-            fac.append(apow * binom(exponent, k))
-            apow = apow * av
-        acc = _convolve(acc, fac, r)
-    gi = []
-    apow = MultiPoly.const(1)
-    ai = MultiPoly.var(variables[i - 1])
-    for q in range(r + 1):
-        gi.append(apow * ((-1) ** q))
-        apow = apow * ai
-    acc = _convolve(acc, gi, r)
-    return acc[r]
+    for a in points:
+        acc = _convolve(acc, [a ** k * b for k, b in enumerate(row)], r)
+    return [sum((g * (-a) ** (r - k) for k, g in enumerate(acc)),
+                MultiPoly.zero()) for a in points]
 
 
 def _convolve(a, b, r):
@@ -371,32 +366,32 @@ def build_rational_solution(p: int, N: int, m: int, n: int,
 
 
 def _rational_class_entry(frame: ShiftedFrame, i, d, N, nu) -> FactoredFrac:
-    """The printed residue sums at (a_nu, 0), as a single factored fraction."""
+    """The printed residue sums at (a_nu, 0), as a single factored fraction
+    whose numerator is one construction from {exponent tuple: coefficient}."""
     others = [h for h in range(1, N + 1) if h != nu]
+    names = [frame.dvars[h] for h in others]
+    row = [int(b) for b in binomials(-d, d)]  # (-1)^k comb(d + k - 1, k)
+    terms = {}
     if i == nu:
         # sum over k_h >= 0, sum = d, of prod binom(-d, k_h) D_h^{-(k_h + d)}
         den = {frame.dvar(h): 2 * d for h in others}
-        num = MultiPoly.zero()
         for comp in _compositions(d, len(others)):
-            term = MultiPoly.const(1)
-            for h, kh in zip(others, comp):
-                term = term * (frame.dvar(h) ** (d - kh) * binom(-d, kh))
-            num = num + term
-        return FactoredFrac(num, den)
+            terms[tuple(d - kh for kh in comp)] = prod(row[kh] for kh in comp)
+        return FactoredFrac(MultiPoly(names, terms), den)
     # i != nu: geometric index k_nu plus binomial indices k_h (h != nu),
     # total d - 1; the product over h != nu includes h = i, and the geometric
-    # factor contributes up to d more powers of D_i.
+    # factor contributes d - (k_nu + 1) more powers of D_i, so compositions
+    # that differ only in how k_nu + k_i splits share a monomial.
     den = {frame.dvar(h): (d - 1) + d for h in others}
     den[frame.dvar(i)] = den[frame.dvar(i)] + d
-    num = MultiPoly.zero()
-    for comp in _compositions(d - 1, len(others) + 1):
-        knu = comp[0]
-        term = MultiPoly.const((-1) ** knu)
-        term = term * frame.dvar(i) ** (d - 1 - knu)  # d - (k_nu + 1) of the D_i budget
-        for h, kh in zip(others, comp[1:]):
-            term = term * (frame.dvar(h) ** ((d - 1) - kh) * binom(-d, kh))
-        num = num + term
-    return FactoredFrac(num, den)
+    at_i = others.index(i)
+    for knu, *comp in _compositions(d - 1, len(others) + 1):
+        c = (-1) ** knu * prod(row[kh] for kh in comp)
+        exps = [(d - 1) - kh for kh in comp]
+        exps[at_i] += d - 1 - knu
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + c
+    return FactoredFrac(MultiPoly(names, terms), den)
 
 
 def _compositions(total, slots):

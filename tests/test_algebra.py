@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, pochhammer,
-                            parse_poly, parse_ratfunc, poly_gcd)
+from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, binomials,
+                            pochhammer, parse_poly, parse_ratfunc, poly_gcd)
 from isolab.algebra.multipoly import ExponentOverflowError, _W
 
 x = MultiPoly.var("x")
@@ -38,6 +38,18 @@ class TestScalars:
         for k in range(2, j + 1):
             fact *= k
         assert binom(beta, j) * fact == fall
+
+    @given(st.integers(-30, 30), st.integers(1, 12), st.integers(0, 25))
+    def test_binomials_row(self, num, den, jmax):
+        # negative, non-integer and nonnegative-integer beta (where the row
+        # ends in zeros); jmax = 0 gives the single entry 1
+        beta = F(num, den)
+        assert binomials(beta, jmax) == [binom(beta, k) for k in range(jmax + 1)]
+
+    def test_binomials_edges(self):
+        assert binomials(F(-7, 2), 0) == [1]
+        assert binomials(3, -1) == []
+        assert binomials(2, 4) == [1, 2, 1, 0, 0]
 
 
 class TestMultiPoly:

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from isolab import cli
 from isolab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -48,10 +51,33 @@ class TestGenerate:
             code, out, _ = run_cli(capsys, "generate", *argv.split())
             assert code == 0 and out == text, argv
 
+    def test_theorem_documents_golden(self, capsys):
+        # generate outputs of theorems 3, 5-8, 10 and 11, recorded before the
+        # closed forms were built from binomial rows
+        golden = json.loads((DATA / "golden_documents.json").read_text())
+        assert len(golden) == 36
+        for argv, text in golden.items():
+            code, out, _ = run_cli(capsys, "generate", *argv.split())
+            assert code == 0 and out == text, argv
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "generate", "--theorem", "6", "--n", "-2")
         _, out2, _ = run_cli(capsys, "generate", "--theorem", "6", "--n", "-2")
         assert out1 == out2
+
+
+class TestDispatch:
+    def test_command_looked_up_at_call_time(self, monkeypatch):
+        # the parser is built once, at import; a wrapper put on a cmd_* name
+        # afterwards must still see the calls
+        seen = []
+        monkeypatch.setattr(cli, "cmd_zeros", lambda args: seen.append(args.n) or 0)
+        assert main(["zeros", "--n", "4"]) == 0 and seen == ["4"]
+
+    def test_format_option_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--theorem", "5", "--n", "1", "--format", "json"])
+        assert exc.value.code == 2
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from isolab.algebra import MultiPoly, RatFunc
+from isolab.schlesinger import build_polynomial_solution
 from isolab.garnier import (GarnierAlgebraicSolution, GarnierSpec, HypothesisError,
                             garnier_residual_m2, pm_polynomial,
                             residue_basis_vector, theta_from_eps, thm10_solution,
@@ -107,6 +108,18 @@ class TestPolynomialSolutions:
             M1 = (M + 2) // m
             assert s.b[0].num.total_degree() == M1 * n
             assert s.sum_b().is_zero()
+
+    def test_schlesinger_class_entry_at_zero_and_one(self):
+        # b_i is the 2 x 2 polynomial-family entry with N = M + 2 poles,
+        # the last two put at 0 and 1
+        for (M, m, n) in [(2, 2, 1), (2, 4, 1), (2, 2, 3), (2, 4, 3),
+                          (1, 3, 2), (4, 3, 1), (3, 5, 2)]:
+            sol = build_polynomial_solution(2, M + 2, m, n)
+            last = sol.frame.variables[M:]
+            for i, bi in enumerate(thm10_solution(M, m, n).b, 1):
+                entry = sol.entry_ratfunc(i, 1, 2)
+                assert entry.substitute(last[0], F(0)).substitute(
+                    last[1], F(1)) == bi, (M, m, n, i)
 
 
 class TestRationalSolutions:

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from isolab.algebra import MultiPoly, RatFunc, parse_ratfunc
+from isolab.algebra import MultiPoly, RatFunc, binom, parse_ratfunc
+from isolab.painleve import _binomial_sum
 from isolab.painleve import (PVIParams, ThetaTuple, admissible_thm8_triples,
                              coefficient_list, conjugate_momentum,
                              degenerate_parameter_check,
@@ -141,6 +142,26 @@ class TestOneParameterFamily:
         assert pvi_residual(fam.y, fam.params).is_zero()
         for cv in (F(1, 2), F(3), F(-2)):
             assert pvi_residual(fam.specialize(cv), fam.params).is_zero()
+
+
+class TestBinomialSums:
+    def test_against_term_by_term_sums(self):
+        cases = [(F(1, 3), F(-2, 3), 5), (-3, -4, 3), (2, -1, 4), (F(5, 2), 0, 0),
+                 (-1, F(7, 4), 6), (3, 3, -1)]
+        for alpha, beta, top in cases:
+            for t in (x, 1 - x):
+                want = MultiPoly.zero()
+                for j in range(top + 1):
+                    want = want + t ** j * (binom(alpha, j) * binom(beta, top - j))
+                got = _binomial_sum(alpha, beta, top, shifted=t is not x)
+                assert got == want, (alpha, beta, top, t)
+
+    def test_pq_is_the_theorem7_pair(self):
+        for n in (1, 2, 4, 5, 7, 8, 10, 11, 13):
+            q = F(n, 3)
+            P, Q = pq_polynomials(n)
+            assert P.total_degree() == Q.total_degree() == n + 1
+            assert thm7_solution(n, -q, 1 - 2 * q).y == RatFunc(P, Q)
 
 
 class TestParametrizedPolynomialFamily:
