@@ -39,6 +39,6 @@ from .periods import (PathSpec, LineSegment, ArcSegment, BranchTracker,
                       continue_w, build_cycle_basis, double_loop,
                       puncture_loop, infinity_loop, integrate_omega,
                       period_matrix, rank_check, isomonodromy_fd_check,
-                      PeriodMatrix)
+                      PeriodMatrix, QuadratureStats)
 
 __version__ = "0.1.0"

@@ -227,6 +227,23 @@ class TestPeriods:
         assert out.strip().splitlines()[-1].startswith("rank,2")
 
 
+    def test_csv_cells_are_floats(self, capsys):
+        # puncture loops too (n < 0); numpy scalars once leaked their repr
+        code, out, _ = run_cli(capsys, "periods", "--m", "2", "--n", "-1",
+                               "--a", "0,1,2+1i,3-1i")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows[0] == ["i", "cycle", "label", "re", "im"]
+        assert rows[-1][0] == "rank"
+        for row in rows[1:-1]:
+            float(row[3]), float(row[4])
+        code, out, _ = run_cli(capsys, "periods", "--m", "2", "--n", "-1",
+                               "--a", "0,1,2+1i,3-1i", "--trace", "0")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and len(rows) > 100
+        for row in rows[1:]:
+            [float(cell) for cell in row[1:]]
+
+
 class TestPeriodsTrace:
     def test_trace_rows(self, capsys):
         code, out, _ = run_cli(capsys, "periods", "--m", "2", "--n", "1",
