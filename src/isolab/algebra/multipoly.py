@@ -31,6 +31,22 @@ order: `vars` is the sorted tuple of used names; `terms()`, `leading()`,
 `coefficient()` and `to_text()` use graded lex over the alphabetically
 sorted names; `content()` and `primitive()` make the graded-lex leading
 coefficient of the primitive part positive.
+
+gcd: GCDHEU (Char, Geddes & Gonnet, JSC 7, 1989; Liao & Fateman, ISSAC
+1995) on the packed integer terms. With the integer contents out, a
+variable x of both inputs a, b is set to an integer
+xi >= 2 min(|a|, |b|) + 2 (max norms), the gcd of the two images is taken
+the same way (math.gcd once no variable is left), and its symmetric xi-adic
+digits are read back as the coefficients of a polynomial in x. Its
+primitive part is accepted when it divides a and b exactly, which for such
+xi makes it the gcd (CGG); else xi grows. This ends with no cap or
+fallback. Write a = G A, b = G B: the images' gcd is G(xi) d, where
+d = gcd(A(xi), B(xi)) divides a fixed nonzero R free of x in the ideal
+(A, B), the resultant in x (or whichever of A, B is free of x). A
+nonconstant irreducible factor of R divides A(xi) and B(xi) for finitely
+many xi only, or else it would divide A and B. Past those xi and the roots
+of a and b, d is an integer, the digits of G(xi) d are those of G d once
+xi > 2 |G d|, and the primitive part G passes the check.
 """
 
 from __future__ import annotations
@@ -144,6 +160,42 @@ def _renormalized(int_terms: dict, content: Fraction, deg: int):
     if g == 1:
         return _new(int_terms, content, deg)
     return _new({e: v // g for e, v in int_terms.items()}, content * g, deg)
+
+
+def _quotient(t1: dict, t2: dict):
+    """t1 / t2 of nonzero packed integer term dicts if it is an integer
+    polynomial, else None. A leading-term step that leaves a remainder
+    proves the division inexact. The leading terms are the largest packed
+    keys (a monomial order); a monomial divides another when subtracting it
+    borrows from no field, which the guard bits show. An exact division
+    only meets monomials of q * t2, whose exponents are those of t1 at most,
+    so a remainder monomial with a guard bit set proves the division
+    inexact, before any field could carry."""
+    rem = dict(t1)
+    lt2 = max(t2)
+    lc2 = t2[lt2]
+    guard = _GUARD
+    quot = {}
+    while rem:
+        lt1 = max(rem)
+        if ((lt1 | guard) - lt2) & guard != guard:
+            return None
+        qc, r = divmod(rem[lt1], lc2)
+        if r:
+            return None
+        qe = lt1 - lt2
+        quot[qe] = qc
+        get = rem.get
+        for e2, v2 in t2.items():
+            e = qe + e2
+            if e & guard:
+                return None
+            w = get(e, 0) - qc * v2
+            if w:
+                rem[e] = w
+            else:
+                del rem[e]
+    return quot
 
 
 def _scaled(c: Fraction, x, e: int = 0):
@@ -593,46 +645,16 @@ class MultiPoly:
     # ---------------- exact division and gcd ----------------
 
     def divexact(self, other: "MultiPoly"):
-        """Return self/other if the division is exact, else None.
-
-        Runs on the primitive integer parts: if the division is exact over Q,
-        the quotient of two primitive parts is itself an integer polynomial
-        (Gauss), so a leading-term step that leaves a remainder proves the
-        division inexact. The leading terms are the largest packed keys (a
-        monomial order); a monomial divides another when subtracting it
-        borrows from no field, which the guard bits show. An exact division
-        only meets monomials of q * other, whose exponents are those of
-        self at most, so a remainder monomial with a guard bit set proves
-        the division inexact, before any field could carry."""
+        """Return self/other if the division is exact, else None. If it is
+        exact over Q, the primitive parts divide over Z (Gauss)."""
         t2 = other._terms
         if not t2:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._terms:
             return self
-        rem = dict(self._terms)
-        lt2 = max(t2)
-        lc2 = t2[lt2]
-        guard = _GUARD
-        quot = {}
-        while rem:
-            lt1 = max(rem)
-            if ((lt1 | guard) - lt2) & guard != guard:
-                return None
-            qc, r = divmod(rem[lt1], lc2)
-            if r:
-                return None
-            qe = lt1 - lt2
-            quot[qe] = qc
-            get = rem.get
-            for e2, v2 in t2.items():
-                e = qe + e2
-                if e & guard:
-                    return None
-                w = get(e, 0) - qc * v2
-                if w:
-                    rem[e] = w
-                else:
-                    del rem[e]
+        quot = _quotient(self._terms, t2)
+        if quot is None:
+            return None
         # primitive over primitive: the quotient is primitive, its largest
         # key has a positive coefficient; its terms go in graded-lex
         # descending order, the order evaluate sums them in
@@ -640,7 +662,7 @@ class MultiPoly:
             quot = {e: quot[e] for e in sorted(quot, key=_grlex(_names_of(quot)),
                                                 reverse=True)}
         return _new(quot, self._content / other._content,
-                    max(0, self._deg - _degree_of(lt2)))
+                    max(0, self._deg - _degree_of(max(t2))))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -771,184 +793,86 @@ def parse_poly(text: str) -> MultiPoly:
     return MultiPoly(names, terms)
 
 
-# ---------------- gcd machinery ----------------
-
-def _dense_coeffs(p: MultiPoly, var: str):
-    """Integer coefficient list (ascending) of the primitive part."""
-    off = _SLOTS[var]
-    out = [0] * (p.degree_in(var) + 1)
-    for e, v in p._terms.items():
-        out[(e >> off) & _FIELD] = v
-    return out
 
 
-def _int_list_content(A):
-    g = 0
-    for v in A:
-        g = _igcd(g, v)
-        if g == 1:
-            return 1
-    return g or 1
-
-
-def _univ_prem(A, B):
-    """Pseudo-remainder of dense int lists (ascending coefficients)."""
-    A = list(A)
-    db = len(B) - 1
-    lb = B[-1]
-    while len(A) - 1 >= db and any(A):
-        while A and A[-1] == 0:
-            A.pop()
-        if len(A) - 1 < db:
-            break
-        da = len(A) - 1
-        la = A[-1]
-        A = [v * lb for v in A]
-        shift = da - db
-        for k, bv in enumerate(B):
-            A[k + shift] -= la * bv
-        while A and A[-1] == 0:
-            A.pop()
-    return A
-
-
-def _univ_gcd_int(A, B):
-    """Primitive PRS gcd of dense int lists; returns a primitive list."""
-    A = [v // _int_list_content(A) for v in A]
-    B = [v // _int_list_content(B) for v in B]
-    if len(A) < len(B):
-        A, B = B, A
-    while B and any(B):
-        R = _univ_prem(A, B)
-        if R and any(R):
-            c = _int_list_content(R)
-            R = [v // c for v in R]
-        A, B = B, R
-    c = _int_list_content(A)
-    A = [v // c for v in A]
-    if A and A[-1] < 0:
-        A = [-v for v in A]
-    return A
-
-
-def _from_dense(coeffs, var: str) -> MultiPoly:
-    return MultiPoly((var,), {(k,): c for k, c in enumerate(coeffs) if c})
-
-
-def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly, x: str) -> bool:
-    """True if specializing all variables but x at random integers proves
-    gcd(f, g) has degree zero in x. Keeps the leading x-coefficients nonzero
-    so the degree inequality deg gcd(specialized) >= deg_x gcd(f, g) applies."""
-    import random
-    rng = random.Random(0x5eed)
-    others = sorted((set(f.vars) | set(g.vars)) - {x})
-    if not others:
-        return False
-    Fu = f.as_univariate(x)
-    Gu = g.as_univariate(x)
-    lf = Fu[max(Fu)]
-    lg = Gu[max(Gu)]
-    for _ in range(6):
-        point = {v: Fraction(rng.randint(-19, 19)) for v in others}
-        if lf.evaluate(point) == 0 or lg.evaluate(point) == 0:
-            continue
-        fa = [Fu.get(k, MultiPoly.zero()).evaluate(point) for k in range(max(Fu) + 1)]
-        ga = [Gu.get(k, MultiPoly.zero()).evaluate(point) for k in range(max(Gu) + 1)]
-        den = 1
-        for v in fa + ga:
-            den = _ilcm(den, v.denominator)
-        fi = [int(v * den) for v in fa]
-        gi = [int(v * den) for v in ga]
-        h = _univ_gcd_int(fi, gi)
-        return len(h) <= 1
-    return False
-
-
-def _upoly_content(coeffs: dict) -> MultiPoly:
-    g = MultiPoly.zero()
-    for c in coeffs.values():
-        g = poly_gcd(g, c)
-        if g.is_constant() and not g.is_zero():
-            return MultiPoly.const(1)
-    return g
-
-
-def _upoly_divexact(coeffs: dict, d: MultiPoly) -> dict:
-    return {k: c.divexact(d) for k, c in coeffs.items()}
-
-
-def _upoly_pseudo_rem(F: dict, G: dict):
-    """Pseudo remainder of univariate polys with MultiPoly coefficients."""
-    dF = max(F)
-    dG = max(G)
-    lcG = G[dG]
-    R = dict(F)
-    while R and max(R) >= dG:
-        dR = max(R)
-        lcR = R[dR]
-        shift = dR - dG
-        newR = {}
-        for k, c in R.items():
-            newR[k] = c * lcG
-        for k, c in G.items():
-            kk = k + shift
-            w = newR.get(kk, MultiPoly.zero()) - c * lcR
-            if w.is_zero():
-                newR.pop(kk, None)
-            else:
-                newR[kk] = w
-        R = newR
-    return R
-
+# ---------------- heuristic gcd ----------------
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Primitive gcd over Q via content extraction + primitive PRS.
-
-    The result is integer-primitive with positive leading coefficient
-    (a constant gcd is returned as 1).
-    """
+    """Primitive gcd over Q by GCDHEU (see the module docstring), with a
+    positive graded-lex leading coefficient; a constant gcd is returned as
+    1, and gcd(0, g) is the primitive part of g."""
     if f.is_zero():
         return g.primitive()
     if g.is_zero():
         return f.primitive()
-    f = f.primitive()
-    g = g.primitive()
-    common = [v for v in f.vars if v in g.vars]
-    if not common:
-        return MultiPoly.const(1)
-    if len(f.vars) == 1 and len(g.vars) == 1:
-        x = common[0]
-        h = _univ_gcd_int(_dense_coeffs(f, x), _dense_coeffs(g, x))
-        return _from_dense(h, x)
-    # main variable: smallest worst-case degree keeps the PRS short
-    x = min(common, key=lambda v: min(f.degree_in(v), g.degree_in(v)))
-    if _coprime_by_evaluation(f, g, x):
-        # gcd carries no x; it divides the contents, handled below with pp = 1
-        Fu = f.as_univariate(x)
-        Gu = g.as_univariate(x)
-        return poly_gcd(_upoly_content(Fu), _upoly_content(Gu))
-    F = f.as_univariate(x)
-    G = g.as_univariate(x)
-    cf = _upoly_content(F)
-    cg = _upoly_content(G)
-    F = _upoly_divexact(F, cf)
-    G = _upoly_divexact(G, cg)
-    c = poly_gcd(cf, cg)
-    if max(F) < max(G):
-        F, G = G, F
-    while G:
-        if max(G) == 0:
-            G = {}
-            F = {0: MultiPoly.const(1)}
-            break
-        R = _upoly_pseudo_rem(F, G)
-        if R:
-            cr = _upoly_content(R)
-            R = _upoly_divexact(R, cr)
-        F, G = G, R
-    xv = MultiPoly.var(x)
-    out = MultiPoly.zero()
-    for k, cpoly in F.items():
-        out = out + cpoly * xv ** k
-    out = out * c
-    return out.primitive()
+    h = _heu_gcd(f._terms, g._terms)
+    if len(h) == 1 and 0 in h:
+        return _UNIT
+    return _renormalized(h, _ONE, min(f._deg, g._deg)).primitive()
+
+
+def _heu_gcd(a: dict, b: dict) -> dict:
+    """A gcd over Z, up to sign, of two nonzero packed integer term dicts."""
+    ca, cb = _content_of(a.values()), _content_of(b.values())
+    c = _igcd(ca, cb)
+    ma = mb = 0
+    for e in a:
+        ma |= e
+    for e in b:
+        mb |= e
+    off = 0  # the first variable that both inputs use
+    while not ((ma >> off) & _FIELD and (mb >> off) & _FIELD):
+        off += _W
+        if not (ma >> off and mb >> off):
+            return {0: c}  # no common variable: only integers divide both
+    if ca != 1:
+        a = {e: v // ca for e, v in a.items()}
+    if cb != 1:
+        b = {e: v // cb for e, v in b.items()}
+    da = max((e >> off) & _FIELD for e in a)
+    db = max((e >> off) & _FIELD for e in b)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    while True:
+        ia, ib = _at(a, off, xi, da), _at(b, off, xi, db)
+        h = ia and ib and _digits(_heu_gcd(ia, ib), off, xi, min(da, db))
+        if h:
+            if len(h) == 1 and 0 in h:
+                return {0: c}
+            ch = _content_of(h.values())
+            if ch != 1:
+                h = {e: v // ch for e, v in h.items()}
+            if _quotient(a, h) is not None and _quotient(b, h) is not None:
+                return h if c == 1 else {e: c * v for e, v in h.items()}
+        xi = 2 * xi + 1
+
+
+def _at(t: dict, off: int, xi: int, deg: int) -> dict:
+    """t with the variable at bit offset off set to xi, in one pass."""
+    powers = [xi ** k for k in range(deg + 1)]
+    out = {}
+    get = out.get
+    for e, v in t.items():
+        p = (e >> off) & _FIELD
+        r = e - (p << off)
+        out[r] = get(r, 0) + v * powers[p]
+    return {e: v for e, v in out.items() if v}
+
+
+def _digits(gamma: dict, off: int, xi: int, deg: int):
+    """The polynomial in the variable at offset off whose coefficients are
+    the symmetric xi-adic digits of gamma's, or None past degree deg."""
+    half = xi // 2
+    h = {}
+    for e, v in gamma.items():
+        i = 0
+        while v:
+            if i > deg:
+                return None
+            d = v % xi
+            if d > half:
+                d -= xi
+            if d:
+                h[e + (i << off)] = d
+            v = (v - d) // xi
+            i += 1
+    return h

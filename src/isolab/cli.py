@@ -232,6 +232,16 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     checks.append(("sum-b-zero", s.is_zero(), "0" if s.is_zero() else s.to_text()))
     pm = sol.pm_coefficients()
     checks.append(("pm-degree", len(pm) == M + 1, f"{len(pm) - 1}"))
+    if "pm_coefficients" in doc:
+        texts = doc["pm_coefficients"]
+        if not (isinstance(texts, list) and len(texts) == M + 1
+                and all(isinstance(t, str) for t in texts)):
+            raise ParameterError("garnier-algebraic document needs M + 1 "
+                                 "strings in pm_coefficients")
+        bad = [f"z^{k}" for k, (t, c) in enumerate(zip(texts, pm))
+               if parse_ratfunc(t) != c]
+        checks.append(("pm-matches-b", not bad,
+                       "all equal" if not bad else f"differs at {', '.join(bad)}"))
     if args and args.numeric:
         if not args.a:
             raise ParameterError("--numeric needs --a a1,a2")

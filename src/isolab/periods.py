@@ -514,7 +514,8 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
         npanels = 4
         if isinstance(seg, ArcSegment):
             turns = abs(seg.angle1 - seg.angle0) / (2 * math.pi)
-            npanels = max(4, int(8 * turns))
+            # a full turn may come out as 0.9999999999999999
+            npanels = max(4, int(8 * turns + 1e-9))
         for k in range(npanels):
             panel(seg, k / npanels, (k + 1) / npanels, 0, everyone, None)
     return complex(totals[0]) if single else totals

@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from isolab.algebra.multipoly import ExponentOverflowError, _W
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
+z = MultiPoly.var("z")
 
 
 class TestScalars:
@@ -78,7 +80,6 @@ class TestMultiPoly:
     def test_divexact_seeded_product(self):
         import random
         rng = random.Random(20261018)
-        z = MultiPoly.var("z")
         names = (x, y, z)
 
         def rand_poly(nterms):
@@ -364,6 +365,28 @@ class TestPackedKernel:
             assert r.degree_in(u) == a and r.total_degree() == a
 
 
+BIVARIATE_SUM = (
+    '(-1/12*x^5*y^9 + 1/24*x^7*y^6 + 1/32*x^5*y^8 + 1/8*x^7*y^5 + '
+    '1/24*x^6*y^6 + 1/16*x^5*y^7 - 7/4*x^4*y^8 - 1/16*x^9*y^2 - '
+    '1/48*x^8*y^3 - 5/64*x^7*y^4 + 55/64*x^6*y^5 - 3/128*x^5*y^6 + '
+    '59/96*x^4*y^7 - 1/48*x^7*y^3 + 1/8*x^5*y^5 + 41/96*x^4*y^6 + '
+    '1/2*x^3*y^7 + 1/8*x*y^9 + 1/96*x^9 - 7/128*x^7*y^2 - 15/64*x^6*y^3 '
+    '- 53/192*x^5*y^4 - 33/256*x^4*y^5 - 1/24*x^3*y^6 - 3/64*x*y^8 + '
+    '1/24*x^8 + 1/32*x^6*y^2 - 13/24*x^5*y^3 - 1/4*x^4*y^4 - '
+    '25/32*x^3*y^5 + 11/96*x^6*y + 3/16*x^5*y^2 + 5/32*x^4*y^3 + '
+    '17/48*x^3*y^4 + 1/2*x^2*y^5 + 1/16*y^7 - 1/24*x^5*y - 1/8*x^4*y^2 + '
+    '43/96*x^2*y^4 - 1/8*x^3*y^2 - 3/16*x^2*y^3 - 1/2*x*y^4 + 1/4*x^3*y '
+    '+ 5/16*x*y^3 - 1/4*y^2)/(x^7*y^7 - 1/2*x^8*y^4 - 11/12*x^7*y^5 - '
+    '3/8*x^5*y^7 - 1/12*x^4*y^8 - 13/6*x^6*y^5 + 1/12*x^8*y^2 + '
+    '1/8*x^7*y^3 + 3/16*x^6*y^4 + 37/96*x^5*y^5 + 1/16*x^4*y^6 + '
+    '1/32*x^2*y^8 + 13/12*x^7*y^2 + 15/8*x^6*y^3 - x^5*y^4 + 1/4*x^4*y^5 '
+    '+ 1/8*x^3*y^6 - 1/32*x^6*y^2 + 61/64*x^5*y^3 - 1/64*x^3*y^5 - '
+    '3/128*x^2*y^6 - 1/8*x^7 - 3/16*x^6*y + 1/24*x^5*y^2 - 1/4*x^4*y^3 + '
+    '9/32*x^3*y^4 + 1/12*x^2*y^5 - 1/2*x^6 - 3/4*x^5*y + 13/6*x^4*y^2 - '
+    '1/16*x^3*y^2 - 1/32*y^5 - 1/4*x^4 - 1/4*x^2*y^2 - 1/8*x*y^3 - x^3)'
+)
+
+
 @st.composite
 def small_ratfuncs(draw):
     num = draw(small_polys())
@@ -412,6 +435,23 @@ class TestRatFunc:
         again = RatFunc(r.num, r.den)
         assert again == r
 
+    def test_bivariate_sum_stays_small(self):
+        # took about 47 s with a primitive-PRS gcd; result recorded from it
+        f = parse_ratfunc("(-1/12*x^2*y^3 - 1/4*x*y^2 + 1/2*y)/"
+                          "(x^3*y^2 - 1/6*x^3 - 1/12*y^3 - 2/3*x^2)")
+        g = parse_ratfunc("(1/8*x^3 - 3/2*y^3)/(x^2*y^3 - 1/2*x^3 - 3/4*x^2*y - 1)")
+        h = parse_ratfunc("(x*y^3 - 1/2*x^3 - 3/8*x*y^2 + 1/2*y)/"
+                          "(x^2*y^2 - 3/8*y^2 - 3/2*x)")
+        t0 = time.perf_counter()
+        got = f * h + g * h
+        assert time.perf_counter() - t0 < 1.0
+        assert got.to_text() == BIVARIATE_SUM
+
+
+# pairwise-coprime irreducibles over Q in x, y, z
+GCD_POOL = (x, y + 2, x - y, x * z + 1, x ** 2 + y * z - 3,
+            2 * x + 3 * y * z ** 2 + 5, z ** 2 - 2, x ** 2 + x + 2)
+
 
 class TestGcdProperties:
     @settings(max_examples=40, deadline=None)
@@ -433,6 +473,42 @@ class TestGcdProperties:
             assert f.divexact(d) is not None
         if not g.is_zero():
             assert g.divexact(d) is not None
+
+    def test_xi_cases(self):
+        one = MultiPoly.const(1)
+        assert poly_gcd(x, x + 2) == one
+        # x^2 + x is even at every integer: both images share a factor 2
+        assert poly_gcd(x ** 2 + x, x ** 2 + x + 2) == one
+        assert poly_gcd(MultiPoly.zero(), -2 * x - 4) == x + 2
+        assert poly_gcd(-2 * x - 4, MultiPoly.zero()) == x + 2
+        assert poly_gcd(MultiPoly.const(6), 4 * x + 2) == one
+        assert poly_gcd(MultiPoly.const(F(-1, 2)), MultiPoly.const(3)) == one
+        assert poly_gcd(2 * x + 2, 4 * y + 4) == one
+        assert poly_gcd(x * y + x, x ** 2 + x) == x
+        assert poly_gcd((x + 1) * (y + 2), -3 * (x + 1) * (z - 3)) == x + 1
+        # the first xi is 4, a root of the input with the larger norm
+        assert poly_gcd(x ** 2 - 4 * x, x) == x
+        assert poly_gcd(x - 4, x + 1) == one
+        # below the 2 min(|f|, |g|) + 2 start these would accept a proper divisor
+        assert poly_gcd(-4 * x + 20, 4 * x - 20) == x - 5
+        assert poly_gcd(273 * x - 546, 208 * x ** 2 - 156 * x - 520) == x - 2
+        assert poly_gcd(x ** 3 - 3 * x ** 2 + x,
+                        -2 * x ** 3 + 6 * x ** 2 - 2 * x) == x ** 3 - 3 * x ** 2 + x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=len(GCD_POOL), max_size=len(GCD_POOL)),
+           st.lists(st.integers(0, 2), min_size=len(GCD_POOL), max_size=len(GCD_POOL)),
+           st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool))
+    def test_greatest_common_divisor(self, ef, eg, cf, cg):
+        # f and g are products of pairwise-coprime irreducibles, so the gcd
+        # is the product at the smaller multiplicities
+        f, g, want = (MultiPoly.const(cf), MultiPoly.const(cg),
+                      MultiPoly.const(1))
+        for p, a, b in zip(GCD_POOL, ef, eg):
+            f = f * p ** a
+            g = g * p ** b
+            want = want * p ** min(a, b)
+        assert poly_gcd(f, g) == want.primitive()
 
 
 class TestTextRoundTrip:

@@ -99,6 +99,31 @@ class TestVerify:
         rep = json.loads(out)
         assert code == 1 and not rep["pass"]
 
+    def test_garnier_pm_checked_against_b(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "2",
+                            "--n", "-1", "--c", "2,-1")
+        doc = json.loads(out)
+        path = tmp_path / "doc.json"
+
+        def verify(d):
+            path.write_text(json.dumps(d))
+            code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+            rep = json.loads(out)
+            return code, rep["pass"], {c["name"]: c for c in rep["checks"]}
+
+        code, ok, checks = verify(doc)
+        assert code == 0 and ok and checks["pm-matches-b"]["pass"]
+        assert list(checks).index("pm-matches-b") == list(checks).index("pm-degree") + 1
+        tampered = dict(doc, pm_coefficients=["12345*a1"] + doc["pm_coefficients"][1:])
+        code, ok, checks = verify(tampered)
+        assert code == 1 and not ok
+        assert [n for n, c in checks.items() if not c["pass"]] == ["pm-matches-b"]
+        assert checks["pm-matches-b"]["detail"] == "differs at z^0"
+        # without the key the report is the one it was before the check
+        code, ok, checks = verify({k: v for k, v in doc.items()
+                                   if k != "pm_coefficients"})
+        assert code == 0 and ok and list(checks) == ["sum-b-zero", "pm-degree"]
+
     def test_garnier_numeric(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "8", "--M", "2",
                                "--m", "2", "--n", "1")
@@ -156,6 +181,17 @@ class TestVerifyInputValidation:
                      "entries": {}}):
             code, _, err = self.verify_doc(capsys, tmp_path, doc)
             assert code == 2 and "Traceback" not in err, doc
+
+    def test_malformed_pm_coefficients(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "4", "--n", "1")
+        good = json.loads(out)
+        pm = good["pm_coefficients"]
+        for value in (pm[:-1], pm + ["0"], pm[:-1] + [1], "0", None):
+            code, out, err = self.verify_doc(capsys, tmp_path,
+                                             {**good, "pm_coefficients": value})
+            assert code == 2 and out == "", value
+            assert "pm_coefficients" in err and "Traceback" not in err, value
 
     def test_malformed_schlesinger_documents(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "generate", "--theorem", "4", "--p", "2",

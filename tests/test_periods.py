@@ -324,3 +324,13 @@ class TestBatchedQuadrature:
         # accepted where |val1 - val2| <= max(tol, tol |val2|); no panel
         # of this line is worth 10
         assert st.panels > 4 and 0 < st.max_error <= 10 * st.tol
+
+    def test_full_turn_arc_gets_eight_panels(self):
+        # on the arc around a_3 the turn count rounds to 0.9999999999999999;
+        # four lines of 4 panels and two full-turn arcs of 8, none halved
+        curve = SuperellipticCurve(2, [0.0, 1.0, 2.0 + 1.0j], -1)
+        for shift in (0, 1):
+            loop = double_loop(curve, 2, 3, shift)
+            st = QuadratureStats()
+            integrate_omega(curve, [1, 2, 3], 1, loop, stats=st)
+            assert st.max_depth == 0 and st.panels == 32, loop.label
