@@ -153,10 +153,12 @@ class FactoredFrac:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = FactoredFrac.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return FactoredFrac.const(1)
+        if self.is_zero():
+            return FactoredFrac.zero()
+        return FactoredFrac(self.num ** n,
+                            {f: e * n for f, e in self.den.items()})
 
     def partial(self, name: str) -> "FactoredFrac":
         """Quotient rule without expanding the denominator powers."""

@@ -8,6 +8,7 @@ floats are a separate numeric layer and conversions are always explicit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 Rational = Fraction
 
@@ -27,16 +28,17 @@ def binom(beta, j: int) -> Fraction:
     """Generalized binomial coefficient beta*(beta-1)*...*(beta-j+1)/j!.
 
     Defined for any rational beta and nonnegative integer j; equals 1 at j=0.
+    With beta = p/q it is the integer prod_k (p - k q) over q^j j!, reduced
+    once.
     """
     if j < 0:
         raise ValueError("binom needs j >= 0")
     beta = to_rational(beta)
-    num = Fraction(1)
+    p, q = beta.numerator, beta.denominator
+    num = 1
     for k in range(j):
-        num *= beta - k
-    for k in range(2, j + 1):
-        num /= k
-    return num
+        num *= p - k * q
+    return Fraction(num, q ** j * factorial(j))
 
 
 def binomials(beta, jmax: int) -> list:

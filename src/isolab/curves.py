@@ -10,6 +10,14 @@ exp(2*pi*i*k/s) and are only materialized as complex numbers in numeric mode.
 residue_series_oracle computes residues purely by truncated-series
 multiplication; it is the independent cross-check for the closed-form residue
 expressions used by the Schlesinger solution builders.
+
+A curve is immutable after construction and keeps the charts the oracle asks
+for, one per (chart class, pole, truncation order). Each chart keeps the series
+w^e dz once per power e, so the residues for i = 1..N at one pole share one
+product and differ only in the factor 1/(z - a_i). The reuse lives as long as
+the curve object and no longer: there is no module-level or value-keyed cache.
+Nothing of this is shared with the builders, which the oracle still checks
+independently.
 """
 
 from __future__ import annotations
@@ -205,6 +213,9 @@ class SuperellipticCurve:
     Branch points may be exact rationals, complex numbers, or variable names
     (strings); any variable makes the curve symbolic. In symbolic mode the
     charts produce exact MultiPoly/FactoredFrac coefficients.
+
+    The curve is treated as immutable after construction: `chart` caches the
+    local charts, and their series, on the instance.
     """
 
     def __init__(self, m: int, branch_points, n: int):
@@ -231,6 +242,7 @@ class SuperellipticCurve:
                         raise ValueError(f"branch points {i+1} and {j+1} coincide")
         self.numeric_exact = not self.symbolic and all(
             isinstance(a, (int, Fraction)) for a in pts)
+        self._charts = {}
 
     @property
     def N(self) -> int:
@@ -241,6 +253,15 @@ class SuperellipticCurve:
 
     def cycle_count(self) -> int:
         return cycle_count(self.m, self.N, self.n)
+
+    def chart(self, kind, pole: int, order: int):
+        """The chart `kind` (InfinityChart or BranchChart) at `pole`, truncated
+        at `order`, built on first use and kept for the life of the curve."""
+        key = (kind, pole, order)
+        chart = self._charts.get(key)
+        if chart is None:
+            chart = self._charts[key] = kind(self, pole, order)
+        return chart
 
     def point(self, i: int):
         """Branch point a_i (1-based) as MultiPoly (exact) or complex."""
@@ -291,7 +312,19 @@ def _binomial_factor_series(base, exponent: Fraction, step: int,
     return TruncatedSeries(0, coeffs, order)
 
 
-class InfinityChart:
+class _Chart:
+    """What both charts share: Omega_i^{(j)} from one w^e dz series per e."""
+
+    def omega_series(self, i: int, j: int) -> TruncatedSeries:
+        """Omega_i^{(j)} = w^{jn} dz / (z - a_i), as a series in dt."""
+        e = j * self.curve.n
+        w_dz = self._w_dz.get(e)
+        if w_dz is None:
+            w_dz = self._w_dz[e] = self.w_power(e) * self.dz_series()
+        return w_dz * self.one_over_z_minus(i)
+
+
+class InfinityChart(_Chart):
     """Chart at the k-th point over z = infinity: z = 1/t^{m1}."""
 
     def __init__(self, curve: SuperellipticCurve, k: int, order: int):
@@ -307,6 +340,7 @@ class InfinityChart:
         self.order = order
         self.inv = inv
         self.exact = curve.symbolic or curve.numeric_exact
+        self._w_dz = {}
 
     def z_series(self) -> TruncatedSeries:
         one = MultiPoly.const(1) if self.exact else 1.0 + 0j
@@ -350,13 +384,8 @@ class InfinityChart:
             q += 1
         return TruncatedSeries(m1, coeffs, rel + m1)
 
-    def omega_series(self, i: int, j: int) -> TruncatedSeries:
-        """Omega_i^{(j)} = w^{jn} dz / (z - a_i), as a series in dt."""
-        e = j * self.curve.n
-        return self.w_power(e) * self.dz_series() * self.one_over_z_minus(i)
 
-
-class BranchChart:
+class BranchChart(_Chart):
     """Chart at the finite ramification point (a_nu, 0): z = a_nu + t^m."""
 
     def __init__(self, curve: SuperellipticCurve, nu: int, order: int):
@@ -370,6 +399,7 @@ class BranchChart:
         self.nu = nu
         self.order = order
         self.exact = curve.symbolic or curve.numeric_exact
+        self._w_dz = {}
 
     def gap(self, h: int):
         """a_nu - a_h, exact or complex."""
@@ -437,10 +467,6 @@ class BranchChart:
         ser = _binomial_factor_series(1.0 / gap, Fraction(-1), m, rel, False)
         return ser * TruncatedSeries.monomial(1.0 / gap, 0, rel)
 
-    def omega_series(self, i: int, j: int) -> TruncatedSeries:
-        e = j * self.curve.n
-        return self.w_power(e) * self.dz_series() * self.one_over_z_minus(i)
-
 
 # ---------------------------------------------------------------------------
 # public chart API
@@ -487,7 +513,12 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     tags the exact root-of-unity factor e^{2 pi i jn(k-1)/s}). For n < 0 the
     pole is a branch-point index and the value is a rational function.
     Truncation starts at the default prescription and doubles on detected
-    insufficiency.
+    insufficiency; each order uses its own chart.
+
+    The charts come from `curve.chart`, so calls on one curve object for
+    different i (and the same pole, j and order) build the w^{jn} dz series
+    once and multiply it by 1/(z - a_i) alone. The products are the same as
+    without the reuse, so values are exact, or bit-identical floats.
     """
     n = curve.n
     inv = curve.invariants()
@@ -500,13 +531,11 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     for attempt in range(6):
         try:
             if n > 0:
-                chart = InfinityChart(curve, pole, order)
-                om = chart.omega_series(i, j)
+                om = curve.chart(InfinityChart, pole, order).omega_series(i, j)
             else:
                 if (j * abs(n)) % curve.m != 0:
                     return _oracle_zero(curve), (0, 1)
-                chart = BranchChart(curve, pole, order)
-                om = chart.omega_series(i, j)
+                om = curve.chart(BranchChart, pole, order).omega_series(i, j)
             val = om.residue()
             if isinstance(val, int) and val == 0:
                 val = _oracle_zero(curve)

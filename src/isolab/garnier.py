@@ -158,6 +158,7 @@ def thm10_solution(M: int, m: int, n: int) -> GarnierAlgebraicSolution:
     """Polynomial b-vector for n > 0, m > 1 dividing M + 2 (residues at the
     m points over z = infinity); beta_i = n/(2m). It is the 2 x 2
     Schlesinger class entry at the poles (a_1..a_M, 0, 1)."""
+    _check(M >= 1, "hypothesis M >= 1 fails")
     _check(n > 0, "hypothesis n > 0 fails")
     _check(m > 1, "hypothesis m > 1 fails")
     _check(gcd(n, m) == 1, "hypothesis gcd(n, m) = 1 fails")
@@ -193,6 +194,7 @@ def thm11_family(M: int, n: int, coefficients) -> GarnierAlgebraicSolution:
     """M-parameter rational b-vector for n < 0 (m = 1):
     b = sum_j c_j b^{(j)} + b^{(M+1)}, the b^{(j)} being the residue vectors
     at the punctures (a_1, 0)..(a_M, 0) and (0, 0)."""
+    _check(M >= 1, "hypothesis M >= 1 fails")
     _check(n < 0, "hypothesis n < 0 fails")
     coefficients = [to_rational(c) for c in coefficients]
     _check(len(coefficients) == M, "need M coefficients")

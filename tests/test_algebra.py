@@ -558,6 +558,27 @@ class TestFactoredFrac:
         f = FactoredFrac(num, den)
         assert f.to_ratfunc() == RatFunc(f.num, f.den_expanded())
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys(), st.lists(st.tuples(small_polys(), st.integers(1, 2)),
+                                   max_size=2),
+           st.integers(-3, 4))
+    def test_power_matches_repeated_multiplication(self, num, facs, n):
+        f = FactoredFrac.from_poly(num)
+        for den, e in facs:
+            if not den.is_constant():
+                f = f * FactoredFrac.quotient(MultiPoly.const(1), den, e)
+        if n < 0 and f.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f ** n
+            return
+        base = f.reciprocal() if n < 0 else f
+        want = FactoredFrac.const(1)
+        for _ in range(abs(n)):
+            want = want * base
+        got = f ** n
+        assert got == want
+        assert got.to_ratfunc().to_text() == want.to_ratfunc().to_text()
+
     def test_reciprocal_and_cancel(self):
         f = FactoredFrac.quotient(x ** 2 - 1, x - 1, 1)
         g = f.cancel()

@@ -44,6 +44,18 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--theorem", "7", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--theorem", "10", "--M", "0", "--m", "2", "--n", "1"),
+        ("--theorem", "10", "--M", "-2", "--m", "2", "--n", "1"),
+        ("--theorem", "11", "--M", "0", "--n", "-1"),
+    ])
+    def test_garnier_needs_positive_M(self, capsys, argv):
+        # a document with M < 1 is one that verify --input rejects
+        for command in ("generate", "verify"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 2 and out == "", (command, argv)
+            assert "hypothesis M >= 1 fails" in err
+
     def test_theorem4_documents_golden(self, capsys):
         # texts recorded before entries were converted once in to_json_dict
         golden = json.loads((DATA / "theorem4_documents.json").read_text())

@@ -137,6 +137,82 @@ class TestResidueOracle:
         assert val == 0 or (hasattr(val, "is_zero") and val.is_zero())
 
 
+D2, D3, D4 = (MultiPoly.var(f"d{h}") for h in (2, 3, 4))
+
+# (m, branch points, n, j values): theorem 3 and theorem 4 shapes (the latter
+# with FactoredFrac values), numeric-exact curves and float curves
+SHARING_CURVES = [
+    (2, ["a1", "a2", "a3", "a4"], 1, (1, 2, 3)),
+    (3, ["a1", "a2", "a3"], 2, (1, 2)),
+    (1, [MultiPoly.zero(), -D2, -D3], -2, (1, 2)),
+    (2, [MultiPoly.zero(), -D2, -D3, -D4], -1, (2, 4)),
+    (3, [F(0), F(1), F(5, 2)], 1, (1, 2)),
+    (2, [0, 1, 3, -2], -1, (1, 2)),
+    (3, [0.0, 1.0, 2.0 + 1.0j], 1, (1, 2, 3)),
+    (2, [0.0, 1.0, 2.0 + 1.0j, 3.0 - 1.0j], -1, (2, 4)),
+]
+
+
+def _poles(curve):
+    return range(1, (curve.invariants().s if curve.n > 0 else curve.N) + 1)
+
+
+def _exact_key(val, phase):
+    # repr is exact for MultiPoly/FactoredFrac and bit-exact for floats
+    return type(val).__name__, repr(val), phase
+
+
+class TestOracleSharing:
+    """Residues from one curve object, whose charts keep the w^e dz series,
+    equal those from a fresh curve per call."""
+
+    @pytest.mark.parametrize("m, pts, n, js", SHARING_CURVES)
+    def test_shared_curve_equals_fresh_curves(self, m, pts, n, js):
+        shared = SuperellipticCurve(m, pts, n)
+        first = []
+        for j in js:
+            for pole in _poles(shared):
+                for i in range(1, shared.N + 1):
+                    got = residue_series_oracle(shared, i, j, pole)
+                    want = residue_series_oracle(SuperellipticCurve(m, pts, n),
+                                                 i, j, pole)
+                    assert _exact_key(*got) == _exact_key(*want), (i, j, pole)
+                    first.append((got, _exact_key(*got)))
+        # later calls for other i, j and poles left earlier values untouched
+        for got, key in first:
+            assert _exact_key(*got) == key
+
+    @pytest.mark.parametrize("m, pts, n, js", SHARING_CURVES)
+    def test_doubling_from_small_order(self, m, pts, n, js):
+        shared = SuperellipticCurve(m, pts, n)
+        for j in js:
+            for i in range(1, shared.N + 1):
+                default = residue_series_oracle(shared, i, j, 1)
+                doubled = residue_series_oracle(shared, i, j, 1, order=1)
+                fresh = residue_series_oracle(SuperellipticCurve(m, pts, n),
+                                              i, j, 1, order=1)
+                assert _exact_key(*doubled) == _exact_key(*fresh)
+                # a coefficient's products do not depend on the truncation,
+                # so even the float values agree exactly
+                assert doubled == default
+
+    def test_w_power_built_once_per_chart_and_power(self, monkeypatch):
+        calls = []
+        orig = InfinityChart.w_power
+
+        def counted(chart, e):
+            calls.append((chart.k, chart.order, e))
+            return orig(chart, e)
+        monkeypatch.setattr(InfinityChart, "w_power", counted)
+        curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)
+        for j in (1, 2):
+            for pole in (1, 2):
+                for i in range(1, 5):
+                    residue_series_oracle(curve, i, j, pole)
+        assert len(calls) == len(set(calls)) == 4
+        assert curve.chart(InfinityChart, 1, 8) is curve.chart(InfinityChart, 1, 8)
+
+
 class TestDwIdentity:
     """m w^{m-1} dw = sum_i P(z, a)/(z - a_i) dz, checked as truncated series
     sharing one fractional prefactor per chart."""
