@@ -5,8 +5,9 @@ fractions whose denominators are huge when expanded but are products of a
 handful of known factors. FactoredFrac keeps the denominator as a
 {primitive poly: exponent} bag, so sums only ever multiply numerators by small
 deficit products, and the final zero test is a zero test on one numerator.
-Values are exact; this is plain rational-function arithmetic in a smarter
-clothing, convertible to a canonical RatFunc at any time.
+Values are exact. This is the package's one implementation of
+rational-function arithmetic: RatFunc's operators compute here, and
+to_ratfunc() gives the canonical reduced form for output and equality.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class FactoredFrac:
 
     @classmethod
     def from_ratfunc(cls, r: RatFunc):
+        if r.den.is_constant():  # a canonical constant denominator is 1
+            return cls(r.num, {})
         prim, c = _as_factor(r.den)
-        den = {} if prim.is_constant() else {prim: 1}
-        return cls(r.num * (1 / c), den)
+        return cls(r.num * (1 / c), {prim: 1})
 
     @classmethod
     def quotient(cls, num: MultiPoly, den: MultiPoly, power: int = 1):
@@ -116,6 +118,9 @@ class FactoredFrac:
         return self + (-other)
 
     def __rsub__(self, other):
+        other = FactoredFrac._coerce(other)
+        if other is None:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -132,23 +137,36 @@ class FactoredFrac:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FactoredFrac":
-        if self.is_zero():
-            raise ZeroDivisionError
-        prim, c = _as_factor(self.num)
-        num = MultiPoly.const(1 / c)
-        for f, e in self.den.items():
-            num = num * f ** e
-        den = {} if prim.is_constant() else {prim: 1}
-        return FactoredFrac(num, den)
+        return 1 / self
 
     def __truediv__(self, other):
+        """self / other; each factor shared by the two denominators leaves
+        both sides at its smaller exponent instead of being multiplied in."""
         other = FactoredFrac._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.reciprocal()
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero fraction")
+        if self.is_zero():
+            return FactoredFrac.zero()
+        prim, c = _as_factor(other.num)
+        num = self.num * (1 / c)
+        den = dict(self.den)
+        for f, e in other.den.items():
+            have = den.pop(f, 0)
+            if have > e:
+                den[f] = have - e
+            elif e > have:
+                num = num * f ** (e - have)
+        if not prim.is_constant():
+            den[prim] = den.get(prim, 0) + 1
+        return FactoredFrac(num, den)
 
     def __rtruediv__(self, other):
-        return FactoredFrac._coerce(other) * self.reciprocal()
+        other = FactoredFrac._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -211,6 +229,10 @@ class FactoredFrac:
         """The canonical reduced form. Linear factors are irreducible, so
         once cancel() has divided out every one that divides the numerator,
         the fraction is reduced and needs no gcd."""
+        if not self.den:
+            return RatFunc.from_poly(self.num)
+        if self.is_zero():
+            return RatFunc.zero()
         if any(f.total_degree() != 1 for f in self.den):
             return RatFunc(self.num, self.den_expanded())
         reduced = self.cancel()

@@ -559,21 +559,16 @@ class MultiPoly:
     def substitute(self, name: str, value):
         """Replace a variable. Polynomial/rational values give a MultiPoly;
         a RatFunc value gives a reduced RatFunc."""
+        from .factored import FactoredFrac
         from .ratfunc import RatFunc
         if name not in self.vars:
             return self
         parts = self.as_univariate(name)
         dmax = max(parts)
-        if isinstance(value, RatFunc):
-            out = RatFunc.zero()
-            vp = RatFunc.one()
-            for k in range(dmax + 1):
-                if k in parts:
-                    out = out + RatFunc.from_poly(parts[k]) * vp
-                if k < dmax:
-                    vp = vp * value
-            return out
-        if isinstance(value, (int, Fraction)):
+        rational = isinstance(value, RatFunc)
+        if rational:
+            value = FactoredFrac.from_ratfunc(value)
+        elif isinstance(value, (int, Fraction)):
             value = MultiPoly.const(value)
         out = MultiPoly.zero()
         vp = MultiPoly.const(1)
@@ -582,7 +577,7 @@ class MultiPoly:
                 out = out + parts[k] * vp
             if k < dmax:
                 vp = vp * value
-        return out
+        return out.to_ratfunc() if rational else out
 
     def _evaluation_plan(self):
         """Per term: (primitive coefficient, ((index into vars, power), ...)),

@@ -1,16 +1,38 @@
-"""Reduced rational functions: fractions of MultiPoly.
+"""Reduced rational functions: the canonical form of exact fractions.
 
 Normalization contract: gcd(num, den) = 1, the denominator's leading
 coefficient (graded lex) is 1, and zero is 0/1. Equality is therefore plain
 structural comparison, which the identity checks in the rest of the package
-rely on.
+rely on, and the text form is unique.
+
+RatFunc holds no arithmetic of its own: each operator converts its operands
+to FactoredFrac, computes there, and returns the result in this canonical
+form. A chain of operations is cheaper done in FactoredFrac throughout, with
+one to_ratfunc() at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .multipoly import MultiPoly, parse_poly, poly_gcd
+
+
+def _factored(x):
+    from .factored import FactoredFrac  # factored imports this module
+    return FactoredFrac._coerce(x)
+
+
+def _lifted(op):
+    """The RatFunc operator that computes op(self, other) in FactoredFrac and
+    returns the canonical form; NotImplemented for an operand that is not an
+    int, Fraction, MultiPoly or RatFunc."""
+    def method(self, other):
+        if not isinstance(other, (RatFunc, MultiPoly, int, Fraction)):
+            return NotImplemented
+        return op(_factored(self), _factored(other)).to_ratfunc()
+    return method
 
 
 class RatFunc:
@@ -101,81 +123,31 @@ class RatFunc:
 
     # ---------------- arithmetic ----------------
 
-    def __add__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den, _normalized=True)
 
-    def __sub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc.zero()
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = RatFunc._coerce(other)
-        return other / self
+    __add__ = __radd__ = _lifted(operator.add)
+    __sub__ = _lifted(operator.sub)
+    __rsub__ = _lifted(lambda a, b: b - a)
+    __mul__ = __rmul__ = _lifted(operator.mul)
+    __truediv__ = _lifted(operator.truediv)
+    __rtruediv__ = _lifted(lambda a, b: b / a)
 
     def __pow__(self, n: int):
-        if n == 0:
-            return RatFunc.one()
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
+        return (_factored(self) ** n).to_ratfunc()
 
     def partial(self, name: str) -> "RatFunc":
-        """Formal partial derivative (quotient rule, reduced)."""
-        dn = self.num.partial(name)
-        dd = self.den.partial(name)
-        if dd.is_zero():
-            return RatFunc(dn, self.den)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+        """Formal partial derivative, reduced."""
+        return _factored(self).partial(name).to_ratfunc()
 
     # ---------------- substitution / evaluation ----------------
 
     def substitute(self, name: str, value) -> "RatFunc":
-        num = self.num.substitute(name, value)
         den = self.den.substitute(name, value)
-        num = RatFunc._coerce(num)
-        den = RatFunc._coerce(den)
         if den.is_zero():
             raise ZeroDivisionError(
                 f"substitution {name} -> {value} kills the denominator")
-        return num / den
+        return RatFunc._coerce(self.num.substitute(name, value)) / den
 
     def evaluate(self, assignment: dict):
         den = self.den.evaluate(assignment)

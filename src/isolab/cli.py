@@ -189,9 +189,7 @@ def _verify_pvi_doc(doc, tol) -> list:
                 yc = y.substitute(cname, cv)
             except ZeroDivisionError:
                 return (f"pvi-residual-{cname}={cv}", True, "degenerate member")
-            kind = "degenerate" if (yc.is_zero() or yc == painleve.RatFunc.one()
-                                    or yc == painleve.RatFunc.var("x")) else None
-            if kind:
+            if painleve._pvi_degenerate_kind(yc) is not None:
                 return (f"pvi-residual-{cname}={cv}", True, "degenerate member")
             r = painleve.pvi_residual(yc, params)
             return (f"pvi-residual-{cname}={cv}", r.is_zero(),
@@ -205,7 +203,7 @@ def _verify_pvi_doc(doc, tol) -> list:
 def _verify_triangular_doc(doc, tol) -> list:
     from . import schlesinger
     sol = schlesinger.TriangularSolution.from_json_dict(doc)
-    res = schlesinger.schlesinger_residual(sol, as_ratfunc=False)
+    res = schlesinger.schlesinger_residual(sol)
     bad = [k for k, v in res.items() if not v.is_zero()]
     checks = [("schlesinger-residual", not bad,
                "all zero" if not bad else f"nonzero at {bad[:4]}")]

@@ -14,7 +14,8 @@ expressions used by the Schlesinger solution builders.
 A curve is immutable after construction and keeps the charts the oracle asks
 for, one per (chart class, pole, truncation order). Each chart keeps the series
 w^e dz once per power e, so the residues for i = 1..N at one pole share one
-product and differ only in the factor 1/(z - a_i). The reuse lives as long as
+product and differ only in the factor 1/(z - a_i); of that last product only
+the t^-1 coefficient is summed. The reuse lives as long as
 the curve object and no longer: there is no module-level or value-keyed cache.
 Nothing of this is shared with the builders, which the oracle still checks
 independently.
@@ -126,8 +127,23 @@ class TruncatedSeries:
             out.append(c * k)
         return TruncatedSeries(self.leading - 1, out, self.order - 1, self.phase)
 
-    def residue(self):
-        return self.coefficient(-1)
+    def product_coefficient(self, other, k: int):
+        """Coefficient of t^k in self * other, without forming the product.
+
+        The TruncationError bound, the order of the additions and the zero
+        skips are those of __mul__, so the value is the same, bit for bit in
+        float mode."""
+        order = min(self.leading + other.order, other.leading + self.order)
+        if k >= order:
+            raise TruncationError(
+                f"coefficient of t^{k} requested, series known below t^{order}")
+        t = k - self.leading - other.leading
+        out = 0
+        for i, ci in enumerate(self.coeffs[:max(t + 1, 0)]):
+            cj = other.coeffs[t - i] if t - i < len(other.coeffs) else 0
+            if not _czero(ci) and not _czero(cj):
+                out = out + ci * cj
+        return out
 
     def is_zero(self) -> bool:
         return all(_czero(c) for c in self.coeffs)
@@ -315,13 +331,16 @@ def _binomial_factor_series(base, exponent: Fraction, step: int,
 class _Chart:
     """What both charts share: Omega_i^{(j)} from one w^e dz series per e."""
 
-    def omega_series(self, i: int, j: int) -> TruncatedSeries:
-        """Omega_i^{(j)} = w^{jn} dz / (z - a_i), as a series in dt."""
+    def omega_residue(self, i: int, j: int):
+        """(residue, phase tag) of Omega_i^{(j)} = w^{jn} dz / (z - a_i):
+        only the t^-1 coefficient of the product is summed."""
         e = j * self.curve.n
         w_dz = self._w_dz.get(e)
         if w_dz is None:
             w_dz = self._w_dz[e] = self.w_power(e) * self.dz_series()
-        return w_dz * self.one_over_z_minus(i)
+        over = self.one_over_z_minus(i)
+        return (w_dz.product_coefficient(over, -1),
+                _phase_add(w_dz.phase, over.phase))
 
 
 class InfinityChart(_Chart):
@@ -517,8 +536,9 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
 
     The charts come from `curve.chart`, so calls on one curve object for
     different i (and the same pole, j and order) build the w^{jn} dz series
-    once and multiply it by 1/(z - a_i) alone. The products are the same as
-    without the reuse, so values are exact, or bit-identical floats.
+    once. Against 1/(z - a_i) only the t^-1 coefficient of the product is
+    summed, with the additions of the full product in the same order, so
+    values are exact, or bit-identical floats.
     """
     n = curve.n
     inv = curve.invariants()
@@ -531,15 +551,14 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     for attempt in range(6):
         try:
             if n > 0:
-                om = curve.chart(InfinityChart, pole, order).omega_series(i, j)
+                val, phase = curve.chart(InfinityChart, pole, order).omega_residue(i, j)
             else:
                 if (j * abs(n)) % curve.m != 0:
                     return _oracle_zero(curve), (0, 1)
-                om = curve.chart(BranchChart, pole, order).omega_series(i, j)
-            val = om.residue()
+                val, phase = curve.chart(BranchChart, pole, order).omega_residue(i, j)
             if isinstance(val, int) and val == 0:
                 val = _oracle_zero(curve)
-            return val, om.phase
+            return val, phase
         except TruncationError:
             order *= 2
     raise TruncationError("residue oracle failed to converge on an order")

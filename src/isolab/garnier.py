@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import MultiPoly, RatFunc, poly_gcd, to_rational
+from .algebra import FactoredFrac, MultiPoly, RatFunc, poly_gcd, to_rational
 from .schlesinger import (HypothesisError, build_rational_solution,
                           default_variables, _check, _poly_class_entries)
 
@@ -78,10 +78,10 @@ class GarnierAlgebraicSolution:
         return RatFunc.const(0 if i == self.M + 1 else 1)
 
     def sum_b(self) -> RatFunc:
-        out = RatFunc.zero()
+        out = FactoredFrac.zero()
         for bi in self.b:
             out = out + bi
-        return out
+        return out.to_ratfunc()
 
     def pm_coefficients(self) -> list:
         """Coefficients of P_M, ascending in z; built on the first call.
@@ -201,10 +201,10 @@ def thm11_family(M: int, n: int, coefficients) -> GarnierAlgebraicSolution:
     basis = [residue_basis_vector(M, n, j) for j in range(1, M + 2)]
     b = []
     for i in range(M + 2):
-        acc = RatFunc._coerce(basis[M][i])
+        acc = FactoredFrac._coerce(basis[M][i])
         for c, vec in zip(coefficients, basis[:M]):
             acc = acc + c * vec[i]
-        b.append(acc)
+        b.append(acc.to_ratfunc())
     betas = [Fraction(n, 2)] * (M + 2)
     beta_inf = -Fraction((M + 2) * n, 2)
     return GarnierAlgebraicSolution(M=M, b=b, betas=betas, beta_inf=beta_inf,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RatFunc, to_rational
+from .algebra import FactoredFrac, RatFunc, to_rational
 from .painleve import ThetaTuple, X
 
 
@@ -78,10 +78,10 @@ def apply_word(word: str, b: OkamotoCoords) -> OkamotoCoords:
 
 def h_polynomial(y, p, b: OkamotoCoords) -> RatFunc:
     """h = -y(y-1)p^2 + (2 b1 y - (b1+b2)) p - b1^2."""
-    y = RatFunc._coerce(y)
-    p = RatFunc._coerce(p)
+    y = FactoredFrac._coerce(y)
+    p = FactoredFrac._coerce(p)
     return (-y * (y - 1) * p ** 2 + (2 * b.b1 * y - (b.b1 + b.b2)) * p
-            - RatFunc.const(b.b1 ** 2))
+            - b.b1 ** 2).to_ratfunc()
 
 
 def _sigma(vals, k):
@@ -95,19 +95,19 @@ def _sigma(vals, k):
     return out
 
 
-def _F_matrix(b: OkamotoCoords, h: RatFunc):
+def _F_matrix(b: OkamotoCoords, h: FactoredFrac):
     s1 = _sigma((b.b1, b.b3, b.b4), 1)
     s2 = _sigma((b.b1, b.b3, b.b4), 2)
     s3 = _sigma((b.b1, b.b3, b.b4), 3)
-    return [[-h + s2, RatFunc.const(-b.b3 - b.b4)],
+    return [[-h + s2, FactoredFrac.const(-b.b3 - b.b4)],
             [s1 * h - s3, -h + b.b3 * b.b4]]
 
 
-def _g_vector(b: OkamotoCoords, h: RatFunc):
+def _g_vector(b: OkamotoCoords, h: FactoredFrac):
     vals = b.as_tuple()
-    return [RatFunc.const(-Fraction(1, 2) * _sigma(vals, 2)),
+    return [FactoredFrac.const(-Fraction(1, 2) * _sigma(vals, 2)),
             -Fraction(1, 2) * _sigma(vals, 1) * h
-            + RatFunc.const(Fraction(1, 2) * _sigma(vals, 3))]
+            + Fraction(1, 2) * _sigma(vals, 3)]
 
 
 class DegenerateTransform(ValueError):
@@ -122,10 +122,10 @@ def okamoto_apply(word: str, y, p, b: OkamotoCoords):
     solve degenerates (e.g. y identically 0 under w1w2w1); use
     degenerate_prolongation for that case.
     """
-    y = RatFunc._coerce(y)
-    p = RatFunc._coerce(p)
+    y = FactoredFrac._coerce(y)
+    p = FactoredFrac._coerce(p)
     bw = apply_word(word, b)
-    h = h_polynomial(y, p, b)
+    h = FactoredFrac._coerce(h_polynomial(y, p, b))
     F = _F_matrix(b, h)
     g = _g_vector(b, h)
     Fw = _F_matrix(bw, h)
@@ -141,8 +141,8 @@ def okamoto_apply(word: str, y, p, b: OkamotoCoords):
     vw2 = (rhs[1] * Fw[0][0] - rhs[0] * Fw[1][0]) / det
     den = yw * (yw - 1)
     if den.is_zero():
-        return yw, None, bw
-    return yw, vw2 / den, bw
+        return yw.to_ratfunc(), None, bw
+    return yw.to_ratfunc(), (vw2 / den).to_ratfunc(), bw
 
 
 def degenerate_prolongation(p, b1, b3):
@@ -152,22 +152,22 @@ def degenerate_prolongation(p, b1, b3):
         y_w = (b1 - b3)/(p + 2 b1),
         p_w = -(b1 + b3)(p + 2 b1)/(p + b1 + b3).
     """
-    p = RatFunc._coerce(p)
+    p = FactoredFrac._coerce(p)
     b1 = to_rational(b1)
     b3 = to_rational(b3)
     den = p + 2 * b1
     if den.is_zero():
         raise ZeroDivisionError("p + 2 b1 is identically zero")
-    yw = RatFunc.const(b1 - b3) / den
+    yw = (b1 - b3) / den
     pw = -(b1 + b3) * den / (p + b1 + b3)
-    return yw, pw
+    return yw.to_ratfunc(), pw.to_ratfunc()
 
 
 def riccati_residual(p, b: OkamotoCoords) -> RatFunc:
     """Exact residual of the Riccati equation for the momentum of y = 0:
     -x(x-1) p' = x p^2 + (2 b1 x + b3 + b4) p + (b1+b3)(b1+b4)."""
-    p = RatFunc._coerce(p)
-    x = RatFunc.var(X)
+    p = FactoredFrac._coerce(p)
+    x = FactoredFrac.var(X)
     return (-x * (x - 1) * p.partial(X)
             - (x * p ** 2 + (2 * b.b1 * x + b.b3 + b.b4) * p
-               + RatFunc.const((b.b1 + b.b3) * (b.b1 + b.b4))))
+               + (b.b1 + b.b3) * (b.b1 + b.b4))).to_ratfunc()

@@ -75,49 +75,44 @@ class PVISolutionFamily:
 def y_from_b(b1: RatFunc, b3: RatFunc) -> RatFunc:
     """y = x b1 / (b1 + (1 - x) b3), reduced.
 
-    Built over a shared factored denominator so the common b-denominators
-    cancel structurally instead of through a large gcd."""
-    from .algebra.factored import _expanded_deficit
+    Built in FactoredFrac, so the b-denominators shared by the two sides of
+    the quotient cancel structurally instead of through a large gcd."""
     f1 = FactoredFrac._coerce(b1)
     f3 = FactoredFrac._coerce(b3)
-    xp = MultiPoly.var(X)
-    g3 = FactoredFrac.from_poly(1 - xp) * f3
-    keys = set(f1.den) | set(g3.den)
-    common = {f: max(f1.den.get(f, 0), g3.den.get(f, 0)) for f in keys}
-    n1 = f1.num * _expanded_deficit(common, f1.den)
-    n3 = g3.num * _expanded_deficit(common, g3.den)
-    nden = n1 + n3
-    if nden.is_zero():
+    x = FactoredFrac.var(X)
+    den = f1 + (1 - x) * f3
+    if den.is_zero():
         raise ZeroDivisionError("b1 + (1 - x) b3 is identically zero")
-    return RatFunc(xp * n1, nden)
+    return (x * f1 / den).to_ratfunc()
 
 
 def linear_system_residual(b1, b2, theta: ThetaTuple):
     """Residuals of the first-order system tying b1 and b2 together:
     b1' = (2/x)((beta1+beta3) b1 + beta1 b2),
     b2' = (2/(x-1))(beta2 b1 + (beta2+beta3) b2)."""
-    b1 = RatFunc._coerce(b1)
-    b2 = RatFunc._coerce(b2)
-    x = RatFunc.var(X)
+    b1 = FactoredFrac._coerce(b1)
+    b2 = FactoredFrac._coerce(b2)
+    x = FactoredFrac.var(X)
     r1 = b1.partial(X) - 2 / x * ((theta.beta1 + theta.beta3) * b1
                                   + theta.beta1 * b2)
     r2 = b2.partial(X) - 2 / (x - 1) * (theta.beta2 * b1
                                         + (theta.beta2 + theta.beta3) * b2)
-    return r1, r2
+    return r1.to_ratfunc(), r2.to_ratfunc()
 
 
 def hypergeom_residual(b, which: int, theta: ThetaTuple) -> RatFunc:
     """Exact residual of the second-order hypergeometric ODE satisfied by
     b1 (which=1) or b2 (which=2)."""
-    b = RatFunc._coerce(b)
+    b = FactoredFrac._coerce(b)
     t = theta
-    x = RatFunc.var(X)
+    x = FactoredFrac.var(X)
     shift = -1 if which == 1 else 0
     lin = ((2 * t.beta1 + 2 * t.beta3 + shift)
            + (1 - 2 * t.beta1 - 2 * t.beta2 - 4 * t.beta3) * x)
     const = 4 * t.beta3 * (t.beta1 + t.beta2 + t.beta3)
     xx = x * (x - 1)
-    return b.partial(X).partial(X) + lin / xx * b.partial(X) + const / xx * b
+    db = b.partial(X)
+    return (db.partial(X) + lin / xx * db + const / xx * b).to_ratfunc()
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +161,7 @@ def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
                + params.beta * x * inv_y * inv_y
                + params.gamma * (x - 1) * inv_ym1 * inv_ym1
                + params.delta * x * (x - 1) * inv_ymx * inv_ymx)
-    res = y2 - A * (y1 * y1) + B * y1 - lead * bracket
-    if res.is_zero():
-        return RatFunc.zero()
-    return res.to_ratfunc()
+    return (y2 - A * (y1 * y1) + B * y1 - lead * bracket).to_ratfunc()
 
 
 def degenerate_parameter_check(kind: str, params: PVIParams) -> bool:
@@ -192,11 +184,11 @@ def conjugate_momentum(y: RatFunc, theta: ThetaTuple) -> RatFunc:
     The (y - x)-pole terms are combined before dividing, so candidates whose
     combination cancels (e.g. y = x with beta3 = 0) still get a finite p.
     """
-    y = RatFunc._coerce(y)
-    x = RatFunc.var(X)
+    y = FactoredFrac._coerce(y)
+    x = FactoredFrac.var(X)
     num = x * (x - 1) * y.partial(X) + (2 * theta.beta3 - 1) * y * (y - 1)
     if num.is_zero():
-        main = RatFunc.zero()
+        main = FactoredFrac.zero()
     else:
         den = 2 * y * (y - 1) * (y - x)
         if den.is_zero():
@@ -204,15 +196,15 @@ def conjugate_momentum(y: RatFunc, theta: ThetaTuple) -> RatFunc:
         main = num / den
     if y.is_zero() or (y - 1).is_zero():
         raise ZeroDivisionError("degenerate y: momentum is a Riccati family")
-    return main + theta.beta1 / y + theta.beta2 / (y - 1)
+    return (main + theta.beta1 / y + theta.beta2 / (y - 1)).to_ratfunc()
 
 
 def hamiltonian_system_residual(y: RatFunc, p: RatFunc, theta: ThetaTuple):
     """Residuals of the first-order system equivalent to PVI (both equations)."""
-    y = RatFunc._coerce(y)
-    p = RatFunc._coerce(p)
+    y = FactoredFrac._coerce(y)
+    p = FactoredFrac._coerce(p)
     t = theta
-    x = RatFunc.var(X)
+    x = FactoredFrac.var(X)
     xx = x * (x - 1)
     r1 = y.partial(X) - (2 * p * y * (y - 1) * (y - x)
                          - (2 * t.beta3 - 1) * y * (y - 1)
@@ -225,7 +217,7 @@ def hamiltonian_system_residual(y: RatFunc, p: RatFunc, theta: ThetaTuple):
             + 2 * t.beta1 + 2 * t.beta3 - 1 + (2 * t.beta1 + 2 * t.beta2) * x)
            * p)
     r2 = p.partial(X) + (quad + lin + kappa) / xx
-    return r1, r2
+    return r1.to_ratfunc(), r2.to_ratfunc()
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +242,9 @@ def _binomial_sum(alpha, beta, top: int, shifted: bool = False) -> MultiPoly:
 
 def _b3_from_b1(b1: RatFunc, b, c) -> RatFunc:
     """b3 = -(x b1' + b b1)/(1 + b - c), shared by theorems 7 and 8."""
-    x = RatFunc.var(X)
-    return -(x * b1.partial(X) + b * b1) / (1 + b - c)
+    b1 = FactoredFrac._coerce(b1)
+    x = FactoredFrac.var(X)
+    return (-(x * b1.partial(X) + b * b1) / (1 + b - c)).to_ratfunc()
 
 
 def polynomial_triple(n: int):
@@ -311,7 +304,7 @@ def thm6_family(n: int) -> PVISolutionFamily:
     """One-parameter rational family for negative n:
     y = x (c b1 + tb1) / (c b1 + tb1 + (1-x)(c b3 + tb3))."""
     s = rational_sextet(n)
-    c = RatFunc.var(C)
+    c = FactoredFrac.var(C)
     b1 = c * s["b1"] + s["tb1"]
     b3 = c * s["b3"] + s["tb3"]
     theta = ThetaTuple.of(Fraction(n, 2), Fraction(n, 2), Fraction(n, 2),
@@ -393,7 +386,7 @@ def thm8_family(a: int, b: int, c: int) -> PVISolutionFamily:
     if not (c - a < b < c - 1):
         raise ValueError("hypothesis c - a < b < c - 1 fails")
     b1, b3, tb1, tb3 = thm8_b_functions(a, b, c)
-    cpar = RatFunc.var(C)
+    cpar = FactoredFrac.var(C)
     theta = ThetaTuple.of(Fraction(1 + b - c, 2), Fraction(c - a - 1, 2),
                           Fraction(-b, 2), Fraction(a, 2))
     return PVISolutionFamily(

@@ -439,8 +439,9 @@ def _prod(f, g, cache):
     return cache[key]
 
 
-def schlesinger_residual(sol: TriangularSolution, as_ratfunc: bool = True) -> dict:
-    """Exact residuals of the full PDE system.
+def schlesinger_residual(sol: TriangularSolution) -> dict:
+    """Exact residuals of the full PDE system, as FactoredFrac values in the
+    solution's frame (frame.to_a gives the canonical form in a_1..a_N).
 
     Keys (i, j, k, l) with j != i hold d b_i^{kl}/da_j - [B_i,B_j]_{kl}/(a_i-a_j);
     keys (i, i, k, l) hold d b_i^{kl}/da_i + sum_{j != i} [B_i,B_j]_{kl}/(a_i-a_j).
@@ -464,14 +465,11 @@ def schlesinger_residual(sol: TriangularSolution, as_ratfunc: bool = True) -> di
                 own[(k, l)] = own[(k, l)] + comm
         for (k, l) in pairs:
             out[(i, i, k, l)] = own[(k, l)]
-    if as_ratfunc:
-        return {key: (RatFunc.zero() if val.is_zero() else frame.to_a(val))
-                for key, val in out.items()}
     return out
 
 
 def residual_is_zero(sol: TriangularSolution) -> bool:
-    res = schlesinger_residual(sol, as_ratfunc=False)
+    res = schlesinger_residual(sol)
     return all(v.is_zero() for v in res.values())
 
 
@@ -484,5 +482,5 @@ def sum_constraint(sol: TriangularSolution) -> dict:
             tot = FactoredFrac.zero()
             for i in range(1, sol.N + 1):
                 tot = tot + sol.entry(i, k, l)
-            out[(k, l)] = RatFunc.zero() if tot.is_zero() else sol.frame.to_a(tot)
+            out[(k, l)] = sol.frame.to_a(tot)
     return out

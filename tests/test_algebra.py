@@ -1,3 +1,4 @@
+import operator
 import os
 import pickle
 import subprocess
@@ -396,6 +397,28 @@ def small_ratfuncs(draw):
     return RatFunc(num, den)
 
 
+@st.composite
+def ratfunc_operands(draw):
+    """An int, Fraction, MultiPoly or RatFunc operand."""
+    kind = draw(st.sampled_from(("int", "fraction", "poly", "ratfunc")))
+    if kind == "int":
+        return draw(st.integers(-4, 4))
+    if kind == "fraction":
+        return F(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    if kind == "poly":
+        return draw(small_polys())
+    return draw(small_ratfuncs())
+
+
+def fraction_parts(v):
+    """(numerator, denominator) polynomials of an operand."""
+    if isinstance(v, RatFunc):
+        return v.num, v.den
+    if isinstance(v, MultiPoly):
+        return v, MultiPoly.const(1)
+    return MultiPoly.const(v), MultiPoly.const(1)
+
+
 class TestRatFunc:
     def test_normalize_examples(self):
         assert RatFunc(x ** 2 - 1, x - 1) == RatFunc.from_poly(x + 1)
@@ -446,6 +469,37 @@ class TestRatFunc:
         got = f * h + g * h
         assert time.perf_counter() - t0 < 1.0
         assert got.to_text() == BIVARIATE_SUM
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_ratfuncs(), ratfunc_operands(), st.integers(-3, 3))
+    def test_operators_match_textbook_formulas(self, f, g, n):
+        # the reference is the gcd-per-operation arithmetic RatFunc had
+        # before it computed in FactoredFrac: one constructor call per result
+        a, b = f.num, f.den
+        c, d = fraction_parts(g)
+        want = [(f + g, a * d + c * b, b * d), (g + f, c * b + a * d, d * b),
+                (f - g, a * d - c * b, b * d), (g - f, c * b - a * d, d * b),
+                (f * g, a * c, b * d), (g * f, c * a, d * b),
+                (f.partial("x"), a.partial("x") * b - a * b.partial("x"), b * b)]
+        if not c.is_zero():
+            want.append((f / g, a * d, b * c))
+        if not a.is_zero():
+            want.append((g / f, c * b, d * a))
+        if n >= 0:
+            want.append((f ** n, a ** n, b ** n))
+        elif not a.is_zero():
+            want.append((f ** n, b ** -n, a ** -n))
+        for got, num, den in want:
+            assert isinstance(got, RatFunc)
+            assert got.to_text() == RatFunc(num, den).to_text()
+
+    @pytest.mark.parametrize("value", [RatFunc.var("x"), FactoredFrac.var("x")])
+    @pytest.mark.parametrize("other", [1.5, 2j])
+    def test_float_and_complex_operands_raise_type_error(self, value, other):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for lhs, rhs in ((other, value), (value, other)):
+                with pytest.raises(TypeError, match=type(other).__name__):
+                    op(lhs, rhs)
 
 
 # pairwise-coprime irreducibles over Q in x, y, z
@@ -578,6 +632,37 @@ class TestFactoredFrac:
         got = f ** n
         assert got == want
         assert got.to_ratfunc().to_text() == want.to_ratfunc().to_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys(), small_polys(),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-2, 2), st.integers(0, 3),
+                              st.integers(0, 3)), max_size=3))
+    def test_division_cancels_shared_denominator_factors(self, nf, ng, facs):
+        if ng.is_zero():
+            ng = MultiPoly.const(1)
+        den_f, den_g = {}, {}
+        for a, b, c, ef, eg in facs:
+            if a or b:
+                fac = (a * x + b * y + c).primitive()
+                for den, e in ((den_f, ef), (den_g, eg)):
+                    if e:
+                        den[fac] = den.get(fac, 0) + e
+        f = FactoredFrac(nf, den_f)
+        g = FactoredFrac(ng, den_g)
+        got = f / g
+        assert got == f * g.reciprocal()
+        if f.is_zero():
+            return
+        # a factor of both denominators stays at its excess in f alone, and
+        # is multiplied into the numerator only for its excess in g
+        num = nf * (1 / ng.content())
+        for fac in set(den_f) | set(den_g):
+            ef, eg = den_f.get(fac, 0), den_g.get(fac, 0)
+            assert got.den.get(fac, 0) == max(ef - eg, 0) + (
+                1 if fac == ng.primitive() else 0)
+            num = num * fac ** max(eg - ef, 0)
+        assert got.num == num
 
     def test_reciprocal_and_cancel(self):
         f = FactoredFrac.quotient(x ** 2 - 1, x - 1, 1)

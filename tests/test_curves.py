@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -103,6 +104,26 @@ class TestCharts:
         s = TruncatedSeries(0, [1, 2, 3], 3)
         with pytest.raises(TruncationError):
             s.coefficient(5)
+
+    def test_product_coefficient_matches_full_product(self):
+        # bit-equal to the coefficient read off the whole product, with its
+        # TruncationError bound; zero below the product's leading exponent
+        rng = random.Random(5)
+        for _ in range(60):
+            a, b = (TruncatedSeries(
+                rng.randint(-4, 2),
+                [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+                + [rng.choice((0j, complex(rng.gauss(0, 1), rng.gauss(0, 1))))
+                   for _ in range(rng.randint(0, 6))],
+                rng.randint(3, 10)) for _ in range(2))
+            full = a * b
+            for k in range(a.leading + b.leading - 3, full.order + 2):
+                if k >= full.order:
+                    with pytest.raises(TruncationError):
+                        a.product_coefficient(b, k)
+                else:
+                    assert repr(a.product_coefficient(b, k)) == repr(
+                        full.coefficient(k))
 
 
 class TestResidueOracle:

@@ -229,8 +229,8 @@ class TestDocumentPath:
         whole = TriangularSolution(
             back.grid, {key: FactoredFrac.from_ratfunc(back.entry_ratfunc(*key))
                         for key in back.entries}, back.frame)
-        got = schlesinger_residual(back, as_ratfunc=False)
-        want = schlesinger_residual(whole, as_ratfunc=False)
+        got = schlesinger_residual(back)
+        want = schlesinger_residual(whole)
         assert got.keys() == want.keys()
         assert [k for k, v in got.items() if v.is_zero()] == \
             [k for k, v in want.items() if v.is_zero()]
