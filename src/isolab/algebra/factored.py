@@ -20,10 +20,10 @@ from .ratfunc import RatFunc
 
 def _as_factor(p: MultiPoly):
     """Split p into (primitive positive-leading factor, rational content)."""
-    c = p.content()
+    prim, c = p.split_content()
     if c == 0:
         raise ZeroDivisionError("zero factor in a denominator")
-    return p.primitive(), c
+    return prim, c
 
 
 class FactoredFrac:

@@ -388,18 +388,21 @@ class MultiPoly:
         """Sign of the graded-lex leading coefficient of the primitive part."""
         return 1 if self._terms[self._leading_key()] > 0 else -1
 
+    def split_content(self):
+        """(primitive(), content()) with one leading-term search."""
+        if not self._terms:
+            return self, Fraction(0)
+        if self._sign() > 0:
+            return _new(self._terms, _ONE, self._deg), self._content
+        return _new(self._terms, _MINUS_ONE, self._deg), -self._content
+
     def content(self) -> Fraction:
         """Rational content (signed); zero polynomial reports 0."""
-        if not self._terms:
-            return Fraction(0)
-        return self._content if self._sign() > 0 else -self._content
+        return self.split_content()[1]
 
     def primitive(self) -> "MultiPoly":
         """Integer-primitive part with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        return _new(self._terms, _ONE if self._sign() > 0 else _MINUS_ONE,
-                    self._deg)
+        return self.split_content()[0]
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -6,6 +6,11 @@ system with three poles (0, 1, x). The verifiers substitute candidate
 solutions into PVI, the first-order Hamiltonian system, the linear 2x2
 system, and the hypergeometric ODEs with exact rational-function arithmetic;
 a residual is identically zero iff the candidate solves the equation.
+
+The PVI residual is fraction-free. With y = N/D, PVI times its common
+denominator 2 D^3 x^2 (x-1)^2 N (N - D) (N - xD) is one polynomial identity
+R = 0 in N, D and their x-derivatives (see pvi_residual), built from
+MultiPoly products alone; a bivariate y(x, c) is checked the same way.
 """
 
 from __future__ import annotations
@@ -135,33 +140,46 @@ def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
     y may carry extra parameter variables (a whole one-parameter family is
     checked at once). Degenerate candidates y in {0, 1, x} are rejected here;
     use degenerate_parameter_check for those.
+
+    Cleared of denominators: write y = N/D, W = N'D - ND', V = W'D - 2WD',
+    M1 = N - D and Mx = N - xD, so that y' = W/D^2, y'' = V/D^3,
+    y - 1 = M1/D and y - x = Mx/D (' is d/dx). Over the common denominator
+    2 D^3 x^2 (x-1)^2 N M1 Mx the residual's numerator is
+
+        R = 2 x^2 (x-1)^2 N M1 Mx V
+            - x^2 (x-1)^2 W^2 (M1 Mx + N Mx + N M1)
+            + 2 x (x-1) D N M1 W ((2x - 1) Mx + x (x-1) D)
+            - 2 [alpha N^2 M1^2 Mx^2 + D^2 (beta x M1^2 Mx^2
+                 + gamma (x-1) N^2 Mx^2 + delta x (x-1) N^2 M1^2)].
+
+    That denominator is nonzero once y is not 0, 1 or x, so R = 0 as a
+    polynomial is the proof that y solves PVI; otherwise R over it, reduced,
+    is the canonical residual.
     """
     kind = _pvi_degenerate_kind(y)
     if kind is not None:
         raise ValueError(f"degenerate candidate y = {kind}; "
                          "use degenerate_parameter_check")
-    x = FactoredFrac.var(X)
-    yf = FactoredFrac.from_ratfunc(y)
-    y1 = yf.partial(X)
-    y2 = y1.partial(X)
-    ym1 = yf - 1
-    ymx = yf - x
-    if ym1.is_zero() or ymx.is_zero():
-        raise ValueError("degenerate candidate; use degenerate_parameter_check")
-    half = Fraction(1, 2)
-    inv_y = yf.reciprocal()
-    inv_ym1 = ym1.reciprocal()
-    inv_ymx = ymx.reciprocal()
-    inv_x = x.reciprocal()
-    inv_xm1 = (x - 1).reciprocal()
-    A = (inv_y + inv_ym1 + inv_ymx) * half
-    B = inv_x + inv_xm1 + inv_ymx
-    lead = yf * ym1 * ymx * (inv_x * inv_xm1) ** 2
-    bracket = (FactoredFrac.const(params.alpha)
-               + params.beta * x * inv_y * inv_y
-               + params.gamma * (x - 1) * inv_ym1 * inv_ym1
-               + params.delta * x * (x - 1) * inv_ymx * inv_ymx)
-    return (y2 - A * (y1 * y1) + B * y1 - lead * bracket).to_ratfunc()
+    x = MultiPoly.var(X)
+    N, D = y.num, y.den
+    Dx = D.partial(X)
+    W = N.partial(X) * D - N * Dx
+    V = W.partial(X) * D - 2 * W * Dx
+    M1 = N - D
+    Mx = N - x * D
+    t = x * (x - 1)
+    NM1, NMx, M1Mx = N * M1, N * Mx, M1 * Mx
+    DD = D * D
+    # the docstring's R, with N M1 and D^2 taken out of the terms sharing them
+    R = (NM1 * (2 * t * (t * Mx * V + D * W * ((2 * x - 1) * Mx + t * D))
+                - 2 * (params.alpha * NM1 * Mx * Mx
+                       + params.delta * t * DD * NM1))
+         - t * t * W * W * (M1Mx + NMx + NM1)
+         - 2 * DD * (params.beta * x * M1Mx * M1Mx
+                     + params.gamma * (x - 1) * NMx * NMx))
+    if R.is_zero():
+        return RatFunc.zero()
+    return RatFunc(R, 2 * D * DD * t * t * NM1 * Mx)
 
 
 def degenerate_parameter_check(kind: str, params: PVIParams) -> bool:

@@ -111,6 +111,25 @@ class TestVerify:
         rep = json.loads(out)
         assert code == 1 and not rep["pass"]
 
+    def test_perturbed_pvi_document_fails(self, capsys, tmp_path):
+        from isolab.algebra import MultiPoly, parse_ratfunc
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "6", "--n", "-2")
+        doc = json.loads(out)
+        doc["y"] = (parse_ratfunc(doc["y"]) + MultiPoly.var("x") ** 2).to_text()
+        path = tmp_path / "pvi.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        rep = json.loads(out)
+        assert code == 1 and not rep["pass"]
+        symbolic = {c["name"]: c for c in rep["checks"]}["pvi-residual-symbolic"]
+        assert not symbolic["pass"]
+        # the leading 200 characters of the reduced residual's text
+        assert symbolic["detail"] == (
+            "(-25/2*c^4*x^26 + 80*c^4*x^25 + 50*c^3*x^26 - 267/2*c^4*x^24 - "
+            "320*c^3*x^25 - 75*c^2*x^26 - 2457/10*c^4*x^23 + 534*c^3*x^24 + "
+            "480*c^2*x^25 + 50*c*x^26 + 29554/25*c^4*x^22 + "
+            "4414/5*c^3*x^23 - 801*c^2*x")
+
     def test_garnier_pm_checked_against_b(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "2",
                             "--n", "-1", "--c", "2,-1")

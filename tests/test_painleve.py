@@ -1,8 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from isolab.algebra import MultiPoly, RatFunc, binom, parse_ratfunc
+from isolab.algebra import FactoredFrac, MultiPoly, RatFunc, binom, parse_ratfunc
 from isolab.painleve import _binomial_sum
 from isolab.painleve import (PVIParams, ThetaTuple, admissible_thm8_triples,
                              coefficient_list, conjugate_momentum,
@@ -17,6 +18,63 @@ from isolab.painleve import (PVIParams, ThetaTuple, admissible_thm8_triples,
 
 x = MultiPoly.var("x")
 c = MultiPoly.var("c")
+
+
+def reference_pvi_residual(y, params):
+    """PVI transcribed term by term in FactoredFrac: the reference for the
+    fraction-free pvi_residual."""
+    xf = FactoredFrac.var("x")
+    yf = FactoredFrac.from_ratfunc(y)
+    y1 = yf.partial("x")
+    y2 = y1.partial("x")
+    ym1 = yf - 1
+    ymx = yf - xf
+    inv_y = yf.reciprocal()
+    inv_ym1 = ym1.reciprocal()
+    inv_ymx = ymx.reciprocal()
+    inv_x = xf.reciprocal()
+    inv_xm1 = (xf - 1).reciprocal()
+    A = (inv_y + inv_ym1 + inv_ymx) * F(1, 2)
+    B = inv_x + inv_xm1 + inv_ymx
+    lead = yf * ym1 * ymx * (inv_x * inv_xm1) ** 2
+    bracket = (FactoredFrac.const(params.alpha)
+               + params.beta * xf * inv_y * inv_y
+               + params.gamma * (xf - 1) * inv_ym1 * inv_ym1
+               + params.delta * xf * (xf - 1) * inv_ymx * inv_ymx)
+    return (y2 - A * (y1 * y1) + B * y1 - lead * bracket).to_ratfunc()
+
+
+@st.composite
+def small_polys_in(draw, names):
+    """A sum of at most four integer monomials of degree <= 2 per variable."""
+    out = MultiPoly.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        powers = {v: draw(st.integers(0, 2)) for v in names}
+        out = out + MultiPoly.monomial(draw(st.integers(-3, 3)), powers)
+    return out
+
+
+@st.composite
+def pvi_candidates(draw):
+    """(y, params): a random small y = N/D in x or in x and c with random
+    rational params, or a theorem 5-8 solution, maybe shifted by a monomial."""
+    rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    if draw(st.booleans()):
+        fam = draw(st.sampled_from((
+            lambda: thm5_solution(1), lambda: thm5_solution(2),
+            lambda: thm6_family(-1), lambda: thm7_solution(1, F(1, 2), F(1, 3)),
+            lambda: thm8_family(*admissible_thm8_triples(5)[0]))))()
+        y, params = fam.y, fam.params
+        if draw(st.booleans()):
+            y = y + MultiPoly.monomial(draw(rationals), {"x": draw(st.integers(0, 2))})
+    else:
+        names = draw(st.sampled_from((("x",), ("c", "x"))))
+        num, den = draw(small_polys_in(names)), draw(small_polys_in(names))
+        assume(not den.is_zero())
+        y = RatFunc(num, den)
+        params = PVIParams(*(draw(rationals) for _ in range(4)))
+    assume(y not in (RatFunc.zero(), RatFunc.one(), RatFunc.var("x")))
+    return y, params
 
 
 class TestParameterMap:
@@ -241,6 +299,13 @@ class TestResidualGuards:
         wrong = PVIParams(f.params.alpha + 1, f.params.beta, f.params.gamma,
                           f.params.delta)
         assert not pvi_residual(f.y, wrong).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pvi_candidates())
+    def test_matches_factored_transcription(self, case):
+        y, params = case
+        assert pvi_residual(y, params).to_text() == \
+            reference_pvi_residual(y, params).to_text()
 
 
 class TestMomentum:
