@@ -257,7 +257,7 @@ class MultiPoly:
         offs = [_offset(v) for v in variables]
         clean = {}
         for exps, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             if c:
                 if len(exps) != len(offs):
                     raise ValueError(f"exponent tuple {exps} does not match "
@@ -707,88 +707,49 @@ _UNIT = _new({0: 1}, _ONE, 0)
 _VARS = {}
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|\-|\(|\)|/))")
+_SIGNS = re.compile(r"([+-][\s+-]*)")
+_FACTOR = re.compile(r"\s*(?:([0-9]+)(?:/([0-9]+))?"
+                     r"|([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?)\s*")
 
 
 def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical text form (also accepts '+ -c' style)."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad polynomial text at {text[pos:]!r}")
-        if m.group(1):
-            tokens.append(("num", m.group(1)))
-        elif m.group(2):
-            tokens.append(("var", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
+    """Parse a sum of terms joined by runs of signs ('x - - y' is x + y),
+    each term a '*'-product of factors in any order: an integer, p/q, or a
+    name with an optional ^exponent (ASCII only). Anything else, such as an
+    implicit product or a dangling sign, is a ValueError."""
+    parts = _SIGNS.split(text)      # [term, signs, term, signs, term, ...]
+    if parts[0].strip():
+        parts.insert(0, "")
+    else:
+        del parts[0]
     monomials = []
-    i = 0
-    sign = 1
-
-    def take_term(i):
-        coeff = Fraction(1)
-        powers = {}
-        expect_factor = True
-        while i < len(tokens):
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-" and not expect_factor:
-                break
-            if kind == "num":
-                coeff *= Fraction(val)
-                i += 1
-            elif kind == "var":
-                name = val
-                p = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num":
-                        raise ValueError("exponent expected")
-                    p = int(tokens[i][1])
-                    i += 1
-                powers[name] = powers.get(name, 0) + p
-            elif kind == "op" and val == "*":
-                i += 1
-                expect_factor = True
-                continue
-            elif kind == "op" and val == "-" and expect_factor:
-                coeff = -coeff
-                i += 1
-                continue
-            elif kind == "op" and val == "+" and expect_factor:
-                i += 1
-                continue
+    den = 1
+    for signs, term in zip(parts[::2], parts[1::2]):
+        num, d, powers = (-1) ** signs.count("-"), 1, {}
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"bad factor {factor.strip()!r} in "
+                                 f"polynomial term {(signs + term).strip()!r}")
+            n, q, name, exp = m.groups()
+            if name:
+                powers[name] = powers.get(name, 0) + int(exp or 1)
             else:
-                raise ValueError(f"unexpected token {val!r}")
-            expect_factor = False
-        return coeff, powers, i
-
-    while i < len(tokens):
-        kind, val = tokens[i]
-        if kind == "op" and val == "+":
-            sign = 1
-            i += 1
-            continue
-        if kind == "op" and val == "-":
-            sign = -sign
-            i += 1
-            continue
-        coeff, powers, i = take_term(i)
-        monomials.append((sign * coeff, powers))
-        sign = 1
-    # one construction instead of one sum per term
-    names = sorted({v for _, powers in monomials for v in powers})
+                num *= int(n)
+                d *= int(q or 1)
+        if not d:
+            raise ValueError(f"zero denominator in polynomial term "
+                             f"{(signs + term).strip()!r}")
+        monomials.append((num, d, powers))
+        den = _ilcm(den, d)
+    # integer numerators over one denominator, one construction
+    names = sorted({v for _, _, powers in monomials for v in powers})
     terms = {}
-    for coeff, powers in monomials:
+    for num, d, powers in monomials:
         e = tuple(powers.get(v, 0) for v in names)
-        terms[e] = terms.get(e, 0) + coeff
-    return MultiPoly(names, terms)
+        terms[e] = terms.get(e, 0) + num * (den // d)
+    p = MultiPoly(names, terms)
+    return _new(p._terms, p._content / den, p._deg) if p._terms else p
 
 
 

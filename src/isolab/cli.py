@@ -15,6 +15,7 @@ JSON output is deterministic (sorted keys, canonical expression text).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -46,11 +47,15 @@ def _parse_eps(text: str):
 def _parse_points(text: str):
     out = []
     for part in text.split(","):
-        part = part.strip().replace("i", "j")
+        part = part.strip()
         try:
-            out.append(complex(part))
+            z = complex(part.replace("i", "j"))
         except ValueError:
-            raise ParameterError(f"bad coordinate {part!r}")
+            z = None
+        if z is None or not cmath.isfinite(z):
+            raise ParameterError(f"bad coordinate {part!r}: need a finite "
+                                 f"number like 2 or 2+1i")
+        out.append(z)
     return out
 
 
@@ -89,11 +94,10 @@ def _generate_doc(args) -> dict:
         return _pvi_family_doc(painleve.thm7_solution(
             int(args.n), _frac(args.b), _frac(args.c)))
     if t == 8:
-        a_val = args.a_int if args.a_int is not None else getattr(args, "a", None)
-        if None in (a_val, args.b, args.c):
+        if None in (args.a, args.b, args.c):
             raise ParameterError("--theorem 8 needs --a, --b, --c (integers)")
         return _pvi_family_doc(painleve.thm8_family(
-            int(a_val), int(args.b), int(args.c)))
+            int(args.a), int(args.b), int(args.c)))
     if t == 3:
         if None in (args.p, args.N, args.m, args.n):
             raise ParameterError("--theorem 3 needs --p, --N, --m, --n")
@@ -168,7 +172,7 @@ def _check_doc(doc) -> str:
     return kind
 
 
-def _verify_pvi_doc(doc, tol) -> list:
+def _verify_pvi_doc(doc) -> list:
     from .algebra import parse_ratfunc
     from . import painleve
     if len(doc["theta"]) != 4 or len(doc["params"]) != 4:
@@ -200,7 +204,7 @@ def _verify_pvi_doc(doc, tol) -> list:
     return checks
 
 
-def _verify_triangular_doc(doc, tol) -> list:
+def _verify_triangular_doc(doc) -> list:
     from . import schlesinger
     sol = schlesinger.TriangularSolution.from_json_dict(doc)
     res = schlesinger.schlesinger_residual(sol)
@@ -276,9 +280,9 @@ def cmd_verify(args) -> int:
     tol = float(args.tol) if args.tol else 1e-6
     kind = _check_doc(doc)
     if kind == "pvi-family":
-        checks = _verify_pvi_doc(doc, tol)
+        checks = _verify_pvi_doc(doc)
     elif kind == "triangular-schlesinger":
-        checks = _verify_triangular_doc(doc, tol)
+        checks = _verify_triangular_doc(doc)
     else:
         checks = _verify_garnier_doc(doc, args, tol)
     ok = all(p for _, p, _ in checks)
@@ -532,28 +536,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact/numeric solution families of triangular "
                     "Schlesinger, Painleve VI and Garnier systems")
     sub = ap.add_subparsers(dest="command", required=True)
+    options = {
+        "--theorem": dict(type=int, help="family builder: 3,4 (Schlesinger), "
+                                         "5,6,7,8 (PVI), 10,11 (Garnier)"),
+        "--n": dict(help="integer index n of the family"),
+        "--m": dict(help="root order m of the curve"),
+        "--M": dict(dest="deform", help="number of Garnier variables"),
+        "--p": dict(help="matrix size (Schlesinger)"),
+        "--N": dict(help="pole count (Schlesinger)"),
+        "--nu": dict(help="pole choice for rational families"),
+        "--b": dict(help="rational parameter b"),
+        "--c": dict(help="rational parameter c (or Garnier c1,c2,..)"),
+        "--out": dict(help="write output to this path"),
+    }
 
-    def common(p):
-        p.add_argument("--theorem", type=int,
-                       help="family builder: 3,4 (Schlesinger), 5,6,7,8 (PVI), "
-                            "10,11 (Garnier)")
-        p.add_argument("--n", help="integer index n of the family")
-        p.add_argument("--m", help="root order m of the curve")
-        p.add_argument("--M", dest="deform", help="number of Garnier variables")
-        p.add_argument("--p", help="matrix size (Schlesinger)")
-        p.add_argument("--N", help="pole count (Schlesinger)")
-        p.add_argument("--nu", help="pole choice for rational families")
-        p.add_argument("--b", help="rational parameter b")
-        p.add_argument("--c", help="rational parameter c (or Garnier c1,c2,..)")
-        p.add_argument("--a-int", dest="a_int", help=argparse.SUPPRESS)
-        p.add_argument("--out", help="write output to this path")
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **options[name])
+    family = ("--theorem", "--n", "--m", "--M", "--p", "--N", "--nu", "--b",
+              "--c", "--out")
 
     g = sub.add_parser("generate", help="build a family, print JSON")
-    common(g)
+    add(g, *family)
     g.add_argument("--a", help="integer parameter a (theorem 8)")
 
     v = sub.add_parser("verify", help="verify a generated or supplied document")
-    common(v)
+    add(v, *family)
     v.add_argument("--input", help="path to a generated JSON document")
     v.add_argument("--numeric", action="store_true",
                    help="run the numeric (Garnier) checks as well")
@@ -562,10 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", help="numeric tolerance (default 1e-6)")
 
     z = sub.add_parser("zeros", help="CSV of P/Q roots with symmetry columns")
-    common(z)
+    add(z, "--n", "--b", "--c", "--out")
 
     pe = sub.add_parser("periods", help="CSV of a numeric period matrix")
-    common(pe)
+    add(pe, "--m", "--n", "--out")
     pe.add_argument("--a", help="branch points, e.g. 0,1,2+1i")
     pe.add_argument("--j", help="differential index (default 1)")
     pe.add_argument("--tol", help="quadrature tolerance")
@@ -574,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reproduce", help="check a worked example id")
     r.add_argument("example_id", help="example-1, example-2, ..., or 'all'")
-    r.add_argument("--out", help="write output to this path")
+    add(r, "--out")
     return ap
 
 

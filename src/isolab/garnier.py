@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -335,7 +335,8 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
 
     du_i/da_k and dv_i/da_k come from central differences with nearest-root
     tracking; dH_k/du_i and dH_k/dv_i from central differences of the
-    explicit Hamiltonians."""
+    explicit Hamiltonians. A residual that is not finite raises
+    ArithmeticError: max() would drop a NaN and read it as a pass."""
     if solution.M != 2:
         raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
     spec = solution.spec_for(eps)
@@ -378,7 +379,11 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
                 a0, u0, _replace(v0, i, vv), spec)[k], v0[i], h)
             dH_du = _fd_partial(lambda uu, i=i, k=k: garnier_hamiltonians_m2(
                 a0, _replace(u0, i, uu), v0, spec)[k], u0[i], h)
-            worst = max(worst, abs(du[i] - dH_dv), abs(dv[i] + dH_du))
+            res = (abs(du[i] - dH_dv), abs(dv[i] + dH_du))
+            if not (isfinite(res[0]) and isfinite(res[1])):
+                raise ArithmeticError(
+                    f"Hamilton residual is not finite at a = {a_numeric}")
+            worst = max(worst, *res)
     return worst
 
 

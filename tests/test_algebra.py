@@ -573,6 +573,27 @@ class TestTextRoundTrip:
         r = RatFunc(x ** 2 + 2 * x + 1, 2 * x + 2)
         assert parse_ratfunc(r.to_text()) == r
 
+    @pytest.mark.parametrize("text, value", [
+        ("+ -3*x", -3 * x),
+        ("x - - y", x + y),
+        ("x - + y", x - y),
+        ("x^2*3", 3 * x ** 2),
+        ("x*x", x ** 2),
+        ("2*3*x*1/4", F(3, 2) * x),
+        ("  -1/2  ", MultiPoly.const(F(-1, 2))),
+        ("", MultiPoly.zero()),
+    ])
+    def test_non_canonical_forms(self, text, value):
+        p = parse_poly(text)
+        assert p == value and p.to_text() == value.to_text()
+
+    @pytest.mark.parametrize("text", [
+        "2 3*x", "x y", "2x", "1e5*x", "x +", "-", "x^", "x^-1", "(x)*y",
+        "2*-x", "x*", "*x", "1/0*x", "1.5*x", "\u0663*x", "x\u00b2", "x % y"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text)
+
     @settings(max_examples=80, deadline=None)
     @given(small_polys())
     def test_poly_round_trip(self, p):

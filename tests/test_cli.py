@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isolab import cli
 from isolab.cli import main
@@ -87,9 +88,22 @@ class TestDispatch:
         assert main(["zeros", "--n", "4"]) == 0 and seen == ["4"]
 
     def test_format_option_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--theorem", "5", "--n", "1", "--format", "json"])
-        assert exc.value.code == 2
+        # options that no command reads are not accepted either
+        zeros = ["zeros", "--n", "4"]
+        periods = ["periods", "--m", "2", "--n", "1", "--a", "0,1,2"]
+        for argv in (["generate", "--theorem", "5", "--n", "1", "--format", "json"],
+                     ["generate", "--theorem", "8", "--a-int", "5", "--b", "1",
+                      "--c", "3"],
+                     ["verify", "--theorem", "8", "--a-int", "5", "--b", "1",
+                      "--c", "3"],
+                     *(zeros + [opt, "1"] for opt in
+                       ("--theorem", "--m", "--M", "--p", "--N", "--nu", "--a-int")),
+                     *(periods + [opt, "1"] for opt in
+                       ("--theorem", "--M", "--p", "--N", "--nu", "--b", "--c",
+                        "--a-int"))):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestVerify:
@@ -156,14 +170,29 @@ class TestVerify:
         assert code == 0 and ok and list(checks) == ["sum-b-zero", "pm-degree"]
 
     def test_garnier_numeric(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--theorem", "8", "--M", "2",
-                               "--m", "2", "--n", "1")
-        # --theorem 8 without --a-int etc is a pvi request; do garnier instead
+        # --theorem 8 is a PVI request: the Garnier options do not stand in
+        code, out, err = run_cli(capsys, "verify", "--theorem", "8", "--M", "2",
+                                 "--m", "2", "--n", "1")
+        assert code == 2 and out == ""
+        assert "--theorem 8 needs --a, --b, --c" in err
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "8", "--a", "5",
+                               "--b", "1", "--c", "3")
+        assert code == 0 and json.loads(out)["pass"]
         code, out, _ = run_cli(capsys, "verify", "--theorem", "10", "--M", "2",
                                "--m", "2", "--n", "1", "--numeric",
                                "--a", "2,3.5", "--eps", "++++")
         rep = json.loads(out)
         assert code == 0 and rep["pass"]
+
+    @pytest.mark.parametrize("points, quoted", [
+        ("nan,3.5", "'nan'"), ("2,inf", "'inf'"), ("1e999,2", "'1e999'")])
+    def test_non_finite_point_rejected(self, capsys, points, quoted):
+        # unchecked, a NaN coordinate passes with residual 0.000e+00
+        code, out, err = run_cli(capsys, "verify", "--theorem", "10", "--M", "2",
+                                 "--m", "2", "--n", "1", "--numeric",
+                                 "--a", points, "--eps", "++++")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad coordinate {quoted}")
 
 
 class TestVerifyInputValidation:
@@ -242,6 +271,15 @@ class TestVerifyInputValidation:
                "missing": ("entries", {"1,1,2": "0"}),
                "zero denominator": ("entries", {**entries, "1,1,2": "(a1)/(0)"}),
                "exponent limit": ("entries", {**entries, "1,1,2": "a1^40000"}),
+               # text the polynomial grammar does not read
+               "implicit number product": ("entries", {**entries, "1,1,2": "2 3*a1"}),
+               "implicit name product": ("entries", {**entries, "1,1,2": "a1 a2"}),
+               "number before name": ("entries", {**entries, "1,1,2": "2a1"}),
+               "float": ("entries", {**entries, "1,1,2": "1e5*a1"}),
+               "dangling sign": ("entries", {**entries, "1,1,2": "a1 +"}),
+               "bare caret": ("entries", {**entries, "1,1,2": "a1^"}),
+               "parentheses": ("entries", {**entries, "1,1,2": "(a1)*a2"}),
+               "non-ASCII digit": ("entries", {**entries, "1,1,2": "\u0663*a1"}),
                "p >= 1": ("p", 0)}
         for label, (key, value) in bad.items():
             code, out, err = self.verify_doc(capsys, tmp_path,
@@ -254,6 +292,74 @@ class TestVerifyInputValidation:
         code, _, err = run_cli(capsys, "verify", "--input",
                                str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
+
+
+def _fuzz_sources():
+    """Small golden documents: PVI theorems 5-6, Schlesinger with p, N <= 3
+    and Garnier theorem 10 with M = 2."""
+    docs = {}
+    for name in ("golden_documents.json", "theorem4_documents.json"):
+        docs.update(json.loads((DATA / name).read_text()))
+    picked = []
+    for argv, text in sorted(docs.items()):
+        args = argv.split()
+        opt = dict(zip(args[::2], args[1::2]))
+        theorem = int(opt["--theorem"])
+        if (theorem in (5, 6)
+                or theorem in (3, 4) and max(int(opt["--p"]), int(opt["--N"])) <= 3
+                or theorem == 10 and opt["--M"] == "2"):
+            picked.append(json.loads(text))
+    return picked
+
+
+def _text_fields(value, path=()):
+    if isinstance(value, str):
+        yield path
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _text_fields(v, path + (k,))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _text_fields(v, path + (k,))
+
+
+FUZZ_SOURCES = _fuzz_sources()
+# characters of the polynomial grammar and of the documents' numbers, then
+# anything at all
+FUZZ_CHARS = st.one_of(st.sampled_from(list("0123456789 +-*/^()_.,eaxc\n\u0663")),
+                       st.characters())
+
+
+class TestVerifyInputFuzz:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_text_fields(self, capsys, tmp_path, data):
+        # a truncated, lengthened or shortened text field must give a verdict
+        # (0 or 1) or a usage error (2) with one error line, never a crash
+        doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_SOURCES))))
+        path = data.draw(st.sampled_from(list(_text_fields(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        text = parent[path[-1]]
+        cut = data.draw(st.integers(0, len(text)))
+        how = data.draw(st.sampled_from(("truncate", "insert", "delete")))
+        if how == "truncate":
+            text = text[:cut]
+        elif how == "insert":
+            text = text[:cut] + data.draw(FUZZ_CHARS) + text[cut:]
+        else:
+            text = text[:cut] + text[cut + 1:]
+        parent[path[-1]] = text
+        doc_path = tmp_path / "fuzz.json"
+        doc_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(doc_path))
+        assert code in (0, 1, 2), (path, text)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (path, text, err)
+            assert err.count("\n") == 1, (path, text, err)
 
 
 class TestStartup:

@@ -285,6 +285,12 @@ class TestHamiltonianResidual:
         with pytest.raises(ArithmeticError):
             garnier_residual_m2(s1, (2.0, 3.0), (1, 1, 1, 1))
 
+    def test_non_finite_residual_raises(self):
+        # max() drops NaN: unchecked, a NaN residual comes back as 0.0
+        s1 = thm10_solution(2, 2, 1)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            garnier_residual_m2(s1, (float("nan"), 3.5), (1, 1, 1, 1))
+
     def test_higher_m_exact_layer_only(self):
         s = thm10_solution(4, 2, 1)
         assert s.sum_b().is_zero()
