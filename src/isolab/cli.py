@@ -19,6 +19,8 @@ import cmath
 import csv
 import io
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
@@ -42,6 +44,19 @@ def _parse_eps(text: str):
         return tuple(table[ch] for ch in text)
     except KeyError:
         raise ParameterError(f"bad sign vector {text!r}; use e.g. ++-+")
+
+
+def _tol(text, default: float) -> float:
+    """--tol as a finite float > 0, or the default when it is not given."""
+    if not text:
+        return default
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"bad --tol {text!r}: need a finite number > 0")
+    return tol
 
 
 def _parse_points(text: str):
@@ -269,6 +284,7 @@ def _all_eps(k):
 
 
 def cmd_verify(args) -> int:
+    tol = _tol(args.tol, 1e-6)
     if args.input:
         try:
             with open(args.input) as fh:
@@ -277,7 +293,6 @@ def cmd_verify(args) -> int:
             raise ParameterError(f"cannot read {args.input}: {e.strerror}")
     else:
         doc = _generate_doc(args)
-    tol = float(args.tol) if args.tol else 1e-6
     kind = _check_doc(doc)
     if kind == "pvi-family":
         checks = _verify_pvi_doc(doc)
@@ -336,9 +351,9 @@ def cmd_periods(args) -> int:
     from . import periods
     if None in (args.m, args.n) or not args.a:
         raise ParameterError("periods needs --m, --n and --a")
+    tol = _tol(args.tol, periods.DEFAULT_TOL)
     curve = SuperellipticCurve(int(args.m), _parse_points(args.a), int(args.n))
     j = int(args.j or 1)
-    tol = float(args.tol) if args.tol else periods.DEFAULT_TOL
     cycles = periods.build_cycle_basis(curve)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -595,7 +610,14 @@ def main(argv=None) -> int:
     # module sees the call
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # interpreter's final flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

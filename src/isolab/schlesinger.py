@@ -11,6 +11,17 @@ off-diagonal class l - k. The residual checker verifies the full PDE system
 including the bilinear cross terms feeding the inhomogeneity of each
 off-diagonal layer, as exact rational-function identities.
 
+The check shares work by object identity. In the families, entry b_i^{kl}
+depends only on the class l - k, and equal-class entries are one object.
+The rows of (k, l) read only the entries b_i^{kl}, b_i^{ks}, b_i^{sl}
+(k < s < l) and the steps beta_i^k - beta_i^l, so pairs (k, l) that read
+the same objects get one shared block of rows; within a block each
+commutator is formed once per unordered pair of poles, and each entry's
+gradient is taken once. Cross terms with the same two factors and opposite
+signs cancel before any product is formed. This is sound for any solution,
+perturbed or parsed: the same object has the same value, and a changed
+entry is a new object with its own rows. The memos live for one call.
+
 Solutions built around a single pole nu keep their entries in shifted
 coordinates D_h = a_nu - a_h, where every denominator is a monomial; this is
 only a representation choice (the map is a ring embedding), and entries are
@@ -88,8 +99,9 @@ class IdentityFrame:
     def __init__(self, variables):
         self.variables = tuple(variables)
 
-    def diff(self, f: FactoredFrac, j: int) -> FactoredFrac:
-        return f.partial(self.variables[j - 1])
+    def gradient(self, f: FactoredFrac) -> list:
+        """[df/da_1, ..., df/da_N]."""
+        return [f.partial(v) for v in self.variables]
 
     def gap(self, i: int, j: int) -> MultiPoly:
         return MultiPoly.var(self.variables[i - 1]) - MultiPoly.var(self.variables[j - 1])
@@ -132,12 +144,16 @@ class ShiftedFrame:
     def dvar(self, h: int) -> MultiPoly:
         return MultiPoly.var(self.dvars[h])
 
-    def diff(self, f: FactoredFrac, j: int) -> FactoredFrac:
-        if j != self.nu:
-            return -f.partial(self.dvars[j])
-        out = FactoredFrac.zero()
-        for h in self.dvars.values():
-            out = out + f.partial(h)
+    def gradient(self, f: FactoredFrac) -> list:
+        """[df/da_1, ..., df/da_N]. d/da_h = -d/dD_h for h != nu, and every
+        D_h holds a_nu with coefficient +1, so d/da_nu is minus the sum of
+        the other N - 1 partials."""
+        out = [None] * len(self.variables)
+        total = FactoredFrac.zero()
+        for h, name in self.dvars.items():
+            out[h - 1] = -f.partial(name)
+            total = total + out[h - 1]
+        out[self.nu - 1] = -total
         return out
 
     def gap(self, i: int, j: int) -> MultiPoly:
@@ -212,7 +228,9 @@ class TriangularSolution:
     def from_json_dict(cls, doc: dict) -> "TriangularSolution":
         """Parse a document; ValueError names what is malformed. Entries are
         split into gap powers (IdentityFrame.factored) on the way in, with
-        no gcd: the residual needs only their exact values."""
+        no gcd: the residual needs only their exact values. Each distinct
+        entry text is parsed once, so equal texts become one object and
+        share their residual rows."""
         from .algebra import parse_fraction
         p, N, variables = doc["p"], doc["N"], doc["variables"]
         if p < 1 or N < 1:
@@ -224,7 +242,7 @@ class TriangularSolution:
         grid = ExponentGrid(p, N, tuple(tuple(Fraction(b) for b in row)
                                         for row in doc["exponents"]))
         frame = IdentityFrame(variables)
-        entries = {}
+        entries, parsed = {}, {}
         for key, text in doc["entries"].items():
             parts = key.split(",")
             ikl = tuple(int(t) for t in parts if t.isdecimal())
@@ -234,7 +252,9 @@ class TriangularSolution:
                                  f"1 <= i <= {N} and 1 <= k < l <= {p}")
             if ikl in entries:
                 raise ValueError(f"entry {key!r} is given twice")
-            entries[ikl] = frame.factored(*parse_fraction(text))
+            if text not in parsed:
+                parsed[text] = frame.factored(*parse_fraction(text))
+            entries[ikl] = parsed[text]
         missing = [(i, k, l) for i in range(1, N + 1) for k in range(1, p + 1)
                    for l in range(k + 1, p + 1) if (i, k, l) not in entries]
         if missing:
@@ -407,36 +427,44 @@ def _compositions(total, slots):
 # verification
 
 
-def commutator_entry(sol: TriangularSolution, i: int, j: int, k: int, l: int,
-                     _cache=None) -> FactoredFrac:
+def commutator_entry(sol: TriangularSolution, i: int, j: int, k: int,
+                     l: int) -> FactoredFrac:
     """[B_i, B_j]_{kl} for k < l, with constant diagonals beta."""
     g = sol.grid
     bi = sol.entry(i, k, l)
     bj = sol.entry(j, k, l)
     out = (bj * (g.value(i, k) - g.value(i, l))
            - bi * (g.value(j, k) - g.value(j, l)))
-    return out + cross_terms(sol, i, j, k, l, _cache)
+    return out + cross_terms(sol, i, j, k, l)
 
 
-def cross_terms(sol: TriangularSolution, i: int, j: int, k: int, l: int,
-                _cache=None) -> FactoredFrac:
+def cross_terms(sol: TriangularSolution, i: int, j: int, k: int,
+                l: int) -> FactoredFrac:
     """sum_{k<s<l} (b_i^{ks} b_j^{sl} - b_j^{ks} b_i^{sl}); this is the
     bilinear source of the inhomogeneity for the (k, l) layer and must vanish
-    identically for families whose equal-(l-k) entries coincide."""
-    out = FactoredFrac.zero()
+    identically for families whose equal-(l-k) entries coincide.
+
+    The signed products are collected on the unordered pair of ids of their
+    factors, and only pairs whose signs do not sum to zero are multiplied.
+    f*g = g*f exactly, so the pairs skipped contribute zero whatever the
+    values: this is formal cancellation, not an assumption about the
+    solution. In the paper's families equal-class entries are one object,
+    so term s cancels term k + l - s before any product is formed; entries
+    that are equal in value but distinct objects are multiplied and summed."""
+    signs = {}
     for s in range(k + 1, l):
-        out = out + _prod(sol.entry(i, k, s), sol.entry(j, s, l), _cache)
-        out = out - _prod(sol.entry(j, k, s), sol.entry(i, s, l), _cache)
+        for f, h, sign in ((sol.entry(i, k, s), sol.entry(j, s, l), 1),
+                           (sol.entry(j, k, s), sol.entry(i, s, l), -1)):
+            if f.is_zero() or h.is_zero():
+                continue
+            key = (id(f), id(h)) if id(f) <= id(h) else (id(h), id(f))
+            signs[key] = (signs.get(key, (0,))[0] + sign, f, h)
+    out = FactoredFrac.zero()
+    for c, f, h in signs.values():
+        if c:
+            fh = f * h
+            out = out + (fh if c == 1 else -fh if c == -1 else fh * c)
     return out
-
-
-def _prod(f, g, cache):
-    if cache is None:
-        return f * g
-    key = (id(f), id(g))
-    if key not in cache:
-        cache[key] = f * g
-    return cache[key]
 
 
 def schlesinger_residual(sol: TriangularSolution) -> dict:
@@ -447,24 +475,60 @@ def schlesinger_residual(sol: TriangularSolution) -> dict:
     keys (i, i, k, l) hold d b_i^{kl}/da_i + sum_{j != i} [B_i,B_j]_{kl}/(a_i-a_j).
     All values are identically zero exactly when the solution satisfies the
     system.
+
+    The signature of (k, l) is, for each i, id(b_i^{kl}), beta_i^k - beta_i^l
+    and the ids of (b_i^{ks}, b_i^{sl}) for k < s < l: everything its rows
+    read. Pairs with equal signatures share one block of rows (see the
+    module docstring). [B_j,B_i]/(a_j-a_i) equals [B_i,B_j]/(a_i-a_j) and is
+    formed once per unordered pair. The memos hold ids of entries that
+    sol.entries keeps alive for the whole call.
     """
-    frame = sol.frame
+    frame, grid = sol.frame, sol.grid
     N, p = sol.N, sol.p
-    cache = {}
-    out = {}
+    poles = range(1, N + 1)
     pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
-    for i in range(1, N + 1):
-        own = {kl: frame.diff(sol.entry(i, *kl), i) for kl in pairs}
-        for j in range(1, N + 1):
-            if j == i:
-                continue
-            inv_gap = FactoredFrac.quotient(MultiPoly.const(1), frame.gap(i, j), 1)
-            for (k, l) in pairs:
-                comm = commutator_entry(sol, i, j, k, l, cache) * inv_gap
-                out[(i, j, k, l)] = frame.diff(sol.entry(i, k, l), j) - comm
-                own[(k, l)] = own[(k, l)] + comm
-        for (k, l) in pairs:
-            out[(i, i, k, l)] = own[(k, l)]
+    inv_gaps = {(i, j): FactoredFrac.quotient(MultiPoly.const(1),
+                                              frame.gap(i, j), 1)
+                for i in poles for j in poles if i < j}
+    gradients, blocks = {}, {}
+
+    def gradient(f):
+        if id(f) not in gradients:
+            gradients[id(f)] = frame.gradient(f)
+        return gradients[id(f)]
+
+    def block(k, l):
+        comm = {(i, j): commutator_entry(sol, i, j, k, l) * inv
+                for (i, j), inv in inv_gaps.items()}
+        rows = {}
+        for i in poles:
+            d = gradient(sol.entry(i, k, l))
+            own = d[i - 1]
+            for j in poles:
+                if j != i:
+                    x = comm[(min(i, j), max(i, j))]
+                    rows[(i, j)] = d[j - 1] - x
+                    own = own + x
+            rows[(i, i)] = own
+        return rows
+
+    rows = {}
+    for (k, l) in pairs:
+        sig = tuple((id(sol.entry(i, k, l)), grid.value(i, k) - grid.value(i, l),
+                     tuple((id(sol.entry(i, k, s)), id(sol.entry(i, s, l)))
+                           for s in range(k + 1, l)))
+                    for i in poles)
+        if sig not in blocks:
+            blocks[sig] = block(k, l)
+        rows[(k, l)] = blocks[sig]
+    out = {}
+    for i in poles:
+        for j in poles:
+            if j != i:
+                for kl in pairs:
+                    out[(i, j) + kl] = rows[kl][(i, j)]
+        for kl in pairs:
+            out[(i, i) + kl] = rows[kl][(i, i)]
     return out
 
 

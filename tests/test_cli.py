@@ -373,6 +373,57 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
 
 
+def _cli_process(*args, **kw):
+    """isolab in a child process (stdin closed), as a shell would start it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; from isolab.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", code, *args],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdin=subprocess.DEVNULL, **kw)
+
+
+class TestTolerance:
+    COMMANDS = {"periods": ("periods", "--m", "2", "--n", "1", "--a", "0,1,2+1i"),
+                "verify": ("verify", "--theorem", "11", "--M", "2", "--n", "-1",
+                           "--c", "2,-1", "--numeric", "--a", "2,3.5")}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_is_a_usage_error(self, command, tol):
+        # a child process with a timeout: tol <= 0 or nan once made the
+        # quadrature halve its panels without end
+        proc = _cli_process(*self.COMMANDS[command], f"--tol={tol}",
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+        try:
+            out, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2, (command, tol, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_default_tol_kept(self):
+        assert cli._tol(None, 1e-6) == 1e-6
+        assert cli._tol("1e-9", 1e-6) == 1e-9
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("lines", [0, 1])
+    def test_no_traceback(self, lines):
+        proc = _cli_process("verify", "--theorem", "6", "--n", "-2",
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert b"Traceback" not in err and err == b"", err
+        # with one line read, the child may have written everything already
+        assert proc.returncode in ((1,) if lines == 0 else (0, 1))
+
+
 class TestZeros:
     def test_row_counts_small(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--n", "1")

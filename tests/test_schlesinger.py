@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from isolab.algebra import MultiPoly, RatFunc, FactoredFrac, parse_ratfunc
 from isolab.curves import SuperellipticCurve, residue_series_oracle
 from isolab.schlesinger import (ExponentGrid, HypothesisError, IdentityFrame,
-                                TriangularSolution,
+                                ShiftedFrame, TriangularSolution,
                                 build_polynomial_solution, build_rational_solution,
-                                cross_terms, residual_is_zero, schlesinger_residual,
-                                sum_constraint, tau_exponents)
+                                commutator_entry, cross_terms, residual_is_zero,
+                                schlesinger_residual, sum_constraint, tau_exponents)
 
 x = MultiPoly.var("x")
 
@@ -244,3 +246,164 @@ class TestDocumentPath:
             f = frame.factored(r.num, r.den)
             assert f.to_ratfunc() == r
             assert all(fac.content() == 1 for fac in f.den)
+
+
+# ---------------------------------------------------------------------------
+# the identity-keyed residual against the per-key loop
+
+
+def _reference_diff(frame, f, j):
+    if isinstance(frame, ShiftedFrame):
+        if j != frame.nu:
+            return -f.partial(frame.dvars[j])
+        out = FactoredFrac.zero()
+        for h in frame.dvars.values():
+            out = out + f.partial(h)
+        return out
+    return f.partial(frame.variables[j - 1])
+
+
+def reference_schlesinger_residual(sol):
+    """Every (i, j, k, l) row from scratch: the loop the identity-keyed
+    residual must agree with, key by key."""
+    frame, g = sol.frame, sol.grid
+    N, p = sol.N, sol.p
+    out = {}
+    pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
+    for i in range(1, N + 1):
+        own = {kl: _reference_diff(frame, sol.entry(i, *kl), i) for kl in pairs}
+        for j in range(1, N + 1):
+            if j == i:
+                continue
+            inv_gap = FactoredFrac.quotient(MultiPoly.const(1), frame.gap(i, j), 1)
+            for (k, l) in pairs:
+                comm = (sol.entry(j, k, l) * (g.value(i, k) - g.value(i, l))
+                        - sol.entry(i, k, l) * (g.value(j, k) - g.value(j, l)))
+                for s in range(k + 1, l):
+                    comm = comm + sol.entry(i, k, s) * sol.entry(j, s, l)
+                    comm = comm - sol.entry(j, k, s) * sol.entry(i, s, l)
+                comm = comm * inv_gap
+                out[(i, j, k, l)] = _reference_diff(frame, sol.entry(i, k, l), j) - comm
+                own[(k, l)] = own[(k, l)] + comm
+        for (k, l) in pairs:
+            out[(i, i, k, l)] = own[(k, l)]
+    return out
+
+
+def assert_same_residual(sol):
+    got, want = schlesinger_residual(sol), reference_schlesinger_residual(sol)
+    assert list(got) == list(want)
+    for key, v in want.items():
+        assert got[key].is_zero() == v.is_zero(), key
+        if not v.is_zero():
+            assert sol.frame.to_a(got[key]) == sol.frame.to_a(v), key
+    return got
+
+
+def _theorem3_grid():
+    for p in (2, 3, 4):
+        for N in (2, 3, 4, 5):
+            for m in (2, 3, 4):
+                for n in (1, 2):
+                    s = gcd(m, N)
+                    if gcd(n, m) == 1 and s > 1 and any(
+                            (s * j) % m == 0 and j % m for j in range(1, p)):
+                        yield p, N, m, n
+
+
+def _theorem4_grid():
+    for p in (2, 3, 4):
+        for N in (2, 3, 4, 5):
+            for m in (1, 2):
+                for n in (-1, -2, -3):
+                    if gcd(-n, m) == 1 and any(j % m == 0 for j in range(1, p)):
+                        yield p, N, m, n
+
+
+def _constants(rng, p):
+    return [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for _ in range(p - 1)]
+
+
+def _perturbed(sol, i, k, l):
+    """sol with entry (i, k, l) shifted by a monomial in the frame's own
+    variables (a_i, or D_h for the shifted frame)."""
+    frame = sol.frame
+    if isinstance(frame, ShiftedFrame):
+        name = sorted(frame.dvars.values())[(i + k) % (sol.N - 1)]
+    else:
+        name = frame.variables[(i + l) % sol.N]
+    shift = MultiPoly.monomial(F(k - l - i, 2), {name: 1 + (k + l) % 2})
+    return sol.with_entry(i, k, l, sol.entry(i, k, l) + FactoredFrac.from_poly(shift))
+
+
+def _distinct_copy(sol):
+    """The same values, with every entry a distinct object."""
+    return TriangularSolution(
+        sol.grid, {key: FactoredFrac(e.num, dict(e.den))
+                   for key, e in sol.entries.items()}, sol.frame)
+
+
+P4_FAMILIES = [build_polynomial_solution(4, 2, 2, 1, constants=[F(2), F(-1, 3), F(5)]),
+               build_rational_solution(4, 3, 1, -1, constants=[F(1, 2), F(-3), F(2)],
+                                       nu=2)]
+
+
+class TestIdentityKeyedResidual:
+    def test_grid_families_match_reference(self):
+        rng = random.Random(12)
+        for g in _theorem3_grid():
+            assert_same_residual(build_polynomial_solution(
+                *g, constants=_constants(rng, g[0])))
+        for g in _theorem4_grid():
+            assert_same_residual(build_rational_solution(
+                *g, constants=_constants(rng, g[0]), nu=rng.randint(1, g[1])))
+
+    @pytest.mark.parametrize("family", [0, 1])
+    def test_every_single_entry_perturbation(self, family):
+        sol = P4_FAMILIES[family]
+        assert set(sol.entries) >= {(1, 2, 3), (1, 1, 3)}
+        for (i, k, l) in sorted(sol.entries):
+            res = assert_same_residual(_perturbed(sol, i, k, l))
+            assert any(not v.is_zero() for v in res.values()), (i, k, l)
+
+    @pytest.mark.parametrize("family", [0, 1])
+    def test_distinct_equal_entries(self, family, monkeypatch):
+        sol = _distinct_copy(P4_FAMILIES[family])
+        assert all(v.is_zero() for v in assert_same_residual(sol).values())
+        products = []
+        mul = FactoredFrac.__mul__
+
+        def counted(f, h):
+            products.append((f, h))
+            return mul(f, h)
+        monkeypatch.setattr(FactoredFrac, "__mul__", counted)
+        for i in range(1, sol.N + 1):
+            for j in range(1, sol.N + 1):
+                if i != j:
+                    for (k, l) in [(1, 3), (2, 4), (1, 4)]:
+                        assert cross_terms(sol, i, j, k, l).is_zero()
+        assert products  # the zeros were multiplied out, not cancelled
+        monkeypatch.undo()
+        for i in range(1, sol.N + 1):
+            pert = _perturbed(sol, i, 1, 2)
+            j = 1 + i % sol.N
+            assert not cross_terms(pert, i, j, 1, 3).is_zero()
+            assert not cross_terms(pert, j, i, 1, 3).is_zero()
+
+    def test_parsed_entries_share_objects(self):
+        sol = build_rational_solution(4, 3, 1, -1, nu=1)
+        back = TriangularSolution.from_json_dict(sol.to_json_dict())
+        for i in range(1, 4):
+            assert back.entry(i, 1, 2) is back.entry(i, 2, 3) is back.entry(i, 3, 4)
+            assert back.entry(i, 1, 3) is back.entry(i, 2, 4)
+        assert all(v.is_zero() for v in assert_same_residual(back).values())
+        pert = TriangularSolution.from_json_dict(
+            _perturbed(sol, 2, 2, 3).to_json_dict())
+        assert any(not v.is_zero() for v in assert_same_residual(pert).values())
+
+    def test_commutator_is_antisymmetric(self):
+        sol = _perturbed(P4_FAMILIES[1], 1, 1, 2)
+        for (k, l) in [(1, 2), (1, 3), (1, 4), (2, 4)]:
+            assert (commutator_entry(sol, 1, 2, k, l)
+                    + commutator_entry(sol, 2, 1, k, l)).is_zero()
