@@ -19,6 +19,13 @@ the t^-1 coefficient is summed. The reuse lives as long as
 the curve object and no longer: there is no module-level or value-keyed cache.
 Nothing of this is shared with the builders, which the oracle still checks
 independently.
+
+Every series the oracle reads from a chart (w^e, dz and 1/(z - a_i)) is
+known to the same relative depth, the chart's truncation order K: K
+coefficients past its leading exponent. Their products are then known to
+relative depth K as well, so no factor carries coefficients that a
+product's truncation would drop. The oracle's default K is the
+least at which the t^-1 coefficient is known (see residue_series_oracle).
 """
 
 from __future__ import annotations
@@ -329,7 +336,11 @@ def _binomial_factor_series(base, exponent: Fraction, step: int,
 
 
 class _Chart:
-    """What both charts share: Omega_i^{(j)} from one w^e dz series per e."""
+    """What both charts share: Omega_i^{(j)} from one w^e dz series per e.
+
+    w_power, dz_series and one_over_z_minus are each known to relative depth
+    `order` past their leading exponents, so their products are too; a
+    deeper factor would only form coefficients the products drop."""
 
     def omega_residue(self, i: int, j: int):
         """(residue, phase tag) of Omega_i^{(j)} = w^{jn} dz / (z - a_i):
@@ -375,7 +386,7 @@ class InfinityChart(_Chart):
     def w_power(self, e: int) -> TruncatedSeries:
         """Series of w^e; phase tag e^{2 pi i (k-1) e / s} carried separately."""
         inv = self.inv
-        rel = max(self.order + e * inv.N1, 1)  # fixed relative depth
+        rel = self.order
         out = TruncatedSeries.monomial(
             MultiPoly.const(1) if self.exact else 1.0 + 0j, 0, rel)
         for i in range(1, self.curve.N + 1):
@@ -445,7 +456,7 @@ class BranchChart(_Chart):
         otherwise requires numeric branch points and uses principal branches.
         """
         m = self.curve.m
-        rel = self.order + abs(e) + m
+        rel = self.order
         exact = self.exact and e % m == 0
         if self.curve.symbolic and e % m != 0:
             raise ValueError(
@@ -473,7 +484,7 @@ class BranchChart(_Chart):
     def one_over_z_minus(self, i: int) -> TruncatedSeries:
         """1/(z - a_i) around (a_nu, 0)."""
         m = self.curve.m
-        rel = self.order + m
+        rel = self.order
         if i == self.nu:
             one = MultiPoly.const(1) if self.exact else 1.0 + 0j
             return TruncatedSeries.monomial(one, -m, rel - m)
@@ -494,11 +505,9 @@ class BranchChart(_Chart):
 def expand_at_infinity(curve: SuperellipticCurve, k: int, order: int):
     """(z(t), w(t)) at the k-th infinity point, truncated to `order` terms
     past the leading exponent of w."""
-    inv = curve.invariants()
     chart = InfinityChart(curve, k, order)
     z = chart.z_series()
     w = chart.w_power(1)
-    w = TruncatedSeries(w.leading, w.coeffs[:order], w.leading + order, w.phase)
     if not chart.exact:
         w = w.materialize()
     return z, w
@@ -516,10 +525,7 @@ def expand_at_branch_point(curve: SuperellipticCurve, nu: int, order: int):
     numeric = SuperellipticCurve(curve.m, [complex(a) for a in curve.branch_points],
                                  curve.n)
     chart = BranchChart(numeric, nu, order)
-    z = chart.z_series()
-    w = chart.w_power(1)
-    w = TruncatedSeries(w.leading, w.coeffs[:order], w.leading + order, w.phase)
-    return z, w
+    return chart.z_series(), chart.w_power(1)
 
 
 def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
@@ -531,8 +537,20 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     polynomial in the branch points (returned as (value, phase) where phase
     tags the exact root-of-unity factor e^{2 pi i jn(k-1)/s}). For n < 0 the
     pole is a branch-point index and the value is a rational function.
-    Truncation starts at the default prescription and doubles on detected
-    insufficiency; each order uses its own chart.
+    Truncation starts at the least order K at which the t^-1 coefficient is
+    known and doubles on detected insufficiency; each order uses its own
+    chart. With e = jn, each factor known to relative depth K:
+
+    - infinity chart (z = t^-m1): w^e leads at -e N1, dz at -m1 - 1 and
+      1/(z - a_i) at m1, so the product leads at -e N1 - 1 and is known
+      below t^(K - e N1 - 1); t^-1 is known when K > e N1 = j n N1;
+    - branch chart (z = a_nu + t^m): w^e leads at e = -j|n|, dz at m - 1 and
+      1/(z - a_i) at 0 for i != nu, -m for i = nu; the worst case, i = nu,
+      leads at -j|n| - 1, so t^-1 is known when K > j|n|.
+
+    Hence K = j n N1 + 1 or j|n| + 1. A smaller explicit `order` costs
+    doublings (the oracle gives up after five), never a wrong value: the
+    TruncationError bound stops any read past the known coefficients.
 
     The charts come from `curve.chart`, so calls on one curve object for
     different i (and the same pole, j and order) build the w^{jn} dz series
@@ -543,9 +561,9 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     n = curve.n
     inv = curve.invariants()
     if n > 0:
-        need = j * n * inv.N1 + 2 * inv.m1
+        need = j * n * inv.N1 + 1
     else:
-        need = j * abs(n) + 2 * curve.m
+        need = j * abs(n) + 1
     order = order or need
 
     for attempt in range(6):

@@ -261,7 +261,11 @@ class TriangularSolution:
             i, k, l = missing[0]
             raise ValueError(f"triangular-schlesinger document lacks entry "
                              f"'{i},{k},{l}'")
-        return cls(grid, entries, frame, dict(doc.get("provenance", {})))
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("triangular-schlesinger document's provenance "
+                             "must be a JSON object")
+        return cls(grid, entries, frame, dict(provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,7 @@ def build_rational_solution(p: int, N: int, m: int, n: int,
     """
     from math import gcd
     _check(n < 0, "hypothesis n < 0 fails")
+    _check(N >= 2, "hypothesis N >= 2 fails")
     _check(m >= 1, "hypothesis m > 0 fails")
     _check(gcd(-n, m) == 1, "hypothesis gcd(n, m) = 1 fails")
     _check(any(j % m == 0 for j in range(1, p)),
@@ -415,6 +420,11 @@ def _rational_class_entry(frame: ShiftedFrame, i, d, N, nu) -> FactoredFrac:
 
 
 def _compositions(total, slots):
+    """Tuples of `slots` nonnegative integers that sum to `total`."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
     if slots == 1:
         yield (total,)
         return

@@ -57,6 +57,23 @@ class TestGenerate:
             assert code == 2 and out == "", (command, argv)
             assert "hypothesis M >= 1 fails" in err
 
+    def test_theorem4_one_pole_rejected(self, capsys):
+        argv = ("--theorem", "4", "--p", "2", "--N", "1", "--m", "1",
+                "--n", "-1")
+        for command in ("generate", "verify"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 2 and out == "", command
+            assert err == "error: hypothesis N >= 2 fails\n"
+
+    def test_theorem4_one_pole_rejected_in_a_process(self):
+        proc = _cli_process("generate", "--theorem", "4", "--p", "2",
+                            "--N", "1", "--m", "1", "--n", "-1",
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and out == ""
+        assert "Traceback" not in err
+
     def test_theorem4_documents_golden(self, capsys):
         # texts recorded before entries were converted once in to_json_dict
         golden = json.loads((DATA / "theorem4_documents.json").read_text())
@@ -292,6 +309,44 @@ class TestVerifyInputValidation:
         code, _, err = run_cli(capsys, "verify", "--input",
                                str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
+
+
+def _retype_sources():
+    """One small golden document of each kind: PVI, theorem 3, theorem 4 and
+    Garnier."""
+    docs = {}
+    for name in ("golden_documents.json", "theorem4_documents.json"):
+        docs.update(json.loads((DATA / name).read_text()))
+    return {label: json.loads(docs[argv]) for label, argv in (
+        ("pvi", "--theorem 6 --n -1"),
+        ("theorem3", "--theorem 3 --p 2 --N 2 --m 2 --n 1"),
+        ("theorem4", "--theorem 4 --p 2 --N 3 --m 1 --n -1"),
+        ("garnier", "--theorem 10 --M 2 --m 4 --n 1"))}
+
+
+RETYPE_SOURCES = _retype_sources()
+
+
+class TestVerifyInputRetyped:
+    @pytest.mark.parametrize("value", [5, None, [1], {"a": 1}, 1.5, True],
+                             ids=repr)
+    @pytest.mark.parametrize("label, key", [
+        (label, key) for label, doc in RETYPE_SOURCES.items()
+        for key in sorted(doc)])
+    def test_retyped_top_level_value(self, capsys, tmp_path, label, key, value):
+        # any JSON type in place of any top-level value gives a verdict (0 or
+        # 1) or a usage error (2) with one error line, never a crash
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**RETYPE_SOURCES[label], key: value}))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1
+        if (key == "provenance" and label in ("theorem3", "theorem4")
+                and not isinstance(value, dict)):
+            assert code == 2 and "provenance" in err
 
 
 def _fuzz_sources():

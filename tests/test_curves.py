@@ -234,6 +234,87 @@ class TestOracleSharing:
         assert curve.chart(InfinityChart, 1, 8) is curve.chart(InfinityChart, 1, 8)
 
 
+def _criterion5_cases():
+    """(m, branch points, n, js) of the criterion 5 grids: theorem 3 at the
+    classes it checks, theorem 4 with a_1 = 0 at the classes m divides."""
+    for p in (2, 3, 4):
+        for N in (2, 3, 4, 5):
+            names = [f"a{i}" for i in range(1, N + 1)]
+            gaps = [MultiPoly.zero()] + [-MultiPoly.var(f"d{h}")
+                                         for h in range(2, N + 1)]
+            for m in (2, 3, 4):
+                s = gcd(m, N)
+                js = tuple(L for L in range(1, p) if s * L % m == 0 and L % m)
+                for n in (1, 2):
+                    if gcd(n, m) == 1 and s > 1 and js:
+                        yield m, names, n, js
+            for m in (1, 2):
+                for n in (-1, -2, -3):
+                    js = tuple(range(m, p, m))
+                    if gcd(-n, m) == 1 and js:
+                        yield m, gaps, n, js
+
+
+# criterion 5 reads the first pole; the sharing curves are read at all poles
+ORACLE_CASES = ([(*case, (1,)) for case in _criterion5_cases()]
+                + [(*case, None) for case in SHARING_CURVES])
+
+
+def _least_order(curve, j):
+    inv = curve.invariants()
+    if curve.n > 0:
+        return j * curve.n * inv.N1 + 1
+    return j * abs(curve.n) + 1
+
+
+def _chart_orders(curve, pole):
+    return {order for (_, p, order) in curve._charts if p == pole}
+
+
+class TestOracleTruncation:
+    """The default order is the least at which the t^-1 coefficient is
+    known; the residues equal those at the deeper orders j n N1 + 2 m1 and
+    j|n| + 2m."""
+
+    @pytest.mark.parametrize("m, pts, n, js, poles", ORACLE_CASES)
+    def test_least_order_equals_deeper_order(self, m, pts, n, js, poles):
+        for j in js:
+            curve = SuperellipticCurve(m, pts, n)
+            inv = curve.invariants()
+            deeper = (j * n * inv.N1 + 2 * inv.m1 if n > 0
+                      else j * abs(n) + 2 * m)
+            poles = poles or _poles(curve)
+            cases = [(i, pole) for pole in poles
+                     for i in range(1, curve.N + 1)]
+            got = [residue_series_oracle(curve, i, j, pole)
+                   for i, pole in cases]
+            # each chart built at the least order, none at a doubled one
+            for pole in poles:
+                assert _chart_orders(curve, pole) <= {_least_order(curve, j)}
+            for (i, pole), val in zip(cases, got):
+                want = residue_series_oracle(curve, i, j, pole, order=deeper)
+                assert _exact_key(*val) == _exact_key(*want), (i, j, pole)
+
+    @pytest.mark.parametrize("m, pts, n, js, poles", ORACLE_CASES)
+    def test_one_less_needs_one_doubling(self, m, pts, n, js, poles):
+        for j in js:
+            if n < 0 and j * n % m:
+                continue    # the residue is 0 without a chart
+            want = SuperellipticCurve(m, pts, n)
+            short = _least_order(want, j) - 1
+            # every residue at infinity, and at (a_nu, 0) the one with
+            # i = nu, has its t^-1 coefficient just past the short order;
+            # for i != nu the short order suffices
+            worst = range(1, want.N + 1) if n > 0 else (1,)
+            for i in range(1, want.N + 1):
+                curve = SuperellipticCurve(m, pts, n)
+                got = residue_series_oracle(curve, i, j, 1, order=short)
+                doubled = {short, 2 * short} if i in worst else {short}
+                assert _chart_orders(curve, 1) == doubled, (i, j)
+                assert _exact_key(*got) == _exact_key(
+                    *residue_series_oracle(want, i, j, 1)), (i, j)
+
+
 class TestDwIdentity:
     """m w^{m-1} dw = sum_i P(z, a)/(z - a_i) dz, checked as truncated series
     sharing one fractional prefactor per chart."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,7 +11,8 @@ from isolab.schlesinger import (ExponentGrid, HypothesisError, IdentityFrame,
                                 ShiftedFrame, TriangularSolution,
                                 build_polynomial_solution, build_rational_solution,
                                 commutator_entry, cross_terms, residual_is_zero,
-                                schlesinger_residual, sum_constraint, tau_exponents)
+                                schlesinger_residual, sum_constraint, tau_exponents,
+                                _compositions)
 
 x = MultiPoly.var("x")
 
@@ -117,6 +119,19 @@ class TestRationalFamily:
             build_rational_solution(2, 3, 1, 1)     # n > 0
         with pytest.raises(HypothesisError):
             build_rational_solution(3, 3, 2, -2)    # gcd(2,2) != 1
+
+    @pytest.mark.parametrize("N", [1, 0, -1])
+    def test_fewer_than_two_poles_rejected(self, N):
+        # a ValueError naming the hypothesis, not a runaway recursion
+        with pytest.raises(ValueError, match="hypothesis N >= 2 fails"):
+            build_rational_solution(2, N, 1, -1)
+
+    def test_compositions_total(self):
+        for total in range(4):
+            for slots in range(4):
+                want = [c for c in product(range(total + 1), repeat=slots)
+                        if sum(c) == total]
+                assert list(_compositions(total, slots)) == want
 
 
 class TestResiduals:
