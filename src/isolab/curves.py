@@ -24,8 +24,10 @@ Every series the oracle reads from a chart (w^e, dz and 1/(z - a_i)) is
 known to the same relative depth, the chart's truncation order K: K
 coefficients past its leading exponent. Their products are then known to
 relative depth K as well, so no factor carries coefficients that a
-product's truncation would drop. The oracle's default K is the
-least at which the t^-1 coefficient is known (see residue_series_oracle).
+product's truncation would drop. The oracle reads each residue from one
+chart at one order, never retried: the least K at which the t^-1
+coefficient is known, or a deeper order the caller asks for (see
+residue_series_oracle).
 """
 
 from __future__ import annotations
@@ -103,19 +105,10 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             order = min(self.leading + other.order, other.leading + self.order)
             lead = self.leading + other.leading
-            out = [0] * max(0, order - lead)
-            for i, ci in enumerate(self.coeffs):
-                if _czero(ci):
-                    continue
-                for j, cj in enumerate(other.coeffs):
-                    k = i + j
-                    if k >= len(out):
-                        break
-                    if _czero(cj):
-                        continue
-                    out[k] = out[k] + ci * cj
-            return TruncatedSeries(lead, out, order,
-                                   _phase_add(self.phase, other.phase))
+            return TruncatedSeries(
+                lead, [self.product_coefficient(other, k)
+                       for k in range(lead, order)],
+                order, _phase_add(self.phase, other.phase))
         # scalar
         return TruncatedSeries(self.leading, [c * other for c in self.coeffs],
                                self.order, self.phase)
@@ -135,11 +128,11 @@ class TruncatedSeries:
         return TruncatedSeries(self.leading - 1, out, self.order - 1, self.phase)
 
     def product_coefficient(self, other, k: int):
-        """Coefficient of t^k in self * other, without forming the product.
+        """Coefficient of t^k in self * other, without forming the product;
+        __mul__ forms the product from these coefficients.
 
-        The TruncationError bound, the order of the additions and the zero
-        skips are those of __mul__, so the value is the same, bit for bit in
-        float mode."""
+        Raises TruncationError at or past the product's order. The terms are
+        added in the order of self's exponents, skipping zero factors."""
         order = min(self.leading + other.order, other.leading + self.order)
         if k >= order:
             raise TruncationError(
@@ -326,12 +319,10 @@ def _binomial_factor_series(base, exponent: Fraction, step: int,
     shares no code with the closed-form builders it cross-checks.
     """
     kmax = (order - 1) // step if order > 0 else 0
-    coeffs = []
-    for k in range(0, kmax + 1):
+    coeffs = [0] * (kmax * step + 1)
+    for k in range(kmax + 1):
         b = binom(exponent, k)
-        coeffs.append(base ** k * (b if exact else complex(b)))
-        if k < kmax:
-            coeffs.extend([0] * (step - 1))
+        coeffs[k * step] = base ** k * (b if exact else complex(b))
     return TruncatedSeries(0, coeffs, order)
 
 
@@ -341,6 +332,17 @@ class _Chart:
     w_power, dz_series and one_over_z_minus are each known to relative depth
     `order` past their leading exponents, so their products are too; a
     deeper factor would only form coefficients the products drop."""
+
+    def __init__(self, curve: SuperellipticCurve, order: int):
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if order > 4000:
+            raise TruncationError("truncation order beyond the internal cap")
+        self.curve = curve
+        self.order = order
+        self.exact = curve.symbolic or curve.numeric_exact
+        self.one = MultiPoly.const(1) if self.exact else 1.0 + 0j
+        self._w_dz = {}
 
     def omega_residue(self, i: int, j: int):
         """(residue, phase tag) of Omega_i^{(j)} = w^{jn} dz / (z - a_i):
@@ -361,39 +363,27 @@ class InfinityChart(_Chart):
         inv = curve.invariants()
         if not (1 <= k <= inv.s):
             raise ValueError(f"infinity point index must be in 1..{inv.s}")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if order > 4000:
-            raise TruncationError("truncation order beyond the internal cap")
-        self.curve = curve
+        super().__init__(curve, order)
         self.k = k
-        self.order = order
         self.inv = inv
-        self.exact = curve.symbolic or curve.numeric_exact
-        self._w_dz = {}
 
     def z_series(self) -> TruncatedSeries:
-        one = MultiPoly.const(1) if self.exact else 1.0 + 0j
-        return TruncatedSeries.monomial(one, -self.inv.m1,
+        return TruncatedSeries.monomial(self.one, -self.inv.m1,
                                         self.order - self.inv.m1)
 
     def dz_series(self) -> TruncatedSeries:
         m1 = self.inv.m1
-        c = Fraction(-m1) if self.exact else complex(-m1)
-        one = MultiPoly.const(c) if self.exact else c
-        return TruncatedSeries.monomial(one, -m1 - 1, self.order - m1 - 1)
+        c = MultiPoly.const(Fraction(-m1)) if self.exact else complex(-m1)
+        return TruncatedSeries.monomial(c, -m1 - 1, self.order - m1 - 1)
 
     def w_power(self, e: int) -> TruncatedSeries:
         """Series of w^e; phase tag e^{2 pi i (k-1) e / s} carried separately."""
         inv = self.inv
-        rel = self.order
-        out = TruncatedSeries.monomial(
-            MultiPoly.const(1) if self.exact else 1.0 + 0j, 0, rel)
+        out = TruncatedSeries.monomial(self.one, 0, self.order)
         for i in range(1, self.curve.N + 1):
-            a = self.curve.point(i)
-            base = -a if self.exact else -complex(a)
             out = out * _binomial_factor_series(
-                base, Fraction(e, self.curve.m), inv.m1, rel, self.exact)
+                -self.curve.point(i), Fraction(e, self.curve.m), inv.m1,
+                self.order, self.exact)
         out = out.shift(-e * inv.N1)
         phase = ((self.k - 1) * e, inv.s)
         return TruncatedSeries(out.leading, out.coeffs, out.order, phase)
@@ -402,17 +392,12 @@ class InfinityChart(_Chart):
         """1/(z - a_i) = t^{m1} * sum_q (a_i t^{m1})^q."""
         m1 = self.inv.m1
         a = self.curve.point(i)
-        rel = self.order
-        coeffs = []
-        apow = MultiPoly.const(1) if self.exact else 1.0 + 0j
-        q = 0
-        while q * m1 < rel:
-            coeffs.append(apow)
+        coeffs = [0] * ((self.order - 1) // m1 * m1 + 1)
+        apow = self.one
+        for q in range(0, len(coeffs), m1):
+            coeffs[q] = apow
             apow = apow * a
-            if (q + 1) * m1 < rel:
-                coeffs.extend([0] * (m1 - 1))
-            q += 1
-        return TruncatedSeries(m1, coeffs, rel + m1)
+        return TruncatedSeries(m1, coeffs, self.order + m1)
 
 
 class BranchChart(_Chart):
@@ -421,27 +406,26 @@ class BranchChart(_Chart):
     def __init__(self, curve: SuperellipticCurve, nu: int, order: int):
         if not (1 <= nu <= curve.N):
             raise ValueError("branch point index out of range")
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if order > 4000:
-            raise TruncationError("truncation order beyond the internal cap")
-        self.curve = curve
+        super().__init__(curve, order)
         self.nu = nu
-        self.order = order
-        self.exact = curve.symbolic or curve.numeric_exact
-        self._w_dz = {}
 
-    def gap(self, h: int):
-        """a_nu - a_h, exact or complex."""
-        anu = self.curve.point(self.nu)
-        ah = self.curve.point(h)
-        return anu - ah
+    def _inv_gap(self, h: int, exact: bool):
+        """1/(a_nu - a_h): a FactoredFrac, or a complex from the numeric
+        points (which a numeric-exact curve also has)."""
+        if exact:
+            return FactoredFrac.quotient(
+                self.one, self.curve.point(self.nu) - self.curve.point(h), 1)
+        return 1.0 / self._numeric_gap(h)
+
+    def _numeric_gap(self, h: int) -> complex:
+        return complex(self.curve.point_numeric(self.nu)
+                       - self.curve.point_numeric(h))
 
     def z_series(self) -> TruncatedSeries:
         m = self.curve.m
-        one = MultiPoly.const(1) if self.exact else 1.0 + 0j
         anu = self.curve.point(self.nu)
-        coeffs = [anu * one if self.exact else complex(anu)] + [0] * (m - 1) + [one]
+        coeffs = ([anu * self.one if self.exact else complex(anu)]
+                  + [0] * (m - 1) + [self.one])
         return TruncatedSeries(0, coeffs, max(self.order, m + 1))
 
     def dz_series(self) -> TruncatedSeries:
@@ -456,46 +440,31 @@ class BranchChart(_Chart):
         otherwise requires numeric branch points and uses principal branches.
         """
         m = self.curve.m
-        rel = self.order
         exact = self.exact and e % m == 0
         if self.curve.symbolic and e % m != 0:
             raise ValueError(
                 "fractional w-power at a branch point needs numeric branch points")
-        out = TruncatedSeries.monomial(
-            MultiPoly.const(1) if exact else 1.0 + 0j, 0, rel)
+        out = TruncatedSeries.monomial(self.one if exact else 1.0 + 0j, 0,
+                                       self.order)
         for h in range(1, self.curve.N + 1):
             if h == self.nu:
                 continue
-            if exact:
-                gap = self.gap(h)
-                inv_gap = FactoredFrac.quotient(MultiPoly.const(1), gap, 1)
-                lead = (FactoredFrac.from_poly(gap) ** (e // m) if e >= 0
-                        else FactoredFrac.quotient(MultiPoly.const(1), gap, -e // m))
-                fac = _binomial_factor_series(inv_gap, Fraction(e, m), m, rel,
-                                              True)
-            else:
-                gap = complex(self.curve.point_numeric(self.nu)
-                              - self.curve.point_numeric(h))
-                lead = gap ** (e / m)
-                fac = _binomial_factor_series(1.0 / gap, Fraction(e, m), m, rel, False)
-            out = out * fac * TruncatedSeries.monomial(lead, 0, rel)
+            inv = self._inv_gap(h, exact)
+            lead = inv ** (-e // m) if exact else self._numeric_gap(h) ** (e / m)
+            fac = _binomial_factor_series(inv, Fraction(e, m), m, self.order,
+                                          exact)
+            out = out * fac * TruncatedSeries.monomial(lead, 0, self.order)
         return out.shift(e)
 
     def one_over_z_minus(self, i: int) -> TruncatedSeries:
         """1/(z - a_i) around (a_nu, 0)."""
         m = self.curve.m
-        rel = self.order
         if i == self.nu:
-            one = MultiPoly.const(1) if self.exact else 1.0 + 0j
-            return TruncatedSeries.monomial(one, -m, rel - m)
-        if self.exact:
-            gap = self.gap(i)
-            inv_gap = FactoredFrac.quotient(MultiPoly.const(1), gap, 1)
-            ser = _binomial_factor_series(inv_gap, Fraction(-1), m, rel, True)
-            return ser * TruncatedSeries.monomial(inv_gap, 0, rel)
-        gap = complex(self.curve.point_numeric(self.nu) - self.curve.point_numeric(i))
-        ser = _binomial_factor_series(1.0 / gap, Fraction(-1), m, rel, False)
-        return ser * TruncatedSeries.monomial(1.0 / gap, 0, rel)
+            return TruncatedSeries.monomial(self.one, -m, self.order - m)
+        inv = self._inv_gap(i, self.exact)
+        ser = _binomial_factor_series(inv, Fraction(-1), m, self.order,
+                                      self.exact)
+        return ser * TruncatedSeries.monomial(inv, 0, self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +498,7 @@ def expand_at_branch_point(curve: SuperellipticCurve, nu: int, order: int):
 
 
 def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
-                          order: int = None):
+                          order: int = 1):
     """Residue of Omega_i^{(j)} = w^{jn} dz/(z - a_i) at the given pole,
     computed purely from truncated local series.
 
@@ -537,9 +506,10 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     polynomial in the branch points (returned as (value, phase) where phase
     tags the exact root-of-unity factor e^{2 pi i jn(k-1)/s}). For n < 0 the
     pole is a branch-point index and the value is a rational function.
-    Truncation starts at the least order K at which the t^-1 coefficient is
-    known and doubles on detected insufficiency; each order uses its own
-    chart. With e = jn, each factor known to relative depth K:
+
+    The residue is read from one chart, truncated at max(order, K), where K
+    is the least order at which the t^-1 coefficient is known. With e = jn,
+    each factor known to relative depth K:
 
     - infinity chart (z = t^-m1): w^e leads at -e N1, dz at -m1 - 1 and
       1/(z - a_i) at m1, so the product leads at -e N1 - 1 and is known
@@ -548,38 +518,28 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
       1/(z - a_i) at 0 for i != nu, -m for i = nu; the worst case, i = nu,
       leads at -j|n| - 1, so t^-1 is known when K > j|n|.
 
-    Hence K = j n N1 + 1 or j|n| + 1. A smaller explicit `order` costs
-    doublings (the oracle gives up after five), never a wrong value: the
-    TruncationError bound stops any read past the known coefficients.
+    Hence K = j n N1 + 1 or j|n| + 1. An `order` below K (any order < 1
+    included) is raised to K; a deeper one only adds coefficients that the
+    t^-1 term does not read, so the value does not change. Should K ever be
+    short, the TruncationError bound of TruncatedSeries stops the read past
+    the known coefficients: the oracle raises, it never returns a wrong value.
 
     The charts come from `curve.chart`, so calls on one curve object for
     different i (and the same pole, j and order) build the w^{jn} dz series
     once. Against 1/(z - a_i) only the t^-1 coefficient of the product is
-    summed, with the additions of the full product in the same order, so
-    values are exact, or bit-identical floats.
+    summed, by the product_coefficient that full products are built from.
     """
     n = curve.n
-    inv = curve.invariants()
     if n > 0:
-        need = j * n * inv.N1 + 1
+        kind, least = InfinityChart, j * n * curve.invariants().N1 + 1
+    elif (j * abs(n)) % curve.m != 0:
+        return _oracle_zero(curve), (0, 1)
     else:
-        need = j * abs(n) + 1
-    order = order or need
-
-    for attempt in range(6):
-        try:
-            if n > 0:
-                val, phase = curve.chart(InfinityChart, pole, order).omega_residue(i, j)
-            else:
-                if (j * abs(n)) % curve.m != 0:
-                    return _oracle_zero(curve), (0, 1)
-                val, phase = curve.chart(BranchChart, pole, order).omega_residue(i, j)
-            if isinstance(val, int) and val == 0:
-                val = _oracle_zero(curve)
-            return val, phase
-        except TruncationError:
-            order *= 2
-    raise TruncationError("residue oracle failed to converge on an order")
+        kind, least = BranchChart, j * abs(n) + 1
+    val, phase = curve.chart(kind, pole, max(order, least)).omega_residue(i, j)
+    if isinstance(val, int) and val == 0:
+        val = _oracle_zero(curve)
+    return val, phase
 
 
 def _oracle_zero(curve):

@@ -336,9 +336,15 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     du_i/da_k and dv_i/da_k come from central differences with nearest-root
     tracking; dH_k/du_i and dH_k/dv_i from central differences of the
     explicit Hamiltonians. A residual that is not finite raises
-    ArithmeticError: max() would drop a NaN and read it as a pass."""
+    ArithmeticError: max() would drop a NaN and read it as a pass. An
+    a-point without exactly two coordinates raises ValueError before P_2 is
+    evaluated."""
     if solution.M != 2:
         raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
+    a0 = [complex(x) for x in a_numeric]
+    if len(a0) != 2:
+        raise ValueError(f"M = 2 needs an a-point with 2 coordinates, "
+                         f"got {len(a0)}")
     spec = solution.spec_for(eps)
     pm = solution.pm_coefficients()
 
@@ -364,7 +370,6 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
             u = [r[1], r[0]]
         return u, v_momenta(u, solution.betas, spec.eps, a)
 
-    a0 = [complex(x) for x in a_numeric]
     u0, v0 = uv_at(a0)
     worst = 0.0
     for k in (0, 1):

@@ -255,12 +255,13 @@ class TriangularSolution:
             if text not in parsed:
                 parsed[text] = frame.factored(*parse_fraction(text))
             entries[ikl] = parsed[text]
-        missing = [(i, k, l) for i in range(1, N + 1) for k in range(1, p + 1)
-                   for l in range(k + 1, p + 1) if (i, k, l) not in entries]
+        # the first missing key, without listing all N p (p - 1) / 2 of them
+        missing = next(((i, k, l) for i in range(1, N + 1)
+                        for k in range(1, p + 1) for l in range(k + 1, p + 1)
+                        if (i, k, l) not in entries), None)
         if missing:
-            i, k, l = missing[0]
             raise ValueError(f"triangular-schlesinger document lacks entry "
-                             f"'{i},{k},{l}'")
+                             f"'{','.join(map(str, missing))}'")
         provenance = doc.get("provenance", {})
         if not isinstance(provenance, dict):
             raise ValueError("triangular-schlesinger document's provenance "

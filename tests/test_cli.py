@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,23 @@ class TestVerify:
         assert err.startswith(f"error: bad coordinate {quoted}")
 
 
+    @pytest.mark.parametrize("points", ["2", "2,3.5,4"])
+    def test_garnier_a_point_of_wrong_length(self, points):
+        # one coordinate once ended in a KeyError traceback, three in a
+        # message about unpacking
+        proc = _cli_process("verify", "--theorem", "11", "--M", "2", "--n",
+                            "-1", "--numeric", "--a", points,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2 and out == "" and "Traceback" not in err
+        assert err == ("error: M = 2 needs an a-point with 2 coordinates, "
+                       f"got {points.count(',') + 1}\n")
+
+
 class TestVerifyInputValidation:
     def verify_doc(self, capsys, tmp_path, doc):
         path = tmp_path / "doc.json"
@@ -237,6 +255,26 @@ class TestVerifyInputValidation:
             del doc[key]
             code, _, err = self.verify_doc(capsys, tmp_path, doc)
             assert code == 2 and repr(key) in err, (key, err)
+
+    def test_oversized_schlesinger_document_rejected_cheaply(self, capsys,
+                                                            tmp_path):
+        # p = 1500 asks for 2 * 1500 * 1499 / 2 entries; listing every
+        # missing key to report the first peaked at about 230 MB
+        p = 1500
+        doc = {"kind": "triangular-schlesinger", "p": p, "N": 2,
+               "variables": ["a1", "a2"],
+               "exponents": [[str(-k) for k in range(p)]] * 2,
+               "entries": {"1,1,2": "a1"}}
+        tracemalloc.start()
+        try:
+            code, out, err = self.verify_doc(capsys, tmp_path, doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == ("error: triangular-schlesinger document lacks entry "
+                       "'1,1,3'\n")
+        assert peak < 20e6, peak
 
     def test_top_level_not_an_object(self, capsys, tmp_path):
         code, _, err = self.verify_doc(capsys, tmp_path, ["garnier-algebraic"])

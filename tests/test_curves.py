@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import MultiPoly, RatFunc, binom
 from isolab.curves import (SuperellipticCurve, TruncatedSeries, TruncationError,
@@ -124,6 +125,72 @@ class TestCharts:
                 else:
                     assert repr(a.product_coefficient(b, k)) == repr(
                         full.coefficient(k))
+
+
+def reference_mul(a, b):
+    """Series product by the nested loop over both coefficient lists: each
+    nonzero coefficient of a against each nonzero one of b, added in the
+    order of a's exponents."""
+    def is_zero(c):
+        return c.is_zero() if hasattr(c, "is_zero") else c == 0
+    order = min(a.leading + b.order, b.leading + a.order)
+    lead = a.leading + b.leading
+    out = [0] * max(0, order - lead)
+    for i, ci in enumerate(a.coeffs):
+        if is_zero(ci):
+            continue
+        for j, cj in enumerate(b.coeffs):
+            k = i + j
+            if k >= len(out):
+                break
+            if is_zero(cj):
+                continue
+            out[k] = out[k] + ci * cj
+    phase = (a.phase[0] * b.phase[1] + b.phase[0] * a.phase[1],
+             a.phase[1] * b.phase[1])
+    return TruncatedSeries(lead, out, order, phase)
+
+
+_X, _Y = MultiPoly.var("x"), MultiPoly.var("y")
+_COEFFS = {
+    "fraction": st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    "multipoly": st.builds(lambda c, x, y: c + _X * x + _Y ** 2 * y,
+                           st.integers(-3, 3), st.integers(-2, 2),
+                           st.fractions(-2, 2, max_denominator=3)),
+    # thirds and sevenths are not dyadic, so the order of the additions
+    # shows in the last bits
+    "complex": st.builds(lambda u, v, d: complex(u, v) / d,
+                         st.integers(-99, 99), st.integers(-99, 99),
+                         st.sampled_from((3, 7))),
+}
+
+
+@st.composite
+def _series_pair(draw):
+    kind = draw(st.sampled_from(sorted(_COEFFS)))
+    zero = MultiPoly.zero() if kind == "multipoly" else 0
+    coeff = st.one_of(st.just(zero), _COEFFS[kind])
+
+    def series():
+        coeffs = draw(st.lists(coeff, max_size=8))
+        lead = draw(st.integers(-5, 3))
+        order = lead + draw(st.integers(-2, 10))
+        phase = (draw(st.integers(0, 5)), draw(st.integers(1, 6)))
+        return TruncatedSeries(lead, coeffs, order, phase)
+    return series(), series()
+
+
+def _series_key(s):
+    return s.leading, s.order, s.phase, [repr(c) for c in s.coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pair())
+def test_mul_matches_reference_mul(pair):
+    # __mul__ builds each coefficient with product_coefficient; the values,
+    # floats bit for bit, are those of the nested loop
+    a, b = pair
+    assert _series_key(a * b) == _series_key(reference_mul(a, b))
 
 
 class TestResidueOracle:
@@ -297,22 +364,34 @@ class TestOracleTruncation:
 
     @pytest.mark.parametrize("m, pts, n, js, poles", ORACLE_CASES)
     def test_one_less_needs_one_doubling(self, m, pts, n, js, poles):
+        """One less than the least order, which used to cost a doubling, is
+        raised to the least order: one chart, and the default residue."""
         for j in js:
             if n < 0 and j * n % m:
                 continue    # the residue is 0 without a chart
             want = SuperellipticCurve(m, pts, n)
-            short = _least_order(want, j) - 1
-            # every residue at infinity, and at (a_nu, 0) the one with
-            # i = nu, has its t^-1 coefficient just past the short order;
-            # for i != nu the short order suffices
-            worst = range(1, want.N + 1) if n > 0 else (1,)
+            least = _least_order(want, j)
             for i in range(1, want.N + 1):
                 curve = SuperellipticCurve(m, pts, n)
-                got = residue_series_oracle(curve, i, j, 1, order=short)
-                doubled = {short, 2 * short} if i in worst else {short}
-                assert _chart_orders(curve, 1) == doubled, (i, j)
+                got = residue_series_oracle(curve, i, j, 1, order=least - 1)
+                assert _chart_orders(curve, 1) == {least}, (i, j)
                 assert _exact_key(*got) == _exact_key(
                     *residue_series_oracle(want, i, j, 1)), (i, j)
+
+    def test_any_short_order_gives_the_default_residue(self):
+        # K = j n N1 + 1 = 46 here; five doublings of order 1 stopped at 32
+        pts = [0, 1, 2, 3, 5, 7]
+        want = residue_series_oracle(SuperellipticCurve(2, pts, 5), 1, 3, 1)
+        for order in (1, 0, -1):
+            curve = SuperellipticCurve(2, pts, 5)
+            got = residue_series_oracle(curve, 1, 3, 1, order=order)
+            assert _exact_key(*got) == _exact_key(*want), order
+            assert _chart_orders(curve, 1) == {46}
+
+    def test_order_past_the_cap_raises(self):
+        curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)
+        with pytest.raises(TruncationError, match="internal cap"):
+            residue_series_oracle(curve, 1, 1, 1, order=5000)
 
 
 class TestDwIdentity:

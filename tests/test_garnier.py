@@ -291,6 +291,17 @@ class TestHamiltonianResidual:
         with pytest.raises(ArithmeticError, match="not finite"):
             garnier_residual_m2(s1, (float("nan"), 3.5), (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("a_point", [(2.0,), (2.0, 3.5, 4.0)])
+    def test_a_point_of_wrong_length_rejected(self, a_point, monkeypatch):
+        # the check comes before P_2 is built or evaluated
+        s1 = thm10_solution(2, 2, 1)
+        monkeypatch.setattr(GarnierAlgebraicSolution, "pm_coefficients",
+                            lambda self: pytest.fail("P_2 evaluated"))
+        with pytest.raises(ValueError,
+                           match=f"M = 2 needs an a-point with 2 coordinates, "
+                                 f"got {len(a_point)}"):
+            garnier_residual_m2(s1, a_point, (1, 1, 1, 1))
+
     def test_higher_m_exact_layer_only(self):
         s = thm10_solution(4, 2, 1)
         assert s.sum_b().is_zero()
