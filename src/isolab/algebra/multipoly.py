@@ -47,6 +47,18 @@ nonconstant irreducible factor of R divides A(xi) and B(xi) for finitely
 many xi only, or else it would divide A and B. Past those xi and the roots
 of a and b, d is an integer, the digits of G(xi) d are those of G d once
 xi > 2 |G d|, and the primitive part G passes the check.
+
+Kronecker images (Kronecker 1882; Fateman 2005; Harvey, JSC 44, 2009).
+`kronecker(names, degrees, bits)` maps an integer polynomial to one
+integer: names[i] becomes X^s_i with X = 2^bits and mixed-radix strides
+s_1 = 1, s_(i+1) = s_i (degrees[i] + 1), so each monomial of the box
+e_i <= degrees[i] owns one base-2^bits digit. The map is a ring
+homomorphism, so a polynomial identity can be evaluated on big integers,
+whose products Python multiplies by Karatsuba. `from_kronecker` reads the
+balanced digits back. For a result whose degrees fit the box and whose
+coefficients are below 2^(bits-1) in absolute value the digits are exactly
+its coefficients, so its image is 0 iff it is zero: the caller proves those
+two bounds (painleve.pvi_residual is the one user).
 """
 
 from __future__ import annotations
@@ -347,6 +359,13 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return self._content * self._terms[0]
 
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    def norm1(self) -> Fraction:
+        """The 1-norm: the sum of the absolute values of the coefficients."""
+        return abs(self._content) * sum(map(abs, self._terms.values()))
+
     def total_degree(self) -> int:
         return max(map(_degree_of, self._terms), default=0)
 
@@ -639,6 +658,88 @@ class MultiPoly:
                     cv = cv * x ** p
             out += _scaled(cv, m, k)
         return out
+
+    # ---------------- Kronecker images ----------------
+
+    def kronecker(self, names, degrees, bits: int) -> int:
+        """The integer self(X^s_1, ..., X^s_k) at X = 2**bits, with
+        s_1 = 1 and s_(i+1) = s_i (degrees[i] + 1): the monomial with
+        exponents e over names lands on the base-2**bits digit at place
+        sum_i e_i s_i of a mixed-radix box. Every variable must be in names
+        with e_i <= degrees[i], and the coefficients must be integers; else
+        ValueError.
+
+        The map is a ring homomorphism from Z[names] to Z, so the image of a
+        product or sum is the product or sum of the images. On polynomials
+        whose exponents stay in the box and whose coefficients r satisfy
+        |r| < 2**(bits - 1) it is injective, since balanced base-2**bits
+        digits are unique; from_kronecker is its inverse there. Such a
+        polynomial is zero iff its image is 0."""
+        c = self._content
+        if c.denominator != 1:
+            raise ValueError("a Kronecker image needs integer coefficients")
+        places = []
+        stride = 1
+        for name, d in zip(names, degrees):
+            places.append((_SLOTS.get(name), stride, d, name))
+            stride *= d + 1
+        out = 0
+        for e, v in self._terms.items():
+            k = 0
+            for off, s, d, name in places:
+                if off is None:
+                    continue
+                p = (e >> off) & _FIELD
+                if p:
+                    if p > d:
+                        raise ValueError(f"degree {p} in {name} exceeds the "
+                                         f"Kronecker box bound {d}")
+                    k += p * s
+                    e -= p << off
+            if e:
+                raise ValueError(f"a variable of {self.vars} is not in {names}")
+            out += v << (bits * k)
+        return c.numerator * out
+
+    @classmethod
+    def from_kronecker(cls, value: int, names, degrees, bits: int):
+        """The polynomial whose kronecker(names, degrees, bits) is value,
+        read as balanced base-2**bits digits r_k in [-2**(bits-1),
+        2**(bits-1)): the digit at place k is the coefficient of the
+        monomial whose exponents are k's mixed-radix digits, e_i =
+        (k // s_i) mod (degrees[i] + 1). A value outside the box is a
+        ValueError.
+
+        Adding h = 2**(bits-1) to every digit, that is the constant
+        sum_k h 2**(bits k), moves every digit into [0, 2**bits) without a
+        carry, so the digits are plain bit fields of the sum."""
+        if not value:
+            return _ZERO
+        size = 1
+        for d in degrees:
+            size *= d + 1
+        half = 1 << (bits - 1)
+        width = bits * size
+        u = value + ((1 << width) - 1) // ((1 << bits) - 1) * half
+        if u < 0 or u.bit_length() > width:
+            raise ValueError("value is not the Kronecker image of a "
+                             "polynomial in the box")
+        radix = [(_offset(name), d + 1) for name, d in zip(names, degrees)]
+        text = format(u, "b").zfill(width)
+        terms = {}
+        for k in range(size):
+            r = int(text[width - bits * (k + 1):width - bits * k], 2) - half
+            if r:
+                e, q = 0, k
+                for off, base in radix:
+                    q, p = divmod(q, base)
+                    if p > _MAX_EXP:
+                        raise ExponentOverflowError(
+                            f"exponent {p} exceeds the packed exponent "
+                            f"limit {_MAX_EXP}")
+                    e += p << off
+                terms[e] = r
+        return _renormalized(terms, _ONE, _checked(max(map(_degree_of, terms))))
 
     # ---------------- exact division and gcd ----------------
 

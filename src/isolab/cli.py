@@ -192,6 +192,9 @@ def _verify_pvi_doc(doc) -> list:
     from . import painleve
     if len(doc["theta"]) != 4 or len(doc["params"]) != 4:
         raise ParameterError("pvi-family document needs 4 theta and 4 params")
+    cname = doc.get("parameter")
+    if cname is not None and not isinstance(cname, str):
+        raise ParameterError("pvi-family document has a malformed 'parameter'")
     y = parse_ratfunc(doc["y"])
     theta = painleve.ThetaTuple.of(*[Fraction(s) for s in doc["theta"]])
     params = painleve.PVIParams(*[Fraction(s) for s in doc["params"]])
@@ -199,8 +202,7 @@ def _verify_pvi_doc(doc) -> list:
     res = painleve.pvi_residual(y, params)
     checks.append(("pvi-residual-symbolic", res.is_zero(),
                    "0" if res.is_zero() else res.to_text()[:200]))
-    if doc.get("parameter"):
-        cname = doc["parameter"]
+    if cname:
         samples = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)]
 
         def one(cv):

@@ -395,8 +395,9 @@ class InfinityChart(_Chart):
         coeffs = [0] * ((self.order - 1) // m1 * m1 + 1)
         apow = self.one
         for q in range(0, len(coeffs), m1):
+            if q:
+                apow = apow * a
             coeffs[q] = apow
-            apow = apow * a
         return TruncatedSeries(m1, coeffs, self.order + m1)
 
 

@@ -9,15 +9,18 @@ a residual is identically zero iff the candidate solves the equation.
 
 The PVI residual is fraction-free. With y = N/D, PVI times its common
 denominator 2 D^3 x^2 (x-1)^2 N (N - D) (N - xD) is one polynomial identity
-R = 0 in N, D and their x-derivatives (see pvi_residual), built from
-MultiPoly products alone; a bivariate y(x, c) is checked the same way.
+R = 0 in N, D and their x-derivatives (see pvi_residual); a bivariate
+y(x, c) is checked the same way. For a dense y, R is computed as one
+integer, its Kronecker image at X = 2^bits, under proven degree and
+coefficient bounds that make a zero image a proof that R = 0; other inputs
+build R from MultiPoly products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 from .algebra import MultiPoly, RatFunc, FactoredFrac, binomials, to_rational
 
@@ -134,6 +137,46 @@ def _pvi_degenerate_kind(y: RatFunc):
     return None
 
 
+class _Norm(int):
+    """An upper bound on a 1-norm, the sum of the absolute values of a
+    polynomial's coefficients: ||f +- g|| <= ||f|| + ||g||,
+    ||f g|| <= ||f|| ||g||, and an integer scalar counts by its absolute
+    value. Run through _pvi_numerator, it bounds every coefficient of R."""
+
+    def __add__(self, other):
+        return _Norm(int(self) + abs(int(other)))
+
+    def __mul__(self, other):
+        return _Norm(int(self) * abs(int(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def _pvi_numerator(N, N1, N2, D, D1, D2, x, xm1, t, t1, L, A, B, G, E):
+    """L times the numerator R of pvi_residual, from y = N/D, the first and
+    second x-derivatives N1, N2, D1, D2, x, xm1 = x - 1, t = x (x-1),
+    t1 = 2x - 1 and L, A = L alpha, B = L beta, G = L gamma, E = L delta.
+
+    Only + - * occur, so the same formula runs on MultiPoly, on Kronecker
+    images (ints) and on 1-norm bounds (_Norm). W' = N2 D - N D2: the
+    N1 D1 terms cancel, so no product is differentiated."""
+    W = N1 * D - N * D1
+    V = (N2 * D - N * D2) * D - 2 * W * D1
+    M1 = N - D
+    Mx = N - x * D
+    NM1, NMx, M1Mx = N * M1, N * Mx, M1 * Mx
+    DD = D * D
+    # the docstring's R, with N M1 and D^2 taken out of the terms sharing them
+    return (NM1 * (2 * L * t * (t * Mx * V + D * W * (t1 * Mx + t * D))
+                   - 2 * (A * NM1 * Mx * Mx + E * t * DD * NM1))
+            - L * t * t * W * W * (M1Mx + NMx + NM1)
+            - 2 * DD * (B * x * M1Mx * M1Mx + G * xm1 * NMx * NMx))
+
+
 def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
     """Exact residual of PVI(alpha, beta, gamma, delta) at y(x).
 
@@ -154,32 +197,67 @@ def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
 
     That denominator is nonzero once y is not 0, 1 or x, so R = 0 as a
     polynomial is the proof that y solves PVI; otherwise R over it, reduced,
-    is the canonical residual.
+    is the canonical residual. R and the denominator are homogeneous of
+    degree 6 in (N, D), so N and D are first given integer contents with
+    the same ratio, and the parameters are scaled by L, the lcm of their
+    denominators: L R then has integer coefficients (_pvi_numerator).
+
+    L R is computed as one integer, its Kronecker image at X = 2^bits
+    (MultiPoly.kronecker), with two proven bounds:
+    - degree: every term of R is a product of six factors from N, D and
+      their x-derivatives with a polynomial in x, so its degree in a
+      variable v other than x is at most 6 d_v, where d_v is the larger
+      degree of N and D in v. That x-polynomial has degree at most 3 in
+      the terms without derivatives, 4 in those with one (through W) and 5
+      in those with two (through V or W^2), so the degree in x is at most
+      6 d_x + 3; the box takes 6 d_v, and 6 d_x + 4 in x;
+    - coefficients: the same formula run on 1-norms (_Norm, with
+      ||x|| = 1, ||x - 1|| = ||x (x-1)|| = 2, ||2x - 1|| = 3) bounds
+      ||L R||, so with bits = bound.bit_length() + 2 every coefficient is
+      below 2^(bits - 2) in absolute value.
+    Inside those bounds the image is injective, so a zero image is a proof
+    that R = 0, not a sample; a nonzero one is read back exactly
+    (MultiPoly.from_kronecker). The image is used when its box is no larger
+    than the square of the input size, prod_v (d_v + 1) <= (terms of N +
+    terms of D)^2, so a sparse y of high degree never builds a dense box;
+    other inputs run the same formula on MultiPoly.
     """
     kind = _pvi_degenerate_kind(y)
     if kind is not None:
         raise ValueError(f"degenerate candidate y = {kind}; "
                          "use degenerate_parameter_check")
+    N, cN = y.num.split_content()
+    D, cD = y.den.split_content()
+    q = cN / cD
+    N, D = N * q.numerator, D * q.denominator
+    scalars = (params.alpha, params.beta, params.gamma, params.delta)
+    L = lcm(*(p.denominator for p in scalars))
+    A, B, G, E = (int(p * L) for p in scalars)
+    N1, D1 = N.partial(X), D.partial(X)
+    N2, D2 = N1.partial(X), D1.partial(X)
+    inputs = (N, N1, N2, D, D1, D2)
+    names = tuple(sorted({X, *N.vars, *D.vars}))
+    d = [max(N.degree_in(v), D.degree_in(v)) for v in names]
     x = MultiPoly.var(X)
-    N, D = y.num, y.den
-    Dx = D.partial(X)
-    W = N.partial(X) * D - N * Dx
-    V = W.partial(X) * D - 2 * W * Dx
-    M1 = N - D
-    Mx = N - x * D
+    if prod(dv + 1 for dv in d) <= (N.term_count() + D.term_count()) ** 2:
+        bound = _pvi_numerator(*(_Norm(p.norm1()) for p in inputs),
+                               _Norm(1), _Norm(2), _Norm(2), _Norm(3),
+                               L, A, B, G, E)
+        bits = bound.bit_length() + 2
+        degrees = [6 * dv + 4 * (v == X) for v, dv in zip(names, d)]
+        xi = x.kronecker(names, degrees, bits)
+        R = _pvi_numerator(*(p.kronecker(names, degrees, bits) for p in inputs),
+                           xi, xi - 1, xi * (xi - 1), 2 * xi - 1, L, A, B, G, E)
+        if not R:
+            return RatFunc.zero()
+        R = MultiPoly.from_kronecker(R, names, degrees, bits)
+    else:
+        R = _pvi_numerator(*inputs, x, x - 1, x * (x - 1), 2 * x - 1,
+                           L, A, B, G, E)
+        if R.is_zero():
+            return RatFunc.zero()
     t = x * (x - 1)
-    NM1, NMx, M1Mx = N * M1, N * Mx, M1 * Mx
-    DD = D * D
-    # the docstring's R, with N M1 and D^2 taken out of the terms sharing them
-    R = (NM1 * (2 * t * (t * Mx * V + D * W * ((2 * x - 1) * Mx + t * D))
-                - 2 * (params.alpha * NM1 * Mx * Mx
-                       + params.delta * t * DD * NM1))
-         - t * t * W * W * (M1Mx + NMx + NM1)
-         - 2 * DD * (params.beta * x * M1Mx * M1Mx
-                     + params.gamma * (x - 1) * NMx * NMx))
-    if R.is_zero():
-        return RatFunc.zero()
-    return RatFunc(R, 2 * D * DD * t * t * NM1 * Mx)
+    return RatFunc(R / L, 2 * D ** 3 * t * t * N * (N - D) * (N - x * D))
 
 
 def degenerate_parameter_check(kind: str, params: PVIParams) -> bool:

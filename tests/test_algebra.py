@@ -111,6 +111,48 @@ class TestMultiPoly:
         assert poly_gcd(f, g) == (x + 1) * (x - y)
         assert poly_gcd(x + 1, x - 1) == MultiPoly.const(1)
 
+    def test_kronecker_round_trip_at_the_digit_limits(self):
+        # digits at +-(2^(bits-1) - 1) and small negative ones, in a box
+        # larger than the polynomial, with an unused name in it
+        bits = 12
+        h = (1 << (bits - 1)) - 1
+        names, degrees = ("x", "y", "z"), (5, 2, 1)
+        p = MultiPoly(("x", "y"), {(0, 0): h, (3, 2): -h, (0, 1): -1,
+                                   (5, 0): 7, (5, 2): h, (2, 1): -h})
+        v = p.kronecker(names, degrees, bits)
+        # x -> X, y -> X^6 (stride 5 + 1), z -> X^18
+        X = 1 << bits
+        assert v == p.evaluate({"x": X, "y": X ** 6})
+        assert MultiPoly.from_kronecker(v, names, degrees, bits) == p
+        assert MultiPoly.from_kronecker(-v, names, degrees, bits) == -p
+        assert MultiPoly.from_kronecker(0, names, degrees, bits).is_zero()
+        # the image of a product is the product of the images
+        q = x * y - 2
+        assert (p * q).kronecker(names, (7, 4, 1), 40) == (
+            p.kronecker(names, (7, 4, 1), 40) * q.kronecker(names, (7, 4, 1), 40))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.data())
+    def test_kronecker_round_trip_random(self, bits, data):
+        h = (1 << (bits - 1)) - 1
+        dx, dy = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+        coeffs = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, dx), st.integers(0, dy)),
+            st.sampled_from((h, -h, 1, -1, h // 2 + 1)), max_size=12))
+        p = MultiPoly(("x", "y"), coeffs)
+        v = p.kronecker(("x", "y"), (dx, dy), bits)
+        assert MultiPoly.from_kronecker(v, ("x", "y"), (dx, dy), bits) == p
+
+    def test_kronecker_rejects_what_it_cannot_encode(self):
+        with pytest.raises(ValueError):
+            (x ** 3).kronecker(("x",), (2,), 8)       # outside the box
+        with pytest.raises(ValueError):
+            (x * y).kronecker(("x",), (2,), 8)        # y has no place
+        with pytest.raises(ValueError):
+            (x / 2).kronecker(("x",), (2,), 8)        # not an integer poly
+        with pytest.raises(ValueError):
+            MultiPoly.from_kronecker(1 << 30, ("x",), (2,), 8)
+
     def test_evaluate(self):
         p = x ** 2 * y - 2
         assert p.evaluate({"x": F(3), "y": F(2)}) == 16

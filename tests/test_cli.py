@@ -385,6 +385,8 @@ class TestVerifyInputRetyped:
         if (key == "provenance" and label in ("theorem3", "theorem4")
                 and not isinstance(value, dict)):
             assert code == 2 and "provenance" in err
+        if key == "parameter" and label == "pvi" and value is not None:
+            assert code == 2 and "parameter" in err
 
 
 def _fuzz_sources():

@@ -1,10 +1,12 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from isolab.algebra import FactoredFrac, MultiPoly, RatFunc, binom, parse_ratfunc
-from isolab.painleve import _binomial_sum
+from isolab.painleve import _Norm, _binomial_sum, _pvi_numerator
 from isolab.painleve import (PVIParams, ThetaTuple, admissible_thm8_triples,
                              coefficient_list, conjugate_momentum,
                              degenerate_parameter_check,
@@ -44,6 +46,30 @@ def reference_pvi_residual(y, params):
     return (y2 - A * (y1 * y1) + B * y1 - lead * bracket).to_ratfunc()
 
 
+def fraction_free_reference(y, params):
+    """The fraction-free R = 0 identity of pvi_residual's docstring as
+    MultiPoly products on y's own N and D and Fraction parameters, with no
+    Kronecker image: the reference for the image route."""
+    N, D = y.num, y.den
+    Dx = D.partial("x")
+    W = N.partial("x") * D - N * Dx
+    V = W.partial("x") * D - 2 * W * Dx
+    M1 = N - D
+    Mx = N - x * D
+    t = x * (x - 1)
+    NM1, NMx, M1Mx = N * M1, N * Mx, M1 * Mx
+    DD = D * D
+    R = (NM1 * (2 * t * (t * Mx * V + D * W * ((2 * x - 1) * Mx + t * D))
+                - 2 * (params.alpha * NM1 * Mx * Mx
+                       + params.delta * t * DD * NM1))
+         - t * t * W * W * (M1Mx + NMx + NM1)
+         - 2 * DD * (params.beta * x * M1Mx * M1Mx
+                     + params.gamma * (x - 1) * NMx * NMx))
+    if R.is_zero():
+        return RatFunc.zero()
+    return RatFunc(R, 2 * D * DD * t * t * NM1 * Mx)
+
+
 @st.composite
 def small_polys_in(draw, names):
     """A sum of at most four integer monomials of degree <= 2 per variable."""
@@ -54,11 +80,15 @@ def small_polys_in(draw, names):
     return out
 
 
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+NONZERO = st.integers(-5, 5).filter(bool)
+
+
 @st.composite
 def pvi_candidates(draw):
     """(y, params): a random small y = N/D in x or in x and c with random
     rational params, or a theorem 5-8 solution, maybe shifted by a monomial."""
-    rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    rationals = RATIONALS
     if draw(st.booleans()):
         fam = draw(st.sampled_from((
             lambda: thm5_solution(1), lambda: thm5_solution(2),
@@ -75,6 +105,58 @@ def pvi_candidates(draw):
         params = PVIParams(*(draw(rationals) for _ in range(4)))
     assume(y not in (RatFunc.zero(), RatFunc.one(), RatFunc.var("x")))
     return y, params
+
+
+@st.composite
+def dense_candidates(draw):
+    """(y, params) with N and D of full support: a nonzero coefficient at
+    every x^i c^j with i <= deg_x <= 8 and j <= deg_c <= 2."""
+    dx, dc = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+
+    def full():
+        return MultiPoly(("c", "x"), {(j, i): draw(NONZERO)
+                                      for i in range(dx + 1)
+                                      for j in range(dc + 1)})
+    y = RatFunc(full(), full())
+    assume(y.num.term_count() == y.den.term_count() == (dx + 1) * (dc + 1))
+    assume(y not in (RatFunc.one(), RatFunc.var("x")))
+    return y, PVIParams(*(draw(RATIONALS) for _ in range(4)))
+
+
+@st.composite
+def sparse_candidates(draw):
+    """(y, params) with y = N/(x - 1), N two monomials of total degree
+    20 to 24 in x and c."""
+    def monomial():
+        i = draw(st.integers(0, 24))
+        j = draw(st.integers(max(0, 20 - i), 24 - i))
+        return MultiPoly.monomial(draw(NONZERO), {"x": i, "c": j})
+    y = RatFunc(monomial() + monomial(), x - 1)
+    assume(y.num.term_count() == 2)
+    return y, PVIParams(*(draw(RATIONALS) for _ in range(4)))
+
+
+@contextmanager
+def counted_images():
+    """Count the MultiPoly.kronecker and MultiPoly.from_kronecker calls made
+    inside the block: they show which route pvi_residual took."""
+    calls = {"kronecker": 0, "from_kronecker": 0}
+    kronecker, from_kronecker = MultiPoly.kronecker, MultiPoly.from_kronecker
+
+    def counted_kronecker(self, *args):
+        calls["kronecker"] += 1
+        return kronecker(self, *args)
+
+    def counted_from_kronecker(cls, *args):
+        calls["from_kronecker"] += 1
+        return from_kronecker(*args)
+    MultiPoly.kronecker = counted_kronecker
+    MultiPoly.from_kronecker = classmethod(counted_from_kronecker)
+    try:
+        yield calls
+    finally:
+        MultiPoly.kronecker = kronecker
+        MultiPoly.from_kronecker = classmethod(from_kronecker.__func__)
 
 
 class TestParameterMap:
@@ -304,8 +386,83 @@ class TestResidualGuards:
     @given(pvi_candidates())
     def test_matches_factored_transcription(self, case):
         y, params = case
-        assert pvi_residual(y, params).to_text() == \
-            reference_pvi_residual(y, params).to_text()
+        got = pvi_residual(y, params).to_text()
+        assert got == reference_pvi_residual(y, params).to_text()
+        assert got == fraction_free_reference(y, params).to_text()
+
+
+class TestKroneckerImage:
+    """pvi_residual's Kronecker route: which inputs take it, and that its
+    bounds hold."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dense_candidates())
+    def test_dense_candidates_take_the_image(self, case):
+        y, params = case
+        with counted_images() as calls:
+            got = pvi_residual(y, params)
+        assert calls["kronecker"] > 0
+        assert calls["from_kronecker"] == (0 if got.is_zero() else 1)
+        assert got.to_text() == fraction_free_reference(y, params).to_text()
+
+    @settings(max_examples=15, deadline=None)
+    @given(sparse_candidates())
+    def test_sparse_candidates_keep_the_polynomial_route(self, case):
+        y, params = case
+        with counted_images() as calls:
+            got = pvi_residual(y, params)
+        assert calls == {"kronecker": 0, "from_kronecker": 0}
+        assert got.to_text() == fraction_free_reference(y, params).to_text()
+
+    def test_families_take_the_image(self):
+        fams = [thm5_solution(1), thm5_solution(7), thm6_family(-3),
+                thm7_solution(4, F(2, 7), F(1, 2)), thm8_family(7, 1, 3)]
+        for fam in fams:
+            for y in (fam.y, fam.specialize(F(-5, 3))):
+                with counted_images() as calls:
+                    assert pvi_residual(y, fam.params).is_zero()
+                assert calls["kronecker"] > 0 and calls["from_kronecker"] == 0
+            with counted_images() as calls:
+                shifted = pvi_residual(fam.y + x ** 2, fam.params)
+            assert calls["from_kronecker"] == 1
+            assert shifted.to_text() == \
+                fraction_free_reference(fam.y + x ** 2, fam.params).to_text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys_in(("c", "x")), small_polys_in(("c", "x")),
+           st.lists(RATIONALS, min_size=4, max_size=4), st.integers(1, 10 ** 6))
+    def test_norm_bound_covers_every_coefficient(self, N, D, ps, scale):
+        # L R on integer N and D, and the same formula on 1-norms
+        N, D = N * scale, D + 7 * scale * x
+        assume(not N.is_zero() and not D.is_zero())
+        L = lcm(*(p.denominator for p in ps))
+        A, B, G, E = (int(p * L) for p in ps)
+        polys = [N, N.partial("x"), N.partial("x").partial("x"),
+                 D, D.partial("x"), D.partial("x").partial("x")]
+        R = _pvi_numerator(*polys, x, x - 1, x * (x - 1), 2 * x - 1,
+                           L, A, B, G, E)
+        bound = _pvi_numerator(*(_Norm(p.norm1()) for p in polys),
+                               _Norm(1), _Norm(2), _Norm(2), _Norm(3),
+                               L, A, B, G, E)
+        assert type(bound) is _Norm
+        assert max((abs(c) for _, c in R.terms()), default=0) <= R.norm1() <= bound
+
+    def test_huge_contents(self):
+        big = F(10 ** 40, 7)
+        fam = thm6_family(-2)
+        y = fam.specialize(big)
+        assert y.num.content().denominator > 10 ** 39
+        with counted_images() as calls:
+            assert pvi_residual(y, fam.params).is_zero()
+        assert calls["kronecker"] > 0
+        y = RatFunc(big * (x ** 3 - 2 * x + 5), x ** 2 + x / big - 3)
+        assert (y.num.content(), y.den.content()) == (big, 1 / big / 7)
+        params = PVIParams(F(1, 3), F(-2, 7), big, F(1, 2))
+        with counted_images() as calls:
+            got = pvi_residual(y, params).to_text()
+        assert calls["from_kronecker"] == 1
+        assert got == reference_pvi_residual(y, params).to_text()
+        assert got == fraction_free_reference(y, params).to_text()
 
 
 class TestMomentum:
