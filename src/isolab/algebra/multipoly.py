@@ -57,8 +57,11 @@ homomorphism, so a polynomial identity can be evaluated on big integers,
 whose products Python multiplies by Karatsuba. `from_kronecker` reads the
 balanced digits back. For a result whose degrees fit the box and whose
 coefficients are below 2^(bits-1) in absolute value the digits are exactly
-its coefficients, so its image is 0 iff it is zero: the caller proves those
-two bounds (painleve.pvi_residual is the one user).
+its coefficients, so its image is 0 iff it is zero. `prove_zero` derives
+those two bounds: it runs the `+ - *` formula once on `_Bound` values (a
+1-norm and a degree per variable; abstract interpretation, Cousot & Cousot,
+POPL 1977), so the box and the digit width come from the formula itself and
+grow with it (painleve.pvi_residual is the one user).
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
+from functools import reduce
 from math import frexp, ldexp, gcd as _igcd, lcm as _ilcm
 
 
@@ -387,7 +391,10 @@ class MultiPoly:
         t = self._terms
         if len(t) == 1:
             return next(iter(t))
-        return max(t, key=_grlex(self.vars))
+        names = self.vars
+        if len(names) == 1:     # one field: graded lex is the packed order
+            return max(t)
+        return max(t, key=_grlex(names))
 
     def leading(self):
         """Leading (exponents, coefficient) in graded lex."""
@@ -674,7 +681,8 @@ class MultiPoly:
         whose exponents stay in the box and whose coefficients r satisfy
         |r| < 2**(bits - 1) it is injective, since balanced base-2**bits
         digits are unique; from_kronecker is its inverse there. Such a
-        polynomial is zero iff its image is 0."""
+        polynomial is zero iff its image is 0; prove_zero computes a box
+        and bits for which that holds."""
         c = self._content
         if c.denominator != 1:
             raise ValueError("a Kronecker image needs integer coefficients")
@@ -808,6 +816,90 @@ _UNIT = _new({0: 1}, _ONE, 0)
 _VARS = {}
 
 
+# ---------------- bounded Kronecker proofs ----------------
+
+def _lcm(a: int, b: int) -> int:
+    """The lcm of two packed monomials, their fieldwise maximum, by the
+    guard bits: the guard of a field survives (a | guard) - b exactly where
+    a's field is at least b's, and is spread into a mask over that field."""
+    ge = ((a | _GUARD) - b) & _GUARD
+    mask = (ge >> (_W - 1)) * _FIELD
+    return (a & mask) | (b & ~mask)
+
+
+class _Bound:
+    """A bound on an integer polynomial: `norm` >= its 1-norm, the sum of
+    the absolute values of its coefficients, and the packed monomial
+    `degrees` >= each of its monomials, field by field. ||f +- g|| <=
+    ||f|| + ||g|| with the fieldwise maximum of the degrees, ||f g|| <=
+    ||f|| ||g|| with their sum, and an int scalar counts by its absolute
+    value, with degree 0. So a + - * formula run on the bounds of its inputs
+    bounds its result."""
+
+    __slots__ = ("norm", "degrees")
+
+    def __init__(self, norm: int, degrees: int):
+        self.norm = norm
+        self.degrees = degrees
+
+    @classmethod
+    def of(cls, p: MultiPoly) -> "_Bound":
+        """p's 1-norm, rounded up, and the lcm of its monomials."""
+        c, terms = p._content, p._terms
+        norm = -(-abs(c.numerator) * sum(map(abs, terms.values()))
+                 // c.denominator)
+        return cls(norm, reduce(_lcm, terms) if terms else 0)
+
+    def __add__(self, other):
+        if type(other) is _Bound:
+            return _Bound(self.norm + other.norm,
+                          _lcm(self.degrees, other.degrees))
+        return _Bound(self.norm + abs(other), self.degrees)
+
+    def __mul__(self, other):
+        if type(other) is _Bound:
+            e = self.degrees + other.degrees
+            if e & _GUARD:
+                raise ExponentOverflowError(
+                    f"a degree bound exceeds the packed exponent limit "
+                    f"{_MAX_EXP}")
+            return _Bound(self.norm * other.norm, e)
+        return _Bound(self.norm * abs(other), self.degrees)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def _box(formula, polys, scalars):
+    """(names, degrees, bits) of the Kronecker box that holds
+    formula(*polys, *scalars) and every input: the formula run on _Bound
+    values gives the degrees and the norm, and bits = norm bits + 2 keeps
+    every coefficient below 2**(bits - 2) in absolute value."""
+    bounds = [_Bound.of(p) for p in polys]
+    out = formula(*bounds, *scalars)
+    box = reduce(_lcm, (b.degrees for b in bounds), out.degrees)
+    names = _names_of((box,))
+    return (names, [(box >> _SLOTS[v]) & _FIELD for v in names],
+            out.norm.bit_length() + 2)
+
+
+def prove_zero(formula, polys, scalars=()) -> MultiPoly:
+    """formula(*polys, *scalars), for a formula written with + - * only over
+    integer polynomials polys and int scalars, computed as one Kronecker
+    image: the formula runs once on the inputs' images (MultiPoly.kronecker)
+    in the box of _box. Inside that box the image is injective, so a zero
+    image proves the result zero (MultiPoly.zero(), with no read-back); a
+    nonzero one is read back exactly (MultiPoly.from_kronecker)."""
+    names, degrees, bits = _box(formula, polys, scalars)
+    value = formula(*(p.kronecker(names, degrees, bits) for p in polys), *scalars)
+    if not value:
+        return _ZERO
+    return MultiPoly.from_kronecker(value, names, degrees, bits)
+
+
 _SIGNS = re.compile(r"([+-][\s+-]*)")
 _FACTOR = re.compile(r"\s*(?:([0-9]+)(?:/([0-9]+))?"
                      r"|([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?)\s*")
@@ -893,7 +985,7 @@ def _heu_gcd(a: dict, b: dict) -> dict:
     db = max((e >> off) & _FIELD for e in b)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     while True:
-        ia, ib = _at(a, off, xi, da), _at(b, off, xi, db)
+        ia, ib = _at(a, off, xi), _at(b, off, xi)
         h = ia and ib and _digits(_heu_gcd(ia, ib), off, xi, min(da, db))
         if h:
             if len(h) == 1 and 0 in h:
@@ -906,9 +998,16 @@ def _heu_gcd(a: dict, b: dict) -> dict:
         xi = 2 * xi + 1
 
 
-def _at(t: dict, off: int, xi: int, deg: int) -> dict:
-    """t with the variable at bit offset off set to xi, in one pass."""
-    powers = [xi ** k for k in range(deg + 1)]
+def _at(t: dict, off: int, xi: int) -> dict:
+    """t with the variable at bit offset off set to xi. Only the powers of
+    xi that occur are formed, in increasing order, each from the one
+    before."""
+    powers = {}
+    xp, prev = 1, 0
+    for p in sorted({(e >> off) & _FIELD for e in t}):
+        xp *= xi ** (p - prev)
+        powers[p] = xp
+        prev = p
     out = {}
     get = out.get
     for e, v in t.items():

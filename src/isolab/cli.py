@@ -196,13 +196,16 @@ def _verify_pvi_doc(doc) -> list:
     if cname is not None and not isinstance(cname, str):
         raise ParameterError("pvi-family document has a malformed 'parameter'")
     y = parse_ratfunc(doc["y"])
+    if cname is not None and cname not in y.variables:
+        raise ParameterError(f"pvi-family document's 'parameter' {cname!r} "
+                             "names no variable of y")
     theta = painleve.ThetaTuple.of(*[Fraction(s) for s in doc["theta"]])
     params = painleve.PVIParams(*[Fraction(s) for s in doc["params"]])
     checks = []
     res = painleve.pvi_residual(y, params)
     checks.append(("pvi-residual-symbolic", res.is_zero(),
                    "0" if res.is_zero() else res.to_text()[:200]))
-    if cname:
+    if cname is not None:
         samples = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)]
 
         def one(cv):

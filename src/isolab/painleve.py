@@ -11,8 +11,9 @@ The PVI residual is fraction-free. With y = N/D, PVI times its common
 denominator 2 D^3 x^2 (x-1)^2 N (N - D) (N - xD) is one polynomial identity
 R = 0 in N, D and their x-derivatives (see pvi_residual); a bivariate
 y(x, c) is checked the same way. For a dense y, R is computed as one
-integer, its Kronecker image at X = 2^bits, under proven degree and
-coefficient bounds that make a zero image a proof that R = 0; other inputs
+integer, its Kronecker image at X = 2^bits, by algebra.prove_zero: the
+degree and coefficient bounds that make a zero image a proof that R = 0
+come from running R's own formula on bounds of its inputs; other inputs
 build R from MultiPoly products.
 """
 
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 
-from .algebra import MultiPoly, RatFunc, FactoredFrac, binomials, to_rational
+from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, prove_zero,
+                      to_rational)
 
 X = "x"
 C = "c"
@@ -137,23 +139,9 @@ def _pvi_degenerate_kind(y: RatFunc):
     return None
 
 
-class _Norm(int):
-    """An upper bound on a 1-norm, the sum of the absolute values of a
-    polynomial's coefficients: ||f +- g|| <= ||f|| + ||g||,
-    ||f g|| <= ||f|| ||g||, and an integer scalar counts by its absolute
-    value. Run through _pvi_numerator, it bounds every coefficient of R."""
-
-    def __add__(self, other):
-        return _Norm(int(self) + abs(int(other)))
-
-    def __mul__(self, other):
-        return _Norm(int(self) * abs(int(other)))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self
+# the x-polynomials x, xm1, t and t1 that _pvi_numerator takes
+_x = MultiPoly.var(X)
+_X_FACTORS = (_x, _x - 1, _x * (_x - 1), 2 * _x - 1)
 
 
 def _pvi_numerator(N, N1, N2, D, D1, D2, x, xm1, t, t1, L, A, B, G, E):
@@ -161,9 +149,10 @@ def _pvi_numerator(N, N1, N2, D, D1, D2, x, xm1, t, t1, L, A, B, G, E):
     second x-derivatives N1, N2, D1, D2, x, xm1 = x - 1, t = x (x-1),
     t1 = 2x - 1 and L, A = L alpha, B = L beta, G = L gamma, E = L delta.
 
-    Only + - * occur, so the same formula runs on MultiPoly, on Kronecker
-    images (ints) and on 1-norm bounds (_Norm). W' = N2 D - N D2: the
-    N1 D1 terms cancel, so no product is differentiated."""
+    Only + - * occur, so the same formula runs on MultiPoly and, through
+    algebra.prove_zero, on bounds and on Kronecker images (ints).
+    W' = N2 D - N D2: the N1 D1 terms cancel, so no product is
+    differentiated."""
     W = N1 * D - N * D1
     V = (N2 * D - N * D2) * D - 2 * W * D1
     M1 = N - D
@@ -202,25 +191,15 @@ def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
     the same ratio, and the parameters are scaled by L, the lcm of their
     denominators: L R then has integer coefficients (_pvi_numerator).
 
-    L R is computed as one integer, its Kronecker image at X = 2^bits
-    (MultiPoly.kronecker), with two proven bounds:
-    - degree: every term of R is a product of six factors from N, D and
-      their x-derivatives with a polynomial in x, so its degree in a
-      variable v other than x is at most 6 d_v, where d_v is the larger
-      degree of N and D in v. That x-polynomial has degree at most 3 in
-      the terms without derivatives, 4 in those with one (through W) and 5
-      in those with two (through V or W^2), so the degree in x is at most
-      6 d_x + 3; the box takes 6 d_v, and 6 d_x + 4 in x;
-    - coefficients: the same formula run on 1-norms (_Norm, with
-      ||x|| = 1, ||x - 1|| = ||x (x-1)|| = 2, ||2x - 1|| = 3) bounds
-      ||L R||, so with bits = bound.bit_length() + 2 every coefficient is
-      below 2^(bits - 2) in absolute value.
-    Inside those bounds the image is injective, so a zero image is a proof
-    that R = 0, not a sample; a nonzero one is read back exactly
-    (MultiPoly.from_kronecker). The image is used when its box is no larger
-    than the square of the input size, prod_v (d_v + 1) <= (terms of N +
-    terms of D)^2, so a sparse y of high degree never builds a dense box;
-    other inputs run the same formula on MultiPoly.
+    L R is computed by algebra.prove_zero, as one integer, its Kronecker
+    image at X = 2^bits. The prover runs _pvi_numerator once on degree and
+    1-norm bounds of its inputs to get the box and bits in which the image
+    is injective, so a zero image is a proof that R = 0, not a sample, and a
+    nonzero one is read back exactly. The image is used when the box of the
+    inputs is no larger than the square of the input size, prod_v (d_v + 1)
+    <= (terms of N + terms of D)^2 with d_v the larger degree of N and D in
+    v, so a sparse y of high degree never builds a dense box; other inputs
+    run the same formula on MultiPoly.
     """
     kind = _pvi_degenerate_kind(y)
     if kind is not None:
@@ -232,31 +211,18 @@ def pvi_residual(y: RatFunc, params: PVIParams) -> RatFunc:
     N, D = N * q.numerator, D * q.denominator
     scalars = (params.alpha, params.beta, params.gamma, params.delta)
     L = lcm(*(p.denominator for p in scalars))
-    A, B, G, E = (int(p * L) for p in scalars)
+    A, B, G, E = (p.numerator * (L // p.denominator) for p in scalars)
     N1, D1 = N.partial(X), D.partial(X)
-    N2, D2 = N1.partial(X), D1.partial(X)
-    inputs = (N, N1, N2, D, D1, D2)
-    names = tuple(sorted({X, *N.vars, *D.vars}))
-    d = [max(N.degree_in(v), D.degree_in(v)) for v in names]
-    x = MultiPoly.var(X)
-    if prod(dv + 1 for dv in d) <= (N.term_count() + D.term_count()) ** 2:
-        bound = _pvi_numerator(*(_Norm(p.norm1()) for p in inputs),
-                               _Norm(1), _Norm(2), _Norm(2), _Norm(3),
-                               L, A, B, G, E)
-        bits = bound.bit_length() + 2
-        degrees = [6 * dv + 4 * (v == X) for v, dv in zip(names, d)]
-        xi = x.kronecker(names, degrees, bits)
-        R = _pvi_numerator(*(p.kronecker(names, degrees, bits) for p in inputs),
-                           xi, xi - 1, xi * (xi - 1), 2 * xi - 1, L, A, B, G, E)
-        if not R:
-            return RatFunc.zero()
-        R = MultiPoly.from_kronecker(R, names, degrees, bits)
+    polys = (N, N1, N1.partial(X), D, D1, D1.partial(X), *_X_FACTORS)
+    size = prod(max(N.degree_in(v), D.degree_in(v)) + 1
+                for v in {X, *N.vars, *D.vars})
+    if size <= (N.term_count() + D.term_count()) ** 2:
+        R = prove_zero(_pvi_numerator, polys, (L, A, B, G, E))
     else:
-        R = _pvi_numerator(*inputs, x, x - 1, x * (x - 1), 2 * x - 1,
-                           L, A, B, G, E)
-        if R.is_zero():
-            return RatFunc.zero()
-    t = x * (x - 1)
+        R = _pvi_numerator(*polys, L, A, B, G, E)
+    if R.is_zero():
+        return RatFunc.zero()
+    x, _, t, _ = _X_FACTORS
     return RatFunc(R / L, 2 * D ** 3 * t * t * N * (N - D) * (N - x * D))
 
 

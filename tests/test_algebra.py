@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, binomials,
-                            pochhammer, parse_poly, parse_ratfunc, poly_gcd)
-from isolab.algebra.multipoly import ExponentOverflowError, _W
+                            pochhammer, parse_poly, parse_ratfunc, poly_gcd,
+                            prove_zero)
+from isolab.algebra.multipoly import ExponentOverflowError, _W, _box
 
 x = MultiPoly.var("x")
 y = MultiPoly.var("y")
@@ -152,6 +153,45 @@ class TestMultiPoly:
             (x / 2).kronecker(("x",), (2,), 8)        # not an integer poly
         with pytest.raises(ValueError):
             MultiPoly.from_kronecker(1 << 30, ("x",), (2,), 8)
+
+    def test_box_grows_with_a_degree_raising_factor(self):
+        # the box is the formula's own degree bound: one more factor
+        # x^3 y in the formula widens it by exactly (3, 1)
+        f, g = parse_poly("3*x^2*y - y + 5"), parse_poly("x - 2*y^3")
+        names, base, bits = _box(lambda f, g, k: f * g - k, (f, g), (7,))
+        # ||f g - 7|| <= 9 * 3 + 7
+        assert (names, base, bits) == (("x", "y"), [3, 4], (34).bit_length() + 2)
+        raised = _box(lambda f, g, m, k: (f * g - k) * m,
+                      (f, g, x ** 3 * y), (7,))
+        assert raised == (names, [6, 5], bits)
+        # an input the formula does not use still fits the box
+        assert _box(lambda f, g: f * f, (f, y ** 9), ())[1] == [4, 9]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 10000)] * 3),
+                           st.integers(-9, 9), min_size=1, max_size=6))
+    def test_box_of_one_input_is_its_degrees(self, terms):
+        p = MultiPoly(("x", "y", "z"), terms)
+        names, degrees, bits = _box(lambda p: p, (p,), ())
+        assert names == p.vars
+        assert degrees == [p.degree_in(v) for v in names]
+        assert bits == int(p.norm1()).bit_length() + 2
+
+    def test_box_past_the_exponent_limit_is_refused(self):
+        with pytest.raises(ExponentOverflowError):
+            _box(lambda p: p * p, (x ** (1 << (_W - 2)) * y,), ())
+
+    def test_prove_zero(self):
+        f, g = parse_poly("3*x^2*y - y + 5"), parse_poly("x - 2*y^3")
+
+        def identity(f, g, k):
+            return (f + k * g) * (f - k * g) - (f * f - k * k * g * g)
+
+        def square(f, g, k):
+            return (f - k * g) * (f - k * g)
+        assert prove_zero(identity, (f, g), (4,)) is MultiPoly.zero()
+        assert prove_zero(square, (f, g), (4,)) == square(f, g, 4)
+        assert prove_zero(square, (-f, g), (-10 ** 30,)) == square(-f, g, -10 ** 30)
 
     def test_evaluate(self):
         p = x ** 2 * y - 2

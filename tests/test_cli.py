@@ -276,6 +276,20 @@ class TestVerifyInputValidation:
                        "'1,1,3'\n")
         assert peak < 20e6, peak
 
+    @pytest.mark.parametrize("name", ["q", ""])
+    def test_pvi_parameter_names_no_variable(self, capsys, tmp_path, name):
+        # a parameter absent from y would make every member check recompute
+        # the symbolic residual and pass
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "8", "--a", "5",
+                            "--b", "1", "--c", "3")
+        doc = json.loads(out)
+        assert doc["parameter"] == "c"
+        code, out, err = self.verify_doc(capsys, tmp_path,
+                                         {**doc, "parameter": name})
+        assert code == 2 and out == ""
+        assert err == (f"error: pvi-family document's 'parameter' {name!r} "
+                       "names no variable of y\n")
+
     def test_top_level_not_an_object(self, capsys, tmp_path):
         code, _, err = self.verify_doc(capsys, tmp_path, ["garnier-algebraic"])
         assert code == 2 and "JSON object" in err

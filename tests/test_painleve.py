@@ -5,8 +5,10 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from isolab.algebra import FactoredFrac, MultiPoly, RatFunc, binom, parse_ratfunc
-from isolab.painleve import _Norm, _binomial_sum, _pvi_numerator
+from isolab.algebra import (FactoredFrac, MultiPoly, RatFunc, binom,
+                            parse_ratfunc, prove_zero)
+from isolab.algebra.multipoly import _Bound, _box
+from isolab.painleve import _binomial_sum, _pvi_numerator
 from isolab.painleve import (PVIParams, ThetaTuple, admissible_thm8_triples,
                              coefficient_list, conjugate_momentum,
                              degenerate_parameter_check,
@@ -432,7 +434,7 @@ class TestKroneckerImage:
     @given(small_polys_in(("c", "x")), small_polys_in(("c", "x")),
            st.lists(RATIONALS, min_size=4, max_size=4), st.integers(1, 10 ** 6))
     def test_norm_bound_covers_every_coefficient(self, N, D, ps, scale):
-        # L R on integer N and D, and the same formula on 1-norms
+        # L R on integer N and D, and the same formula on 1-norm bounds
         N, D = N * scale, D + 7 * scale * x
         assume(not N.is_zero() and not D.is_zero())
         L = lcm(*(p.denominator for p in ps))
@@ -441,11 +443,31 @@ class TestKroneckerImage:
                  D, D.partial("x"), D.partial("x").partial("x")]
         R = _pvi_numerator(*polys, x, x - 1, x * (x - 1), 2 * x - 1,
                            L, A, B, G, E)
-        bound = _pvi_numerator(*(_Norm(p.norm1()) for p in polys),
-                               _Norm(1), _Norm(2), _Norm(2), _Norm(3),
-                               L, A, B, G, E)
-        assert type(bound) is _Norm
-        assert max((abs(c) for _, c in R.terms()), default=0) <= R.norm1() <= bound
+        bound = _pvi_numerator(*map(_Bound.of, polys), _Bound.of(x),
+                               _Bound.of(x - 1), _Bound.of(x * (x - 1)),
+                               _Bound.of(2 * x - 1), L, A, B, G, E)
+        assert type(bound) is _Bound
+        assert max((abs(c) for _, c in R.terms()), default=0) <= R.norm1() \
+            <= bound.norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys_in(("c", "x")), small_polys_in(("c", "x")),
+           st.lists(RATIONALS, min_size=4, max_size=4))
+    def test_box_holds_every_degree(self, N, D, ps):
+        # the box that prove_zero computes from _pvi_numerator holds L R in
+        # every variable, and the image read back is L R itself
+        assume(not N.is_zero() and not D.is_zero())
+        L = lcm(*(p.denominator for p in ps))
+        scalars = (L, *(int(p * L) for p in ps))
+        polys = (N, N.partial("x"), N.partial("x").partial("x"),
+                 D, D.partial("x"), D.partial("x").partial("x"),
+                 x, x - 1, x * (x - 1), 2 * x - 1)
+        R = _pvi_numerator(*polys, *scalars)
+        names, degrees, _ = _box(_pvi_numerator, polys, scalars)
+        assert set(R.vars) <= set(names)
+        for v, d in zip(names, degrees):
+            assert R.degree_in(v) <= d, (v, d)
+        assert prove_zero(_pvi_numerator, polys, scalars) == R
 
     def test_huge_contents(self):
         big = F(10 ** 40, 7)
