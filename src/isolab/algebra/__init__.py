@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 from .scalars import Rational, binom, binomials, pochhammer, to_rational
-from .multipoly import MultiPoly, parse_poly, poly_gcd, prove_zero
+from .multipoly import (MultiPoly, grade, parse_poly, poly_gcd, prove_zero,
+                        truncated_product)
 from .ratfunc import RatFunc, parse_fraction, parse_ratfunc
 from .factored import FactoredFrac
 
 __all__ = [
     "Fraction", "Rational", "binom", "binomials", "pochhammer",
     "to_rational",
-    "MultiPoly", "parse_poly", "poly_gcd", "prove_zero", "RatFunc", "parse_fraction",
+    "MultiPoly", "grade", "parse_poly", "poly_gcd", "prove_zero",
+    "truncated_product", "RatFunc", "parse_fraction",
     "parse_ratfunc",
     "FactoredFrac",
 ]

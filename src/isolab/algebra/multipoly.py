@@ -62,6 +62,10 @@ those two bounds: it runs the `+ - *` formula once on `_Bound` values (a
 1-norm and a degree per variable; abstract interpretation, Cousot & Cousot,
 POPL 1977), so the box and the digit width come from the formula itself and
 grow with it (painleve.pvi_residual is the one user).
+
+Truncated products: each printed closed form is one coefficient of a
+product of polynomials in t given as coefficient lists; `grade` gives one
+coefficient, `truncated_product` grades 0..r, for every family builder.
 """
 
 from __future__ import annotations
@@ -898,6 +902,45 @@ def prove_zero(formula, polys, scalars=()) -> MultiPoly:
     if not value:
         return _ZERO
     return MultiPoly.from_kronecker(value, names, degrees, bits)
+
+
+# ---------------- truncated products of polynomials in t ----------------
+
+def grade(acc, row, r: int) -> MultiPoly:
+    """The t^r coefficient of acc * row, polynomials in t as coefficient
+    lists of any length (row's may be exact scalars): the products
+    acc[i] row[r - i], zero ones skipped, summed in one integer dict over
+    the lcm of their content denominators. Terms enter in increasing i, and
+    one that cancels leaves and re-enters at the end, as in a chain of `+`:
+    evaluate sums in dict order, so float results stay those of that chain."""
+    lo = max(0, r - len(row) + 1)
+    prods = [a * b for a, b in zip(acc[lo:r + 1], row[r - lo::-1]) if a and b]
+    if len(prods) < 2:
+        return prods[0] if prods else _ZERO
+    den = reduce(_ilcm, (p._content.denominator for p in prods), 1)
+    out = {}
+    get = out.get
+    for p in prods:
+        m = p._content.numerator * (den // p._content.denominator)
+        for e, v in p._terms.items():
+            w = get(e, 0) + m * v
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+    if not out:
+        return _ZERO
+    return _renormalized(out, _ONE if den == 1 else Fraction(1, den),
+                         max(p._deg for p in prods))
+
+
+def truncated_product(rows, r: int) -> list:
+    """Grades 0..r of the product of `rows`, polynomials in t as lists of
+    MultiPoly coefficients; the empty product is [1, 0, ..., 0]."""
+    acc = [_UNIT] + [_ZERO] * r
+    for row in rows:
+        acc = [grade(acc, row, k) for k in range(r + 1)]
+    return acc
 
 
 _SIGNS = re.compile(r"([+-][\s+-]*)")

@@ -209,15 +209,17 @@ def _verify_pvi_doc(doc) -> list:
         samples = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)]
 
         def one(cv):
+            name = f"pvi-residual-{cname}={cv}"
             try:
                 yc = y.substitute(cname, cv)
-            except ZeroDivisionError:
-                return (f"pvi-residual-{cname}={cv}", True, "degenerate member")
-            if painleve._pvi_degenerate_kind(yc) is not None:
-                return (f"pvi-residual-{cname}={cv}", True, "degenerate member")
+                kind = painleve._pvi_degenerate_kind(yc)
+            except ZeroDivisionError:  # y is reduced: this member is y = inf
+                kind = "inf"
+            if kind is not None:
+                return (name, painleve.degenerate_parameter_check(kind, params),
+                        f"degenerate member y = {kind}")
             r = painleve.pvi_residual(yc, params)
-            return (f"pvi-residual-{cname}={cv}", r.is_zero(),
-                    "0" if r.is_zero() else "nonzero")
+            return (name, r.is_zero(), "0" if r.is_zero() else "nonzero")
         checks.extend(sorted(map(one, samples)))
     checks.append(("theta-sum-zero", theta.triangular_sum() == 0,
                    str(theta.triangular_sum())))

@@ -20,7 +20,8 @@ from math import gcd, isfinite
 
 import numpy as np
 
-from .algebra import FactoredFrac, MultiPoly, RatFunc, poly_gcd, to_rational
+from .algebra import (FactoredFrac, MultiPoly, RatFunc, poly_gcd, to_rational,
+                      truncated_product)
 from .schlesinger import (HypothesisError, build_rational_solution,
                           default_variables, _check, _poly_class_entries)
 
@@ -136,15 +137,8 @@ def pm_polynomial(b, poles) -> list:
         if ni.is_zero():
             continue
         # prod_{j != i} (z - a_j), expanded in z
-        prod = [MultiPoly.const(1)]
-        for j, aj in enumerate(poles):
-            if j == i:
-                continue
-            new = [MultiPoly.zero()] * (len(prod) + 1)
-            for k, ck in enumerate(prod):
-                new[k + 1] = new[k + 1] + ck
-                new[k] = new[k] - ck * aj
-            prod = new
+        prod = truncated_product([[-aj, MultiPoly.const(1)] for j, aj
+                                  in enumerate(poles) if j != i], npoles - 1)
         for k in range(npoles - 1):
             coeffs[k] = coeffs[k] + ni * prod[k]
     return [RatFunc(c, L) for c in coeffs]

@@ -2,7 +2,8 @@
 
 Solution families come from polynomial/rational solutions of the
 hypergeometric equations attached to the traceless 2x2 triangular Schlesinger
-system with three poles (0, 1, x). The verifiers substitute candidate
+system with three poles (0, 1, x); each printed sum is one grade of two
+binomial rows (algebra.grade). The verifiers substitute candidate
 solutions into PVI, the first-order Hamiltonian system, the linear 2x2
 system, and the hypergeometric ODEs with exact rational-function arithmetic;
 a residual is identically zero iff the candidate solves the equation.
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 
-from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, prove_zero,
-                      to_rational)
+from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, grade,
+                      prove_zero, to_rational)
 
 X = "x"
 C = "c"
@@ -288,18 +289,11 @@ def hamiltonian_system_residual(y: RatFunc, p: RatFunc, theta: ThetaTuple):
 
 def _binomial_sum(alpha, beta, top: int, shifted: bool = False) -> MultiPoly:
     """sum_{j=0}^{top} binom(alpha, j) binom(beta, top - j) t^j with t = x,
-    or t = 1 - x when shifted: the shape of every printed sum below.
-
-    The coefficients come from two binomial rows and the polynomial from
-    one construction; a (1 - x)-sum is first re-expanded in powers of x."""
-    coeffs = [u * v for u, v in zip(binomials(alpha, top),
-                                    reversed(binomials(beta, top)))]
-    if shifted:
-        # sum_j c_j (1 - x)^j = sum_i (-x)^i sum_{j >= i} comb(j, i) c_j
-        coeffs = [(-1) ** i * sum(comb(j, i) * coeffs[j]
-                                  for j in range(i, top + 1))
-                  for i in range(top + 1)]
-    return MultiPoly((X,), {(j,): c for j, c in enumerate(coeffs)})
+    or t = 1 - x when shifted: the shape of every printed sum below, as
+    grade top of the rows [binom(alpha, j) t^j] and [binom(beta, j)]."""
+    t = 1 - _x if shifted else _x
+    return grade([t ** j * b for j, b in enumerate(binomials(alpha, top))],
+                 binomials(beta, top), top)
 
 
 def _b3_from_b1(b1: RatFunc, b, c) -> RatFunc:

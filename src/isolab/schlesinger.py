@@ -3,7 +3,9 @@
 The builders implement the closed-form residue expressions for the two
 solution families (polynomial entries for n > 0 with gcd(m, N) > 1, rational
 entries for n < 0), exactly as printed, scaled by caller constants per
-off-diagonal class l - k. The residual checker verifies the full PDE system
+off-diagonal class l - k; the entries of a class are grades of one shared
+product of binomial rows in t (algebra.truncated_product) times each pole's
+geometric row (algebra.grade). The residual checker verifies the full PDE system
 
     dB_i/da_j = [B_i, B_j]/(a_i - a_j)   (j != i),
     dB_i/da_i = -sum_{j != i} [B_i, B_j]/(a_i - a_j),
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
-from .algebra import MultiPoly, RatFunc, FactoredFrac, binomials, to_rational
+from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, grade,
+                       to_rational, truncated_product)
 
 
 class HypothesisError(ValueError):
@@ -278,6 +280,28 @@ def _check(cond: bool, message: str):
         raise HypothesisError(message)
 
 
+def _class_entries(p: int, N: int, constants, class_values):
+    """(entries, constants as a list) of a family whose b_i^{kl} depends
+    only on i and the class L = l - k: class_values(L) is the N unscaled
+    entries of class L, or None for a zero class; the caller's constants
+    (all 1 by default) scale each class, and equal-class entries are one
+    object."""
+    constants = list(constants or [Fraction(1)] * (p - 1))
+    _check(len(constants) == p - 1, "need one constant per off-diagonal class")
+    entries = {}
+    for L in range(1, p):
+        vals = class_values(L)
+        if vals is None:
+            vals = [FactoredFrac.zero() for _ in range(N)]
+        else:
+            const = to_rational(constants[L - 1])
+            vals = [v * const for v in vals]
+        for k in range(1, p - L + 1):
+            for i in range(1, N + 1):
+                entries[(i, k, k + L)] = vals[i - 1]
+    return entries, constants
+
+
 def build_polynomial_solution(p: int, N: int, m: int, n: int,
                               constants=None, variables=None) -> TriangularSolution:
     """Polynomial triangular family for n > 0 (residues at infinity points).
@@ -295,27 +319,13 @@ def build_polynomial_solution(p: int, N: int, m: int, n: int,
     _check(any((s * j) % m == 0 and j % m != 0 for j in range(1, p)),
            "hypothesis fails: no class j <= p-1 with sj/m integer and j/m not")
     variables = tuple(variables or default_variables(N))
-    constants = list(constants or [Fraction(1)] * (p - 1))
-    _check(len(constants) == p - 1, "need one constant per off-diagonal class")
-    grid = ExponentGrid.traceless(p, N, m, n)
-    N1 = N // s
-    frame = IdentityFrame(variables)
     points = [MultiPoly.var(v) for v in variables]
-    entries = {}
-    for L in range(1, p):
-        if (s * L) % m == 0 and L % m != 0:
-            d = L * n * s // m
-            const = to_rational(constants[L - 1])
-            vals = [FactoredFrac.from_poly(q * const) for q in
-                    _poly_class_entries(points, N1 * d, Fraction(L * n, m))]
-        else:
-            vals = [FactoredFrac.zero() for _ in range(N)]
-        for k in range(1, p):
-            l = k + L
-            if l <= p:
-                for i in range(1, N + 1):
-                    entries[(i, k, l)] = vals[i - 1]
-    return TriangularSolution(grid, entries, frame,
+    entries, constants = _class_entries(
+        p, N, constants, lambda L: None if (s * L) % m or L % m == 0 else
+        [FactoredFrac.from_poly(q) for q in _poly_class_entries(
+            points, N // s * (L * n * s // m), Fraction(L * n, m))])
+    return TriangularSolution(ExponentGrid.traceless(p, N, m, n), entries,
+                              IdentityFrame(variables),
                               {"theorem": "polynomial-family", "p": p, "N": N,
                                "m": m, "n": n, "constants": constants})
 
@@ -327,28 +337,14 @@ def _poly_class_entries(points, r, exponent) -> list:
             a_1^{k_1}...a_N^{k_N} a_i^q,
 
     the t^r coefficient of prod_h (1 + a_h t)^exponent / (1 + a_i t). The
-    N-fold product is convolved once, truncated at grade r, from one
-    binomial row; each entry then takes sum_q (-a_i)^q of its grade r - q.
-    The points are polynomials: variables, or constants such as the poles
-    0 and 1 of the Garnier b-vector."""
+    N-fold product is formed once, truncated at grade r, from one binomial
+    row; each entry is then grade r of it times the geometric row
+    sum_q (-a_i)^q t^q. The points are polynomials: variables, or constants
+    such as the poles 0 and 1 of the Garnier b-vector."""
     row = binomials(exponent, r)
-    acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * r
-    for a in points:
-        acc = _convolve(acc, [a ** k * b for k, b in enumerate(row)], r)
-    return [sum((g * (-a) ** (r - k) for k, g in enumerate(acc)),
-                MultiPoly.zero()) for a in points]
-
-
-def _convolve(a, b, r):
-    out = [MultiPoly.zero()] * (r + 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(0, r + 1 - i):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+    acc = truncated_product([[a ** k * b for k, b in enumerate(row)]
+                             for a in points], r)
+    return [grade(acc, [(-a) ** q for q in range(r + 1)], r) for a in points]
 
 
 def build_rational_solution(p: int, N: int, m: int, n: int,
@@ -368,70 +364,36 @@ def build_rational_solution(p: int, N: int, m: int, n: int,
            f"hypothesis fails: no class j <= p-1 divisible by m = {m}")
     variables = tuple(variables or default_variables(N))
     _check(1 <= nu <= N, "pole choice nu out of range")
-    constants = list(constants or [Fraction(1)] * (p - 1))
-    _check(len(constants) == p - 1, "need one constant per off-diagonal class")
-    grid = ExponentGrid.traceless(p, N, m, n)
     frame = ShiftedFrame(variables, nu)
-    entries = {}
-    for L in range(1, p):
-        if L % m == 0:
-            d = L * (-n) // m
-            vals = [_rational_class_entry(frame, i, d, N, nu)
-                    * to_rational(constants[L - 1])
-                    for i in range(1, N + 1)]
-        else:
-            vals = [FactoredFrac.zero() for _ in range(N)]
-        for k in range(1, p):
-            l = k + L
-            if l <= p:
-                for i in range(1, N + 1):
-                    entries[(i, k, l)] = vals[i - 1]
-    return TriangularSolution(grid, entries, frame,
+    entries, constants = _class_entries(
+        p, N, constants, lambda L: None if L % m else
+        _rational_class_entries(frame, L * (-n) // m, N, nu))
+    return TriangularSolution(ExponentGrid.traceless(p, N, m, n), entries,
+                              frame,
                               {"theorem": "rational-family", "p": p, "N": N,
                                "m": m, "n": n, "nu": nu, "constants": constants})
 
 
-def _rational_class_entry(frame: ShiftedFrame, i, d, N, nu) -> FactoredFrac:
-    """The printed residue sums at (a_nu, 0), as a single factored fraction
-    whose numerator is one construction from {exponent tuple: coefficient}."""
+def _rational_class_entries(frame: ShiftedFrame, d, N, nu) -> list:
+    """The N printed residue sums of one class at (a_nu, 0), as factored
+    fractions over powers of the D_h (h != nu). With R_h = sum_k binom(-d, k)
+    D_h^{d-k} t^k, entry nu is grade d of prod_{h != nu} R_h over
+    prod D_h^{2d}; entry i != nu is grade d - 1 of the shared product of the
+    R_h / D_h times sum_q (-1)^q D_i^{d-1-q} t^q, over prod D_h^{2d-1} D_i^d."""
     others = [h for h in range(1, N + 1) if h != nu]
-    names = [frame.dvars[h] for h in others]
-    row = [int(b) for b in binomials(-d, d)]  # (-1)^k comb(d + k - 1, k)
-    terms = {}
-    if i == nu:
-        # sum over k_h >= 0, sum = d, of prod binom(-d, k_h) D_h^{-(k_h + d)}
-        den = {frame.dvar(h): 2 * d for h in others}
-        for comp in _compositions(d, len(others)):
-            terms[tuple(d - kh for kh in comp)] = prod(row[kh] for kh in comp)
-        return FactoredFrac(MultiPoly(names, terms), den)
-    # i != nu: geometric index k_nu plus binomial indices k_h (h != nu),
-    # total d - 1; the product over h != nu includes h = i, and the geometric
-    # factor contributes d - (k_nu + 1) more powers of D_i, so compositions
-    # that differ only in how k_nu + k_i splits share a monomial.
-    den = {frame.dvar(h): (d - 1) + d for h in others}
-    den[frame.dvar(i)] = den[frame.dvar(i)] + d
-    at_i = others.index(i)
-    for knu, *comp in _compositions(d - 1, len(others) + 1):
-        c = (-1) ** knu * prod(row[kh] for kh in comp)
-        exps = [(d - 1) - kh for kh in comp]
-        exps[at_i] += d - 1 - knu
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + c
-    return FactoredFrac(MultiPoly(names, terms), den)
-
-
-def _compositions(total, slots):
-    """Tuples of `slots` nonnegative integers that sum to `total`."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    row = binomials(-d, d)  # (-1)^k comb(d + k - 1, k)
+    D = {h: frame.dvar(h) for h in others}
+    R = [[D[h] ** (d - k) * b for k, b in enumerate(row)] for h in others]
+    entry_nu = FactoredFrac(grade(truncated_product(R[1:], d), R[0], d),
+                            {D[h]: 2 * d for h in others})
+    shared = truncated_product([[D[h] ** (d - 1 - k) * b
+                                 for k, b in enumerate(row[:d])]
+                                for h in others], d - 1)
+    return [entry_nu if i == nu else
+            FactoredFrac(grade(shared, [D[i] ** (d - 1 - q) * (-1) ** q
+                                        for q in range(d)], d - 1),
+                         {D[h]: 2 * d - 1 + d * (h == i) for h in others})
+            for i in range(1, N + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, binomials,
-                            pochhammer, parse_poly, parse_ratfunc, poly_gcd,
-                            prove_zero)
+                            grade, pochhammer, parse_poly, parse_ratfunc,
+                            poly_gcd, prove_zero, truncated_product)
 from isolab.algebra.multipoly import ExponentOverflowError, _W, _box
 
 x = MultiPoly.var("x")
@@ -244,6 +244,61 @@ def small_polys(draw, names=("x", "y")):
         exps = {n: draw(st.integers(0, 3)) for n in names}
         p = p + MultiPoly.monomial(coeff, exps)
     return p
+
+
+def in_t(row):
+    """The polynomial sum_k row[k] t^k."""
+    t = MultiPoly.var("t")
+    return sum((c * t ** k for k, c in enumerate(row)), MultiPoly.zero())
+
+
+def t_coefficient(p, k):
+    return p.as_univariate("t").get(k, MultiPoly.zero())
+
+
+# rows of zero to five coefficients, zeros among them
+t_rows = st.lists(st.one_of(st.just(MultiPoly.zero()), small_polys()),
+                  max_size=5)
+
+
+class TestTruncatedProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(t_rows, max_size=3), st.integers(0, 5))
+    def test_grades_of_the_expanded_product(self, rows, r):
+        got = truncated_product(rows, r)
+        assert len(got) == r + 1
+        whole = MultiPoly.const(1)
+        for row in rows:
+            whole = whole * in_t(row)
+        assert got == [t_coefficient(whole, k) for k in range(r + 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_rows, t_rows, st.integers(0, 8))
+    def test_grade_is_one_coefficient(self, acc, row, r):
+        assert grade(acc, row, r) == t_coefficient(in_t(acc) * in_t(row), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_rows, t_rows, st.integers(0, 8))
+    def test_grade_keeps_the_term_order_of_a_chain_of_additions(self, acc, row, r):
+        # evaluate sums in dict order, so float results depend on this order
+        chain = MultiPoly.zero()
+        for i in range(r + 1):
+            if i < len(acc) and r - i < len(row):
+                chain = chain + acc[i] * row[r - i]
+        got = grade(acc, row, r)
+        assert list(got._terms.items()) == list(chain._terms.items())
+        assert got._content == chain._content
+
+    def test_empty_product_and_scalar_row(self):
+        assert truncated_product([], 2) == [MultiPoly.const(1), MultiPoly.zero(),
+                                            MultiPoly.zero()]
+        assert truncated_product([[x, y]], 0) == [x]
+        assert grade([x, y], [F(1, 2), 0, 3], 2) == 3 * x
+        assert grade([], [x], 0) == MultiPoly.zero()
+        # x cancels, then re-enters after y, as in the chain (x + y) - x + x
+        got = grade([x + y, -x, x], [1, 1, 1], 2)
+        assert list(got._terms) == list(((x + y) - x + x)._terms)
+        assert list(got._terms) == list((y + x)._terms)
 
 
 # ---------------------------------------------------------------------------

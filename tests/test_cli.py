@@ -162,6 +162,31 @@ class TestVerify:
             "480*c^2*x^25 + 50*c*x^26 + 29554/25*c^4*x^22 + "
             "4414/5*c^3*x^23 - 801*c^2*x")
 
+    @pytest.mark.parametrize("y, params, name, kind, passed", [
+        # theorem 8 (5,1,3) has delta != 1/2 and alpha != 0
+        ("c*x^2 + x", None, "c=0", "x", False),
+        ("c*x^2 + x", ["1", "1", "1", "1/2"], "c=0", "x", True),
+        ("(x)/(c - 2)", None, "c=2", "inf", False),
+        ("(x)/(c - 2)", ["0", "1", "1", "1"], "c=2", "inf", True),
+        ("c*x^2 - c*x + 1", ["1", "1", "0", "1"], "c=0", "1", True)])
+    def test_degenerate_member_is_checked(self, capsys, tmp_path, y, params,
+                                          name, kind, passed):
+        # a member y in {0, 1, x, inf} at a sampled parameter value is held
+        # to its degenerate parameter condition, not passed unchecked
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "8", "--a", "5",
+                            "--b", "1", "--c", "3")
+        doc = {**json.loads(out), "y": y}
+        if params is not None:
+            doc["params"] = params
+        path = tmp_path / "pvi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        member = {c["name"]: c for c in json.loads(out)["checks"]}[
+            f"pvi-residual-{name}"]
+        assert member["detail"] == f"degenerate member y = {kind}"
+        assert member["pass"] is passed
+        assert code == 1 and "Traceback" not in err
+
     def test_garnier_pm_checked_against_b(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "2",
                             "--n", "-1", "--c", "2,-1")
@@ -379,6 +404,21 @@ def _retype_sources():
 RETYPE_SOURCES = _retype_sources()
 
 
+def _nested_paths(doc):
+    """Paths to the first item of each list or object value of doc, and to
+    the first item of that item when it is a list or object too."""
+    for key in sorted(doc):
+        path, value = (key,), doc[key]
+        while len(path) < 3 and isinstance(value, (list, dict)) and value:
+            first = sorted(value)[0] if isinstance(value, dict) else 0
+            path, value = path + (first,), value[first]
+            yield path
+
+
+NESTED_PATHS = [(label, path) for label, doc in RETYPE_SOURCES.items()
+                for path in _nested_paths(doc)]
+
+
 class TestVerifyInputRetyped:
     @pytest.mark.parametrize("value", [5, None, [1], {"a": 1}, 1.5, True],
                              ids=repr)
@@ -401,6 +441,28 @@ class TestVerifyInputRetyped:
             assert code == 2 and "provenance" in err
         if key == "parameter" and label == "pvi" and value is not None:
             assert code == 2 and "parameter" in err
+
+    @pytest.mark.parametrize("value", [5, None, [1], {"a": 1}, 1.5, True],
+                             ids=repr)
+    @pytest.mark.parametrize("label, path", NESTED_PATHS, ids=[
+        "-".join(map(str, (label,) + path)) for label, path in NESTED_PATHS])
+    def test_retyped_nested_value(self, capsys, tmp_path, label, path, value):
+        # the same for an entry text, an exponents row or item, a theta,
+        # params, b or betas item and a provenance field; every retyped
+        # value that verify reads is a usage error (provenance is not read)
+        doc = json.loads(json.dumps(RETYPE_SOURCES[label]))
+        inner = doc
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        path_ = tmp_path / "doc.json"
+        path_.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path_))
+        assert code == (0 if path[0] == "provenance" else 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1
 
 
 def _fuzz_sources():

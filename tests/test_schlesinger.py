@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction as F
-from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from isolab.algebra import MultiPoly, RatFunc, FactoredFrac, parse_ratfunc
+from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binomials,
+                            parse_ratfunc)
 from isolab.curves import SuperellipticCurve, residue_series_oracle
 from isolab.schlesinger import (ExponentGrid, HypothesisError, IdentityFrame,
                                 ShiftedFrame, TriangularSolution,
                                 build_polynomial_solution, build_rational_solution,
                                 commutator_entry, cross_terms, residual_is_zero,
                                 schlesinger_residual, sum_constraint, tau_exponents,
-                                _compositions)
+                                default_variables, _rational_class_entries)
 
 x = MultiPoly.var("x")
 
@@ -126,12 +126,58 @@ class TestRationalFamily:
         with pytest.raises(ValueError, match="hypothesis N >= 2 fails"):
             build_rational_solution(2, N, 1, -1)
 
-    def test_compositions_total(self):
-        for total in range(4):
-            for slots in range(4):
-                want = [c for c in product(range(total + 1), repeat=slots)
-                        if sum(c) == total]
-                assert list(_compositions(total, slots)) == want
+    def test_class_entries_match_reference(self):
+        # the product-of-rows builder against the composition transcription
+        # of the printed sums, at every pole choice nu and every entry i
+        for N in range(2, 8):
+            for d in range(1, 10):
+                for nu in range(1, N + 1):
+                    frame = ShiftedFrame(default_variables(N), nu)
+                    got = _rational_class_entries(frame, d, N, nu)
+                    assert len(got) == N
+                    for i in range(1, N + 1):
+                        want = reference_rational_class_entry(frame, i, d, N, nu)
+                        assert got[i - 1].num == want.num, (N, d, nu, i)
+                        assert got[i - 1].den == want.den, (N, d, nu, i)
+
+
+def _compositions(total, slots):
+    """Tuples of `slots` nonnegative integers that sum to `total`."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def reference_rational_class_entry(frame, i, d, N, nu) -> FactoredFrac:
+    """The printed residue sums at (a_nu, 0) term by term, summed over
+    compositions of the binomial indices: a transcription independent of
+    the product-of-rows builder."""
+    others = [h for h in range(1, N + 1) if h != nu]
+    names = [frame.dvars[h] for h in others]
+    row = [int(b) for b in binomials(-d, d)]
+    terms = {}
+    if i == nu:
+        den = {frame.dvar(h): 2 * d for h in others}
+        for comp in _compositions(d, len(others)):
+            terms[tuple(d - kh for kh in comp)] = prod(row[kh] for kh in comp)
+        return FactoredFrac(MultiPoly(names, terms), den)
+    den = {frame.dvar(h): (d - 1) + d for h in others}
+    den[frame.dvar(i)] = den[frame.dvar(i)] + d
+    at_i = others.index(i)
+    for knu, *comp in _compositions(d - 1, len(others) + 1):
+        c = (-1) ** knu * prod(row[kh] for kh in comp)
+        exps = [(d - 1) - kh for kh in comp]
+        exps[at_i] += d - 1 - knu
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + c
+    return FactoredFrac(MultiPoly(names, terms), den)
 
 
 class TestResiduals:
