@@ -113,18 +113,12 @@ def _generate_doc(args) -> dict:
             raise ParameterError("--theorem 8 needs --a, --b, --c (integers)")
         return _pvi_family_doc(painleve.thm8_family(
             int(args.a), int(args.b), int(args.c)))
-    if t == 3:
+    if t in (3, 4):
         if None in (args.p, args.N, args.m, args.n):
-            raise ParameterError("--theorem 3 needs --p, --N, --m, --n")
-        sol = schlesinger.build_polynomial_solution(
-            int(args.p), int(args.N), int(args.m), int(args.n))
-        return sol.to_json_dict()
-    if t == 4:
-        if None in (args.p, args.N, args.m, args.n):
-            raise ParameterError("--theorem 4 needs --p, --N, --m, --n")
-        sol = schlesinger.build_rational_solution(
-            int(args.p), int(args.N), int(args.m), int(args.n),
-            nu=int(args.nu or 1))
+            raise ParameterError(f"--theorem {t} needs --p, --N, --m, --n")
+        pNmn = int(args.p), int(args.N), int(args.m), int(args.n)
+        sol = (schlesinger.build_polynomial_solution(*pNmn) if t == 3 else
+               schlesinger.build_rational_solution(*pNmn, nu=int(args.nu or 1)))
         return sol.to_json_dict()
     if t == 10:
         if None in (args.deform, args.m, args.n):
@@ -251,21 +245,26 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     betas = [Fraction(s) for s in doc["betas"]]
     sol = garnier.GarnierAlgebraicSolution(
         M=M, b=b, betas=betas, beta_inf=Fraction(doc["beta_inf"]))
-    checks = []
     s = sol.sum_b()
-    checks.append(("sum-b-zero", s.is_zero(), "0" if s.is_zero() else s.to_text()))
-    pm = sol.pm_coefficients()
-    checks.append(("pm-degree", len(pm) == M + 1, f"{len(pm) - 1}"))
+    built = s.is_zero()  # P_M exists only when the b_i sum to zero
+    unbuilt = "P_M not built: sum of b_i is nonzero"
+    pm = sol.pm_coefficients() if built else None
+    checks = [("sum-b-zero", built, "0" if built else s.to_text()),
+              ("pm-degree", built and len(pm) == M + 1,
+               f"{len(pm) - 1}" if built else unbuilt)]
     if "pm_coefficients" in doc:
         texts = doc["pm_coefficients"]
         if not (isinstance(texts, list) and len(texts) == M + 1
                 and all(isinstance(t, str) for t in texts)):
             raise ParameterError("garnier-algebraic document needs M + 1 "
                                  "strings in pm_coefficients")
-        bad = [f"z^{k}" for k, (t, c) in enumerate(zip(texts, pm))
-               if parse_ratfunc(t) != c]
-        checks.append(("pm-matches-b", not bad,
-                       "all equal" if not bad else f"differs at {', '.join(bad)}"))
+        if not built:
+            checks.append(("pm-matches-b", False, unbuilt))
+        else:
+            bad = [f"z^{k}" for k, (t, c) in enumerate(zip(texts, pm))
+                   if parse_ratfunc(t) != c]
+            checks.append(("pm-matches-b", not bad, "all equal" if not bad
+                           else f"differs at {', '.join(bad)}"))
     if args and args.numeric:
         if not args.a:
             raise ParameterError("--numeric needs --a a1,a2")
@@ -276,9 +275,9 @@ def _verify_garnier_doc(doc, args, tol) -> list:
                     [tuple(s) for s in _all_eps(M + 2)])
 
         def one(eps):
-            r = float(garnier.garnier_residual_m2(sol, apt, eps))
+            r = float(garnier.garnier_residual_m2(sol, apt, eps)) if built else 0
             return (f"garnier-m2-eps{''.join('+' if e > 0 else '-' for e in eps)}",
-                    bool(r < tol), f"{r:.3e}")
+                    built and bool(r < tol), f"{r:.3e}" if built else unbuilt)
         checks.extend(sorted(map(one, eps_list)))
     return checks
 
@@ -475,14 +474,11 @@ def _golden_example_8():
                 3 * a2 ** 2 - 2 * a1 * a2 - a1 ** 2 + 2 * a1 - 2 * a2 - 1,
                 -a1 ** 2 + 2 * a1 * a2 - a2 ** 2 + 2 * a1 + 2 * a2 - 1,
                 -a1 ** 2 + 2 * a1 * a2 - a2 ** 2 - 2 * a1 - 2 * a2 + 3]
-    for bi, pi in zip(s1.b, printed1):
-        if bi != RatFunc.from_poly(pi) * Fraction(1, 8):
-            return False, "case 1 coefficients mismatch"
     s2 = garnier.thm10_solution(2, 4, 1)
     printed2 = [-3 * a1 + a2 + 1, a1 - 3 * a2 + 1, a1 + a2 + 1, a1 + a2 - 3]
-    for bi, pi in zip(s2.b, printed2):
-        if bi != RatFunc.from_poly(pi) * Fraction(1, 4):
-            return False, "case 2 coefficients mismatch"
+    for case, s, printed, q in ((1, s1, printed1, 8), (2, s2, printed2, 4)):
+        if s.b != [RatFunc.from_poly(pi) * Fraction(1, q) for pi in printed]:
+            return False, f"case {case} coefficients mismatch"
     r1 = garnier.garnier_residual_m2(s1, (2.0, 3.5), (1, 1, 1, 1))
     r2 = garnier.garnier_residual_m2(s2, (2.0, 3.0), (1, 1, 1, 1))
     if max(r1, r2) >= 1e-6:
@@ -492,21 +488,17 @@ def _golden_example_8():
 
 def _golden_example_9():
     from . import garnier
-    from .algebra import RatFunc, MultiPoly
-    a1 = RatFunc.var("a1")
-    a2 = RatFunc.var("a2")
-    vec1 = garnier.residue_basis_vector(2, -1, 1)
-    if vec1[1] != RatFunc.one() / ((a1 - a2) ** 2 * a1 * (a1 - 1)):
-        return False, "b2^(1) mismatch"
-    if vec1[2] != RatFunc.one() / ((a1 - a2) * a1 ** 2 * (a1 - 1)):
-        return False, "b3^(1) mismatch"
-    if vec1[3] != RatFunc.one() / ((a1 - a2) * a1 * (a1 - 1) ** 2):
-        return False, "b4^(1) mismatch"
-    vec3 = garnier.residue_basis_vector(2, -1, 3)
-    if vec3[0] != RatFunc.one() / (a1 ** 2 * a2):
-        return False, "b1^(3) mismatch"
-    if vec3[2] != -(a1 * a2 + a1 + a2) / (a1 ** 2 * a2 ** 2):
-        return False, "b3^(3) mismatch"
+    from .algebra import RatFunc
+    a1, a2 = RatFunc.var("a1"), RatFunc.var("a2")
+    printed = {(1, 2): 1 / ((a1 - a2) ** 2 * a1 * (a1 - 1)),
+               (1, 3): 1 / ((a1 - a2) * a1 ** 2 * (a1 - 1)),
+               (1, 4): 1 / ((a1 - a2) * a1 * (a1 - 1) ** 2),
+               (3, 1): 1 / (a1 ** 2 * a2),
+               (3, 3): -(a1 * a2 + a1 + a2) / (a1 ** 2 * a2 ** 2)}
+    vecs = {j: garnier.residue_basis_vector(2, -1, j) for j in (1, 3)}
+    for (j, i), want in printed.items():
+        if vecs[j][i - 1] != want:
+            return False, f"b{i}^({j}) mismatch"
     fam = garnier.thm11_family(2, -1, [Fraction(1), Fraction(1)])
     r = garnier.garnier_residual_m2(fam, (2.0, 3.5), (1, 1, 1, 1))
     if r >= 1e-6:

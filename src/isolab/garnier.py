@@ -6,10 +6,10 @@ A traceless triangular solution with M + 2 poles (a_1..a_M, 0, 1) determines
 
 a degree-M polynomial in z whose roots u_1..u_M, together with the momenta
 v_j built from a sign vector eps, solve the M-variable Garnier system. The
-b_i layer is exact (polynomials/rational functions of a); the (u, v) layer
-and the Hamiltonian verification are numeric, since the roots are algebraic
-in a. The M = 2 Hamiltonians are implemented explicitly; for larger M only
-the exact layers are built and checked.
+b_i layer is exact: both b-vectors are Schlesinger class entries at these
+poles. The (u, v) layer and the Hamiltonian verification are numeric, since
+the roots are algebraic in a. The M = 2 Hamiltonians are implemented
+explicitly; for larger M only the exact layers are built and checked.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from math import gcd, isfinite
 
 import numpy as np
 
-from .algebra import (FactoredFrac, MultiPoly, RatFunc, poly_gcd, to_rational,
+from .algebra import (MultiPoly, RatFunc, poly_gcd, to_rational,
                       truncated_product)
-from .schlesinger import (HypothesisError, build_rational_solution,
-                          default_variables, _check, _poly_class_entries)
+from .schlesinger import (HypothesisError, default_variables, _check,
+                          _poly_class_entries, _rational_class_entries)
 
 __all__ = ["GarnierSpec", "GarnierAlgebraicSolution", "HypothesisError",
            "pm_polynomial", "thm10_solution", "thm11_family",
@@ -68,29 +68,16 @@ class GarnierAlgebraicSolution:
     provenance: dict = field(default_factory=dict)
     _pm: list = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def variables(self):
-        return default_variables(self.M)
-
-    def pole(self, i: int):
-        """Pole position a_i as a RatFunc: a_1..a_M symbolic, then 0, 1."""
-        if i <= self.M:
-            return RatFunc.var(f"a{i}")
-        return RatFunc.const(0 if i == self.M + 1 else 1)
-
     def sum_b(self) -> RatFunc:
-        out = FactoredFrac.zero()
-        for bi in self.b:
-            out = out + bi
-        return out.to_ratfunc()
+        nums, L = _over_lcm(self.b)
+        return RatFunc(sum(nums, MultiPoly.zero()), L)
 
     def pm_coefficients(self) -> list:
         """Coefficients of P_M, ascending in z; built on the first call.
 
         Returns a fresh list each time, so callers cannot alter the cache."""
         if self._pm is None:
-            self._pm = pm_polynomial(
-                self.b, [self.pole(i) for i in range(1, self.M + 3)])
+            self._pm = pm_polynomial(self.b, _points(self.M))
         return list(self._pm)
 
     def spec_for(self, eps) -> GarnierSpec:
@@ -109,27 +96,28 @@ class GarnierAlgebraicSolution:
         }
 
 
-def pm_polynomial(b, poles) -> list:
-    """Coefficients (ascending in z) of prod_i (z - a_i) sum_i b_i/(z - a_i).
-
-    Requires sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks.
-    The poles must be polynomials. The build is fraction-free: every b_i is
-    put over L = lcm of the denominators, the numerators are accumulated in
-    MultiPoly and each coefficient is reduced once, as num_k / L."""
+def _over_lcm(b):
+    """(num_i, L): b_i = num_i / L over the lcm L; sum_b and P_M sum these."""
     b = [RatFunc._coerce(bi) for bi in b]
-    poles = [RatFunc._coerce(p) for p in poles]
-    if not all(p.is_poly() for p in poles):
-        raise ValueError("poles must be polynomials in a")
-    poles = [p.num for p in poles]  # a reduced polynomial RatFunc has den 1
     L = MultiPoly.const(1)
     for bi in b:
         if not bi.is_zero():
             L = L * bi.den.divexact(poly_gcd(L, bi.den))
-    nums = [bi.num * L.divexact(bi.den) for bi in b]
-    total = MultiPoly.zero()
-    for ni in nums:
-        total = total + ni
-    if not total.is_zero():
+    return [bi.num * L.divexact(bi.den) for bi in b], L
+
+
+def pm_polynomial(b, poles) -> list:
+    """Coefficients (ascending in z) of prod_i (z - a_i) sum_i b_i/(z - a_i).
+
+    Requires sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks.
+    The poles must be polynomials. Fraction-free: the numerators over the
+    lcm L are accumulated and each coefficient is reduced once, as num_k / L."""
+    poles = [RatFunc._coerce(p) for p in poles]
+    if not all(p.is_poly() for p in poles):
+        raise ValueError("poles must be polynomials in a")
+    poles = [p.num for p in poles]  # a reduced polynomial RatFunc has den 1
+    nums, L = _over_lcm(b)
+    if not sum(nums, MultiPoly.zero()).is_zero():
         raise ValueError("sum of b_i must vanish identically")
     npoles = len(poles)
     coeffs = [MultiPoly.zero()] * (npoles - 1)  # the z^(npoles-1) term is the sum
@@ -157,10 +145,8 @@ def thm10_solution(M: int, m: int, n: int) -> GarnierAlgebraicSolution:
     _check(m > 1, "hypothesis m > 1 fails")
     _check(gcd(n, m) == 1, "hypothesis gcd(n, m) = 1 fails")
     _check((M + 2) % m == 0, f"hypothesis fails: m = {m} does not divide M + 2 = {M + 2}")
-    points = ([MultiPoly.var(v) for v in default_variables(M)]
-              + [MultiPoly.zero(), MultiPoly.const(1)])
     b = [RatFunc.from_poly(e) for e in
-         _poly_class_entries(points, (M + 2) // m * n, Fraction(n, m))]
+         _poly_class_entries(_points(M), (M + 2) // m * n, Fraction(n, m))]
     betas = [Fraction(n, 2 * m)] * (M + 2)
     beta_inf = -Fraction((M + 2) * n, 2 * m)
     return GarnierAlgebraicSolution(M=M, b=b, betas=betas, beta_inf=beta_inf,
@@ -168,20 +154,26 @@ def thm10_solution(M: int, m: int, n: int) -> GarnierAlgebraicSolution:
                                                 "M": M, "m": m, "n": n})
 
 
-def residue_basis_vector(M: int, n: int, j: int) -> list:
-    """The M + 2 residues of the rational family at the pole (a_j, 0) for
-    m = 1, n < 0, with a_{M+1} = 0, a_{M+2} = 1 substituted."""
+def _points(M: int) -> list:
+    """The poles (a_1..a_M, 0, 1)."""
+    return ([MultiPoly.var(v) for v in default_variables(M)]
+            + [MultiPoly.zero(), MultiPoly.const(1)])
+
+
+def _residue_basis(M: int, n: int, j: int) -> list:
+    """The rational class entry (d = -n) at the pole (a_j, 0) of the points
+    (a_1..a_M, 0, 1), factored over the linear gaps a_j - a_h."""
     _check(n < 0, "hypothesis n < 0 fails")
     _check(1 <= j <= M + 1, "basis pole index out of range")
-    N = M + 2
-    names = default_variables(N)
-    sol = build_rational_solution(2, N, 1, n, nu=j, variables=names)
-    out = []
-    for i in range(1, N + 1):
-        r = sol.entry_ratfunc(i, 1, 2)
-        r = r.substitute(names[M], Fraction(0)).substitute(names[M + 1], Fraction(1))
-        out.append(r)
-    return out
+    points = _points(M)
+    gaps = {h: points[j - 1] - a for h, a in enumerate(points, 1) if h != j}
+    return _rational_class_entries(gaps, [-n], j)[0]
+
+
+def residue_basis_vector(M: int, n: int, j: int) -> list:
+    """The M + 2 residues of the rational family at the pole (a_j, 0) for
+    m = 1, n < 0, with a_{M+1} = 0, a_{M+2} = 1, as reduced RatFuncs."""
+    return [e.to_ratfunc() for e in _residue_basis(M, n, j)]
 
 
 def thm11_family(M: int, n: int, coefficients) -> GarnierAlgebraicSolution:
@@ -192,13 +184,10 @@ def thm11_family(M: int, n: int, coefficients) -> GarnierAlgebraicSolution:
     _check(n < 0, "hypothesis n < 0 fails")
     coefficients = [to_rational(c) for c in coefficients]
     _check(len(coefficients) == M, "need M coefficients")
-    basis = [residue_basis_vector(M, n, j) for j in range(1, M + 2)]
-    b = []
-    for i in range(M + 2):
-        acc = FactoredFrac._coerce(basis[M][i])
-        for c, vec in zip(coefficients, basis[:M]):
-            acc = acc + c * vec[i]
-        b.append(acc.to_ratfunc())
+    basis = [_residue_basis(M, n, j) for j in range(1, M + 2)]
+    # summed over the linear gap factors, each b_i canonicalised once
+    b = [sum((c * vec[i] for c, vec in zip(coefficients, basis)),
+             basis[M][i]).to_ratfunc() for i in range(M + 2)]
     betas = [Fraction(n, 2)] * (M + 2)
     beta_inf = -Fraction((M + 2) * n, 2)
     return GarnierAlgebraicSolution(M=M, b=b, betas=betas, beta_inf=beta_inf,

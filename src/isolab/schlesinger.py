@@ -27,13 +27,14 @@ entry is a new object with its own rows. The memos live for one call.
 Solutions built around a single pole nu keep their entries in shifted
 coordinates D_h = a_nu - a_h, where every denominator is a monomial; this is
 only a representation choice (the map is a ring embedding), and entries are
-converted back to rational functions of a_1..a_N on demand.
+converted back to rational functions of a_1..a_N once each, when printed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, grade,
                        to_rational, truncated_product)
@@ -214,6 +215,8 @@ class TriangularSolution:
         return TriangularSolution(self.grid, entries, self.frame, prov)
 
     def to_json_dict(self) -> dict:
+        texts = {id(v): v for v in self.entries.values()}  # one per object
+        texts = {k: self.frame.to_a(v).to_text() for k, v in texts.items()}
         return {
             "schema_version": 1,
             "kind": "triangular-schlesinger",
@@ -222,7 +225,7 @@ class TriangularSolution:
             "N": self.N,
             "variables": list(self.frame.variables),
             "exponents": [[str(b) for b in row] for row in self.grid.beta],
-            "entries": {f"{i},{k},{l}": self.frame.to_a(v).to_text()
+            "entries": {f"{i},{k},{l}": texts[id(v)]
                         for (i, k, l), v in sorted(self.entries.items())},
         }
 
@@ -295,7 +298,7 @@ def _class_entries(p: int, N: int, constants, class_values):
             vals = [FactoredFrac.zero() for _ in range(N)]
         else:
             const = to_rational(constants[L - 1])
-            vals = [v * const for v in vals]
+            vals = vals if const == 1 else [v * const for v in vals]
         for k in range(1, p - L + 1):
             for i in range(1, N + 1):
                 entries[(i, k, k + L)] = vals[i - 1]
@@ -303,7 +306,7 @@ def _class_entries(p: int, N: int, constants, class_values):
 
 
 def build_polynomial_solution(p: int, N: int, m: int, n: int,
-                              constants=None, variables=None) -> TriangularSolution:
+                              constants=None) -> TriangularSolution:
     """Polynomial triangular family for n > 0 (residues at infinity points).
 
     Nonzero classes are those l - k with (l-k)s/m integer and (l-k)/m not;
@@ -318,7 +321,7 @@ def build_polynomial_solution(p: int, N: int, m: int, n: int,
     _check(s > 1, f"hypothesis s = gcd(m, N) > 1 fails (s = {s})")
     _check(any((s * j) % m == 0 and j % m != 0 for j in range(1, p)),
            "hypothesis fails: no class j <= p-1 with sj/m integer and j/m not")
-    variables = tuple(variables or default_variables(N))
+    variables = default_variables(N)
     points = [MultiPoly.var(v) for v in variables]
     entries, constants = _class_entries(
         p, N, constants, lambda L: None if (s * L) % m or L % m == 0 else
@@ -348,8 +351,7 @@ def _poly_class_entries(points, r, exponent) -> list:
 
 
 def build_rational_solution(p: int, N: int, m: int, n: int,
-                            constants=None, nu: int = 1,
-                            variables=None) -> TriangularSolution:
+                            constants=None, nu: int = 1) -> TriangularSolution:
     """Rational triangular family for n < 0 (residues at the branch point nu).
 
     Nonzero classes are those with m | (l-k); entries follow the printed
@@ -362,38 +364,55 @@ def build_rational_solution(p: int, N: int, m: int, n: int,
     _check(gcd(-n, m) == 1, "hypothesis gcd(n, m) = 1 fails")
     _check(any(j % m == 0 for j in range(1, p)),
            f"hypothesis fails: no class j <= p-1 divisible by m = {m}")
-    variables = tuple(variables or default_variables(N))
     _check(1 <= nu <= N, "pole choice nu out of range")
-    frame = ShiftedFrame(variables, nu)
-    entries, constants = _class_entries(
-        p, N, constants, lambda L: None if L % m else
-        _rational_class_entries(frame, L * (-n) // m, N, nu))
+    frame = ShiftedFrame(default_variables(N), nu)
+    ds = {L: L * (-n) // m for L in range(m, p, m)}  # the nonzero classes
+    classes = dict(zip(ds, _rational_class_entries(
+        {h: frame.dvar(h) for h in frame.dvars}, ds.values(), nu)))
+    entries, constants = _class_entries(p, N, constants, classes.get)
     return TriangularSolution(ExponentGrid.traceless(p, N, m, n), entries,
                               frame,
                               {"theorem": "rational-family", "p": p, "N": N,
                                "m": m, "n": n, "nu": nu, "constants": constants})
 
 
-def _rational_class_entries(frame: ShiftedFrame, d, N, nu) -> list:
-    """The N printed residue sums of one class at (a_nu, 0), as factored
-    fractions over powers of the D_h (h != nu). With R_h = sum_k binom(-d, k)
-    D_h^{d-k} t^k, entry nu is grade d of prod_{h != nu} R_h over
-    prod D_h^{2d}; entry i != nu is grade d - 1 of the shared product of the
-    R_h / D_h times sum_q (-1)^q D_i^{d-1-q} t^q, over prod D_h^{2d-1} D_i^d."""
-    others = [h for h in range(1, N + 1) if h != nu]
-    row = binomials(-d, d)  # (-1)^k comb(d + k - 1, k)
-    D = {h: frame.dvar(h) for h in others}
-    R = [[D[h] ** (d - k) * b for k, b in enumerate(row)] for h in others]
-    entry_nu = FactoredFrac(grade(truncated_product(R[1:], d), R[0], d),
-                            {D[h]: 2 * d for h in others})
-    shared = truncated_product([[D[h] ** (d - 1 - k) * b
-                                 for k, b in enumerate(row[:d])]
-                                for h in others], d - 1)
-    return [entry_nu if i == nu else
-            FactoredFrac(grade(shared, [D[i] ** (d - 1 - q) * (-1) ** q
-                                        for q in range(d)], d - 1),
-                         {D[h]: 2 * d - 1 + d * (h == i) for h in others})
-            for i in range(1, N + 1)]
+def _rational_class_entries(gaps: dict, ds, nu: int) -> list:
+    """For each d in ds, the N = len(gaps) + 1 printed residue sums of its
+    class at (a_nu, 0) over powers of the polynomial gaps {h: a_nu - a_h}
+    (D_h variables, or differences of Garnier poles). With R_h = sum_k
+    binom(-d, k) D_h^{d-k} t^k, entry nu is grade d of prod_{h != nu} R_h
+    over prod D_h^{2d}; entry i != nu is grade d - 1 of the shared product
+    of the R_h / D_h times sum_q (-1)^q D_i^{d-1-q} t^q, over
+    prod D_h^{2d-1} D_i^d. A gap's primitive part is its factor; its content
+    (all of a constant gap such as 0 - 1) scales the numerator."""
+    others = sorted(gaps)
+    split = {h: gaps[h].split_content() for h in others}
+    # a primitive gap stays its own key, as the shifted frame's D_h do
+    keys = {h: gaps[h] if c == 1 else f for h, (f, c) in split.items()
+            if not f.is_constant()}
+    contents = {h: c for h, (_, c) in split.items() if c != 1}
+    C = prod(contents.values())
+
+    def over(num, d, i):
+        # num / (prod_h D_h^e D_i^d), e = 2d for i = nu and 2d - 1 otherwise
+        e = 2 * d - (i != nu)
+        scale = C ** e * contents.get(i, 1) ** d
+        return FactoredFrac(num if scale == 1 else num * (1 / scale),
+                            {f: e + d * (h == i) for h, f in keys.items()})
+
+    out = []
+    for d in ds:
+        row = binomials(-d, d)  # (-1)^k comb(d + k - 1, k)
+        R = [[gaps[h] ** (d - k) * b for k, b in enumerate(row)] for h in others]
+        entry_nu = over(grade(truncated_product(R[1:], d), R[0], d), d, nu)
+        shared = truncated_product([[gaps[h] ** (d - 1 - k) * b
+                                     for k, b in enumerate(row[:d])]
+                                    for h in others], d - 1)
+        out.append([entry_nu if i == nu else
+                    over(grade(shared, [gaps[i] ** (d - 1 - q) * (-1) ** q
+                                        for q in range(d)], d - 1), d, i)
+                    for i in range(1, len(gaps) + 2)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +530,13 @@ def residual_is_zero(sol: TriangularSolution) -> bool:
 
 
 def sum_constraint(sol: TriangularSolution) -> dict:
-    """sum_i b_i^{kl} per (k, l); constant for solutions, zero for the
-    residue-built families."""
+    """sum_i b_i^{kl} per (k, l), as FactoredFrac values in the solution's
+    frame; constant for solutions, zero for the residue-built families."""
     out = {}
     for k in range(1, sol.p + 1):
         for l in range(k + 1, sol.p + 1):
             tot = FactoredFrac.zero()
             for i in range(1, sol.N + 1):
                 tot = tot + sol.entry(i, k, l)
-            out[(k, l)] = sol.frame.to_a(tot)
+            out[(k, l)] = tot
     return out

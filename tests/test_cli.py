@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -211,6 +212,42 @@ class TestVerify:
         code, ok, checks = verify({k: v for k, v in doc.items()
                                    if k != "pm_coefficients"})
         assert code == 0 and ok and list(checks) == ["sum-b-zero", "pm-degree"]
+
+    def test_garnier_nonzero_sum_is_a_failed_check(self, capsys, tmp_path):
+        # b no longer sums to zero: P_M cannot be built, and every check
+        # that reads it fails with that reason instead of a usage error
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "2", "--n", "1")
+        doc = json.loads(out)
+        doc["b"][0] += " + a1"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        unbuilt = "P_M not built: sum of b_i is nonzero"
+        for extra in ((), ("--numeric", "--a", "2,3.5")):
+            code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                     *extra)
+            rep = json.loads(out)
+            checks = {c["name"]: c for c in rep["checks"]}
+            assert code == 1 and not rep["pass"] and err == ""
+            assert not any(c["pass"] for c in checks.values())
+            assert checks["sum-b-zero"]["detail"] == "a1"
+            assert checks["pm-degree"]["detail"] == unbuilt
+            assert checks["pm-matches-b"]["detail"] == unbuilt
+            numeric = [c for n, c in checks.items() if n.startswith("garnier-m2")]
+            assert len(numeric) == (16 if extra else 0)
+            assert all(c["detail"] == unbuilt for c in numeric)
+
+    def test_garnier_m3_document_verified_quickly(self, capsys, tmp_path):
+        # sum_b over the lcm of the denominators: about 0.5 s here, where a
+        # sum over one opaque factor per denominator took over a minute
+        path = tmp_path / "m3.json"
+        code, _, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "3",
+                             "--n", "-2", "--c", "1,2,-1", "--out", str(path))
+        assert code == 0
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert time.perf_counter() - t0 < 10
+        assert code == 0 and json.loads(out)["pass"]
 
     def test_garnier_numeric(self, capsys):
         # --theorem 8 is a PVI request: the Garnier options do not stand in
@@ -649,9 +686,8 @@ class TestPeriodsTrace:
         assert len(rows) > 100
 
 
-class TestThreadPool:
-    def test_env_var_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISOLAB_THREADS", "2")
+class TestVerifyTheorem6:
+    def test_n_minus_1_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "-1")
         assert code == 0 and json.loads(out)["pass"]
 

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from isolab.algebra import MultiPoly, RatFunc
-from isolab.schlesinger import build_polynomial_solution
+from isolab.algebra import FactoredFrac, MultiPoly, RatFunc
+from isolab.schlesinger import build_polynomial_solution, build_rational_solution
 from isolab.garnier import (GarnierAlgebraicSolution, GarnierSpec, HypothesisError,
                             garnier_residual_m2, pm_polynomial,
                             residue_basis_vector, theta_from_eps, thm10_solution,
@@ -149,6 +149,83 @@ class TestRationalSolutions:
         assert fam.sum_b().is_zero()
         basis = [residue_basis_vector(2, -1, j) for j in (1, 2, 3)]
         assert fam.b[1] == 2 * basis[0][1] - basis[1][1] + basis[2][1]
+
+
+def reference_residue_basis_vector(M, n, j):
+    """The basis vector through the Schlesinger solution: the 2 x 2 rational
+    family with M + 2 poles around pole j, each entry converted to
+    a_1..a_{M+2} and the last two poles put at 0 and 1."""
+    sol = build_rational_solution(2, M + 2, 1, n, nu=j)
+    names = sol.frame.variables
+    return [sol.entry_ratfunc(i, 1, 2).substitute(names[M], F(0))
+            .substitute(names[M + 1], F(1)) for i in range(1, M + 3)]
+
+
+def reference_thm11_family(M, n, coefficients):
+    """thm11_family's combination of the reference basis vectors."""
+    basis = [reference_residue_basis_vector(M, n, j) for j in range(1, M + 2)]
+    b = []
+    for i in range(M + 2):
+        acc = FactoredFrac._coerce(basis[M][i])
+        for c, vec in zip(coefficients, basis[:M]):
+            acc = acc + c * vec[i]
+        b.append(acc.to_ratfunc())
+    fam = thm11_family(M, n, coefficients)
+    return GarnierAlgebraicSolution(M=M, b=b, betas=fam.betas,
+                                    beta_inf=fam.beta_inf)
+
+
+def reference_sum_b(b):
+    """sum_i b_i summed in FactoredFrac, one factor per denominator."""
+    out = FactoredFrac.zero()
+    for bi in b:
+        out = out + bi
+    return out.to_ratfunc()
+
+
+class TestAgainstReference:
+    def test_basis_vectors(self):
+        cases = 0
+        for M in (1, 2, 3):
+            for n in (-1, -2, -3):
+                for j in range(1, M + 2):
+                    got = residue_basis_vector(M, n, j)
+                    want = reference_residue_basis_vector(M, n, j)
+                    assert len(got) == len(want) == M + 2
+                    for g, w in zip(got, want):
+                        assert g.num == w.num and g.den == w.den, (M, n, j)
+                        cases += 1
+        assert cases == 114
+
+    def test_sum_b(self):
+        fams = [thm10_solution(2, 2, 1), thm10_solution(4, 3, 1),
+                thm11_family(2, -1, [F(2), F(-1)]),
+                thm11_family(2, -2, [F(1), F(1)]),
+                thm11_family(3, -1, [F(1), F(2), F(-1)])]
+        bumps = [RatFunc.var("a1"), 1 / (RatFunc.var("a1") - 3),
+                 RatFunc.var("a2") / (RatFunc.var("a1") - 1) ** 2]
+        for fam in fams:
+            for b in [fam.b] + [[fam.b[0] + e] + fam.b[1:] for e in bumps]:
+                got = GarnierAlgebraicSolution(
+                    M=fam.M, b=b, betas=fam.betas, beta_inf=fam.beta_inf).sum_b()
+                want = reference_sum_b(b)
+                assert got.num == want.num and got.den == want.den
+                assert got.is_zero() == (b is fam.b)
+
+    def test_float_order(self):
+        # the Garnier floats read the term order of P_M: the benchmark's
+        # theorem 11 families give the same reprs from either basis
+        points = [(2.0, 3.5), (-1.5, 2.25), (1.3, 2.1), (2.5, -1.25),
+                  (-0.8 + 0.3j, 1.7 - 0.2j)]
+        for n, cs in ((-1, [F(1), F(1)]), (-1, [F(2), F(-1)]),
+                      (-2, [F(1), F(1)])):
+            fam = thm11_family(2, n, cs)
+            ref = reference_thm11_family(2, n, cs)
+            assert fam.b == ref.b
+            for a in points:
+                for eps in itertools.product((1, -1), repeat=4):
+                    assert (repr(garnier_residual_m2(fam, a, eps))
+                            == repr(garnier_residual_m2(ref, a, eps))), (n, cs, a)
 
 
 class TestSpec:

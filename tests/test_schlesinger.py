@@ -133,12 +133,39 @@ class TestRationalFamily:
             for d in range(1, 10):
                 for nu in range(1, N + 1):
                     frame = ShiftedFrame(default_variables(N), nu)
-                    got = _rational_class_entries(frame, d, N, nu)
+                    got, = _rational_class_entries(
+                        {h: frame.dvar(h) for h in frame.dvars}, [d], nu)
                     assert len(got) == N
                     for i in range(1, N + 1):
                         want = reference_rational_class_entry(frame, i, d, N, nu)
                         assert got[i - 1].num == want.num, (N, d, nu, i)
                         assert got[i - 1].den == want.den, (N, d, nu, i)
+
+
+    def test_class_entries_at_points(self):
+        # gaps that are no variables: the points (a1, a2, 0, 1), so that the
+        # pole 0 meets the constant gap 0 - 1 and gaps such as 0 - a1 and
+        # a1 - a2 have a negative leading coefficient
+        points = [MultiPoly.var("a1"), MultiPoly.var("a2"), MultiPoly.zero(),
+                  MultiPoly.const(1)]
+        for nu in (1, 2, 3, 4):
+            frame = ShiftedFrame(default_variables(4), nu)
+            gaps = {h: points[nu - 1] - a for h, a in enumerate(points, 1)
+                    if h != nu}
+            for d in (1, 2, 3):
+                got, = _rational_class_entries(gaps, [d], nu)
+                for i in range(1, 5):
+                    # the reference in the D_h, with D_h -> gaps[h]
+                    want = reference_rational_class_entry(frame, i, d, 4, nu)
+                    num, den = want.num, MultiPoly.const(1)
+                    for h, name in frame.dvars.items():
+                        num = num.substitute(name, gaps[h])
+                        den = den * gaps[h] ** want.den[frame.dvar(h)]
+                    assert got[i - 1].to_ratfunc() == RatFunc(num, den), (nu, d, i)
+                    # keys are primitive gaps with positive leading
+                    # coefficient; a constant gap is no key
+                    for f in got[i - 1].den:
+                        assert f.total_degree() == 1 and f.content() == 1
 
 
 def _compositions(total, slots):
@@ -205,6 +232,17 @@ class TestResiduals:
         res = schlesinger_residual(pert)
         assert any(not v.is_zero() for v in res.values())
 
+    def test_sum_constraint_in_the_frame(self, monkeypatch):
+        sol = build_rational_solution(3, 3, 1, -1, nu=2)
+        pert = sol.with_entry(1, 1, 2, sol.entry(1, 1, 2) + 1)
+        monkeypatch.setattr(sol.frame, "to_a",
+                            lambda f: pytest.fail("sum converted to a_1..a_N"))
+        assert all(isinstance(v, FactoredFrac) and v.is_zero()
+                   for v in sum_constraint(sol).values())
+        sums = sum_constraint(pert)
+        assert [kl for kl, v in sums.items() if not v.is_zero()] == [(1, 2)]
+        assert sums[(1, 2)] == 1
+
     def test_sum_constraint_worked_triple(self):
         vals = [(x + 1) * F(1, 3), (x - 2) * F(1, 3), (-2 * x + 1) * F(1, 3)]
         assert sum(vals[1:], vals[0]).is_zero()
@@ -225,7 +263,7 @@ class TestResiduals:
 class TestOracleAgreement:
     def test_polynomial_family(self):
         # oracle = -m1 (-1)^{N1 d} * entry for unit constants
-        sol = build_polynomial_solution(2, 4, 2, 1, variables=("a1", "a2", "a3", "a4"))
+        sol = build_polynomial_solution(2, 4, 2, 1)
         curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)
         m1, N1, d = 1, 2, 1
         const = F(-m1) * (-1) ** (N1 * d)
@@ -256,6 +294,21 @@ class TestSerialization:
             assert back.entry_ratfunc(*key) == sol.entry_ratfunc(*key)
         assert residual_is_zero(back)
         assert doc["schema_version"] == 1
+
+    @pytest.mark.parametrize("sol", [build_rational_solution(4, 3, 1, -1, nu=2),
+                                     build_polynomial_solution(4, 4, 2, 1)])
+    def test_each_entry_object_converted_once(self, sol, monkeypatch):
+        # equal-class entries are one object, converted and printed once
+        calls = []
+        real = sol.frame.to_a
+        monkeypatch.setattr(sol.frame, "to_a",
+                            lambda f: calls.append(id(f)) or real(f))
+        doc = sol.to_json_dict()
+        objects = {id(v) for v in sol.entries.values()}
+        assert sorted(calls) == sorted(objects)
+        assert len(objects) < len(sol.entries) == len(doc["entries"])
+        for (i, k, l), v in sol.entries.items():
+            assert doc["entries"][f"{i},{k},{l}"] == real(v).to_text()
 
 
 class TestDocumentPath:
