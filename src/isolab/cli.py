@@ -241,6 +241,19 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     if M < 1 or len(doc["b"]) != M + 2 or len(doc["betas"]) != M + 2:
         raise ParameterError("garnier-algebraic document needs M >= 1 and "
                              "M + 2 entries in b and betas")
+    if args and args.numeric:  # usage errors come first, whatever b holds
+        if not args.a:
+            raise ParameterError("--numeric needs --a a1,a2")
+        if M != 2:
+            raise ParameterError("numeric Hamiltonian check is M = 2 only")
+        apt = _parse_points(args.a)
+        if len(apt) != M:
+            raise ParameterError(f"M = 2 needs an a-point with 2 coordinates, "
+                                 f"got {len(apt)}")
+        eps_list = ([_parse_eps(args.eps)] if args.eps else
+                    [tuple(s) for s in _all_eps(M + 2)])
+        if any(len(eps) != M + 2 for eps in eps_list):
+            raise ParameterError("need M + 2 thetas and signs")
     b = [parse_ratfunc(t) for t in doc["b"]]
     betas = [Fraction(s) for s in doc["betas"]]
     sol = garnier.GarnierAlgebraicSolution(
@@ -266,14 +279,6 @@ def _verify_garnier_doc(doc, args, tol) -> list:
             checks.append(("pm-matches-b", not bad, "all equal" if not bad
                            else f"differs at {', '.join(bad)}"))
     if args and args.numeric:
-        if not args.a:
-            raise ParameterError("--numeric needs --a a1,a2")
-        if M != 2:
-            raise ParameterError("numeric Hamiltonian check is M = 2 only")
-        apt = _parse_points(args.a)
-        eps_list = ([_parse_eps(args.eps)] if args.eps else
-                    [tuple(s) for s in _all_eps(M + 2)])
-
         def one(eps):
             r = float(garnier.garnier_residual_m2(sol, apt, eps)) if built else 0
             return (f"garnier-m2-eps{''.join('+' if e > 0 else '-' for e in eps)}",

@@ -59,8 +59,8 @@ def theta_from_eps(betas, eps, beta_inf) -> GarnierSpec:
 class GarnierAlgebraicSolution:
     """Exact b-vector plus the data needed for numeric verification.
 
-    The b-vector is treated as immutable after construction: P_M is built
-    from it once and cached on the instance."""
+    The b-vector is treated as immutable after construction: b over its lcm
+    and P_M are built from it once and kept on the instance."""
     M: int
     b: list                    # M + 2 entries, RatFunc in a_1..a_M
     betas: list                # the M + 2 eigenvalues beta_i
@@ -68,8 +68,11 @@ class GarnierAlgebraicSolution:
     provenance: dict = field(default_factory=dict)
     _pm: list = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        self._lcm = _over_lcm(self.b)
+
     def sum_b(self) -> RatFunc:
-        nums, L = _over_lcm(self.b)
+        nums, L = self._lcm
         return RatFunc(sum(nums, MultiPoly.zero()), L)
 
     def pm_coefficients(self) -> list:
@@ -77,7 +80,7 @@ class GarnierAlgebraicSolution:
 
         Returns a fresh list each time, so callers cannot alter the cache."""
         if self._pm is None:
-            self._pm = pm_polynomial(self.b, _points(self.M))
+            self._pm = pm_polynomial(self._lcm, _points(self.M))
         return list(self._pm)
 
     def spec_for(self, eps) -> GarnierSpec:
@@ -109,14 +112,15 @@ def _over_lcm(b):
 def pm_polynomial(b, poles) -> list:
     """Coefficients (ascending in z) of prod_i (z - a_i) sum_i b_i/(z - a_i).
 
-    Requires sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks.
-    The poles must be polynomials. Fraction-free: the numerators over the
-    lcm L are accumulated and each coefficient is reduced once, as num_k / L."""
+    b is the list of the b_i or their (num_i, L) from _over_lcm. Requires
+    sum_i b_i = 0 exactly, otherwise the degree-(M+1) term leaks. The poles
+    must be polynomials. Fraction-free: the numerators over the lcm L are
+    accumulated and each coefficient is reduced once, as num_k / L."""
     poles = [RatFunc._coerce(p) for p in poles]
     if not all(p.is_poly() for p in poles):
         raise ValueError("poles must be polynomials in a")
     poles = [p.num for p in poles]  # a reduced polynomial RatFunc has den 1
-    nums, L = _over_lcm(b)
+    nums, L = b if isinstance(b, tuple) else _over_lcm(b)
     if not sum(nums, MultiPoly.zero()).is_zero():
         raise ValueError("sum of b_i must vanish identically")
     npoles = len(poles)
@@ -207,7 +211,7 @@ class RootResult:
     multiple: bool
 
 
-def u_roots(pm_coeffs, a_numeric, tol: float = 1e-10) -> RootResult:
+def u_roots(pm_coeffs, a_numeric) -> RootResult:
     """Roots of P_M(z, a) at a numeric a-point, deterministically ordered.
 
     M = 2 uses the quadratic formula; higher degrees use the companion
@@ -217,7 +221,7 @@ def u_roots(pm_coeffs, a_numeric, tol: float = 1e-10) -> RootResult:
                                 for k, x in enumerate(a_numeric)}))
             if isinstance(c, RatFunc) else complex(c)
             for c in pm_coeffs]
-    while len(vals) > 1 and abs(vals[-1]) < tol:
+    while len(vals) > 1 and abs(vals[-1]) < 1e-10:
         vals.pop()
     dropped = len(vals) != len(pm_coeffs)
     deg = len(vals) - 1
@@ -234,7 +238,7 @@ def u_roots(pm_coeffs, a_numeric, tol: float = 1e-10) -> RootResult:
             r1 = (-c1 + sq) / (2 * c2)
         else:
             r1 = (-c1 - sq) / (2 * c2)
-        roots = ([complex(r1), complex(c0 / (c2 * r1))] if abs(r1) > tol
+        roots = ([complex(r1), complex(c0 / (c2 * r1))] if abs(r1) > 1e-10
                  else [complex(r1), complex(-c1 / c2 - r1)])
     else:
         roots = [complex(r) for r in np.roots([v for v in reversed(vals)])]
@@ -313,7 +317,7 @@ def garnier_hamiltonians_m2(a, u, v, spec: GarnierSpec):
 
 
 def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
-                        eps, h: float = 1e-5) -> float:
+                        eps) -> float:
     """Max absolute residual of the 8 Hamilton equations at an a-point.
 
     du_i/da_k and dv_i/da_k come from central differences with nearest-root
@@ -330,6 +334,7 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
                          f"got {len(a0)}")
     spec = solution.spec_for(eps)
     pm = solution.pm_coefficients()
+    h = 1e-5  # the central-difference step
 
     def uv_at(a):
         rr = u_roots(pm, a)

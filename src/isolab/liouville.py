@@ -54,11 +54,10 @@ class LiouvillianReport:
 class LiouvillianFamily:
     """Callable b1L/b3L for given (n, b, c), built on the polynomial b1P."""
 
-    def __init__(self, n: int, b, c, quad_tol: float = QUAD_TOL):
+    def __init__(self, n: int, b, c):
         self.n = n
         self.b = to_rational(b)
         self.c = to_rational(c)
-        self.quad_tol = quad_tol
         self.b1p_poly = thm7_b1(n, self.b, self.c)
         coeffs = coefficient_list(self.b1p_poly)
         self._b1p = np.array([float(v) for v in reversed(coeffs)])
@@ -88,14 +87,13 @@ class LiouvillianFamily:
             lo = max(lo, x - 0.45 * (right - x))
         return lo
 
-    def integral(self, x: float, base: float = None) -> float:
+    def integral(self, x: float) -> float:
         from scipy.integrate import quad
         if abs(self.b1p(x)) < 1e-9:
             raise ValueError(f"sample point {x} is a zero of the polynomial solution")
-        base = self.base_point(x) if base is None else base
-        val, err = quad(self.integrand, base, x,
-                        epsabs=self.quad_tol, epsrel=self.quad_tol, limit=400)
-        if not np.isfinite(val) or err > max(1e-6, 100 * self.quad_tol * abs(val)):
+        val, err = quad(self.integrand, self.base_point(x), x,
+                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
+        if not np.isfinite(val) or err > max(1e-6, 100 * QUAD_TOL * abs(val)):
             raise ArithmeticError(f"quadrature did not converge at x = {x}")
         return val
 
@@ -112,13 +110,13 @@ class LiouvillianFamily:
                                          epsabs=1e-14, epsrel=1e-13, limit=60)[0]
         return [self.b1p(x + k * h) * iv[k] for k in range(-width, width + 1)]
 
-    def b1l(self, x: float, base: float = None) -> float:
-        return self.b1p(x) * self.integral(x, base)
+    def b1l(self, x: float) -> float:
+        return self.b1p(x) * self.integral(x)
 
-    def b3l(self, x: float, h: float = FD1_STEP) -> float:
+    def b3l(self, x: float) -> float:
         """b3L = -(x b1L' + b b1L)/(1 + b - c), derivative by central FD."""
-        fm, f0, fp = self._stencil(x, h)
-        d = (fp - fm) / (2 * h)
+        fm, f0, fp = self._stencil(x, FD1_STEP)
+        d = (fp - fm) / (2 * FD1_STEP)
         denom = float(1 + self.b - self.c)
         return -(x * d + float(self.b) * f0) / denom
 
@@ -130,29 +128,28 @@ class LiouvillianFamily:
 
     # -- checks -------------------------------------------------------------
 
-    def wronskian_rel_err(self, x: float, h: float = FD1_STEP) -> float:
+    def wronskian_rel_err(self, x: float) -> float:
         """|b1P b1L' - b1P' b1L - x^{-c}(x-1)^{c-b+n-1}| / |target|."""
-        fm, f0, fp = self._stencil(x, h)
-        d = (fp - fm) / (2 * h)
+        fm, f0, fp = self._stencil(x, FD1_STEP)
+        d = (fp - fm) / (2 * FD1_STEP)
         w = self.b1p(x) * d - float(np.polyval(self._b1p_d, x)) * f0
         target = (x ** self.exp_x) * ((x - 1.0) ** self.exp_xm1)
         return abs(w - target) / abs(target)
 
-    def ode_residual(self, x: float, h: float = FD2_STEP) -> float:
+    def ode_residual(self, x: float) -> float:
         """Central finite-difference residual of
         b'' + ((b-n+1)x - c)/(x(x-1)) b' - n b /(x(x-1)) b1L = 0."""
-        f0, d1, d2 = self._derivatives_5pt(x, h)
+        f0, d1, d2 = self._derivatives_5pt(x, FD2_STEP)
         xx = x * (x - 1.0)
         lin = (float(self.b - self.n + 1) * x - float(self.c)) / xx
         const = -float(self.n * self.b) / xx
         return d2 + lin * d1 + const * f0
 
 
-def liouvillian_eval(n: int, b, c, sample_points, quad_tol: float = QUAD_TOL,
-                     h: float = FD1_STEP) -> LiouvillianReport:
+def liouvillian_eval(n: int, b, c, sample_points) -> LiouvillianReport:
     """Evaluate b1L, b3L at the sample points and report the Wronskian and
     ODE residual checks. Points must avoid zeros of b1P and x = 0, 1."""
-    fam = LiouvillianFamily(n, b, c, quad_tol=quad_tol)
+    fam = LiouvillianFamily(n, b, c)
     samples = []
     for x in sample_points:
         x = float(x)
@@ -161,8 +158,8 @@ def liouvillian_eval(n: int, b, c, sample_points, quad_tol: float = QUAD_TOL,
         samples.append(LiouvillianSample(
             x=x,
             b1L=fam.b1l(x),
-            b3L=fam.b3l(x, h=h),
-            wronskian_rel_err=fam.wronskian_rel_err(x, h=h),
+            b3L=fam.b3l(x),
+            wronskian_rel_err=fam.wronskian_rel_err(x),
             ode_residual=fam.ode_residual(x),
         ))
     return LiouvillianReport(n=n, b=fam.b, c=fam.c, samples=samples)

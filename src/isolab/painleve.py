@@ -3,10 +3,11 @@
 Solution families come from polynomial/rational solutions of the
 hypergeometric equations attached to the traceless 2x2 triangular Schlesinger
 system with three poles (0, 1, x); each printed sum is one grade of two
-binomial rows (algebra.grade). The verifiers substitute candidate
-solutions into PVI, the first-order Hamiltonian system, the linear 2x2
-system, and the hypergeometric ODEs with exact rational-function arithmetic;
-a residual is identically zero iff the candidate solves the equation.
+binomial rows (algebra.grade). The blocks are FactoredFracs over x and x - 1,
+canonicalised once per family, at y. The verifiers substitute candidate
+solutions into PVI, the first-order Hamiltonian system, the linear 2x2 system
+and the hypergeometric ODEs with exact rational-function arithmetic; a
+residual is identically zero iff the candidate solves the equation.
 
 The PVI residual is fraction-free. With y = N/D, PVI times its common
 denominator 2 D^3 x^2 (x-1)^2 N (N - D) (N - xD) is one polynomial identity
@@ -83,8 +84,8 @@ class PVISolutionFamily:
 # building blocks
 
 
-def y_from_b(b1: RatFunc, b3: RatFunc) -> RatFunc:
-    """y = x b1 / (b1 + (1 - x) b3), reduced.
+def y_from_b(b1, b3) -> RatFunc:
+    """y = x b1 / (b1 + (1 - x) b3), reduced: a family's one canonicalisation.
 
     Built in FactoredFrac, so the b-denominators shared by the two sides of
     the quotient cancel structurally instead of through a large gcd."""
@@ -296,11 +297,9 @@ def _binomial_sum(alpha, beta, top: int, shifted: bool = False) -> MultiPoly:
                  binomials(beta, top), top)
 
 
-def _b3_from_b1(b1: RatFunc, b, c) -> RatFunc:
+def _b3_from_b1(b1: FactoredFrac, b, c) -> FactoredFrac:
     """b3 = -(x b1' + b b1)/(1 + b - c), shared by theorems 7 and 8."""
-    b1 = FactoredFrac._coerce(b1)
-    x = FactoredFrac.var(X)
-    return (-(x * b1.partial(X) + b * b1) / (1 + b - c)).to_ratfunc()
+    return -(FactoredFrac.var(X) * b1.partial(X) + b * b1) / (1 + b - c)
 
 
 def polynomial_triple(n: int):
@@ -334,21 +333,17 @@ def thm5_solution(n: int) -> PVISolutionFamily:
         provenance={"family": "polynomial", "n": n})
 
 
-def rational_sextet(n: int):
-    """The six rational hypergeometric solutions for negative n, as printed:
-    keys b1, b2, b3 (poles at x = 0) and tb1, tb2, tb3 (poles at x = 1).
-    The reflection x -> 1 - x takes the sums of b1, b2, b3 to those of
-    tb2, tb1, tb3."""
+def _sextet(n: int) -> dict:
+    """The rational_sextet blocks, factored over x and x - 1."""
     if n >= 0:
         raise ValueError("need negative n")
     k = -n
-    x = MultiPoly.var(X)
     sign = Fraction((-1) ** k)
 
     def pair(alpha, beta, top, pole):
-        return (RatFunc(_binomial_sum(alpha, beta, top) * sign, x ** pole),
-                RatFunc(_binomial_sum(alpha, beta, top, shifted=True),
-                        (1 - x) ** pole))
+        q = FactoredFrac.quotient
+        return (q(_binomial_sum(alpha, beta, top) * sign, _x, pole),
+                q(_binomial_sum(alpha, beta, top, shifted=True), 1 - _x, pole))
 
     b1, tb2 = pair(-k, -k, k, 2 * k)
     b2, tb1 = pair(-k - 1, -k, k - 1, 2 * k - 1)
@@ -356,10 +351,18 @@ def rational_sextet(n: int):
     return {"b1": b1, "b2": b2, "b3": b3, "tb1": tb1, "tb2": tb2, "tb3": tb3}
 
 
+def rational_sextet(n: int):
+    """The six rational hypergeometric solutions for negative n, as printed:
+    keys b1, b2, b3 (poles at x = 0) and tb1, tb2, tb3 (poles at x = 1).
+    The reflection x -> 1 - x takes the sums of b1, b2, b3 to those of
+    tb2, tb1, tb3; the factored blocks reach canonical form without a gcd."""
+    return {key: f.to_ratfunc() for key, f in _sextet(n).items()}
+
+
 def thm6_family(n: int) -> PVISolutionFamily:
     """One-parameter rational family for negative n:
     y = x (c b1 + tb1) / (c b1 + tb1 + (1-x)(c b3 + tb3))."""
-    s = rational_sextet(n)
+    s = _sextet(n)
     c = FactoredFrac.var(C)
     b1 = c * s["b1"] + s["tb1"]
     b3 = c * s["b3"] + s["tb3"]
@@ -408,21 +411,20 @@ def thm7_solution(n: int, b, c) -> PVISolutionFamily:
 def thm7_b3(n: int, b, c) -> RatFunc:
     """b3 = -x b1'/(1+b-c) - b b1/(1+b-c) for the (b, c) polynomial family."""
     b, c = _thm7_check_params(n, b, c)
-    return _b3_from_b1(RatFunc.from_poly(thm7_b1(n, b, c)), b, c)
+    return _b3_from_b1(FactoredFrac.from_poly(thm7_b1(n, b, c)), b, c).to_ratfunc()
 
 
 def thm8_b_functions(a: int, b: int, c: int):
-    """The four rational building blocks (b1, b3, tb1, tb3) for integer
+    """The four blocks (b1, b3, tb1, tb3), factored over x and x - 1, for integer
     hypergeometric data, with no admissibility gating beyond 1+b-c != 0."""
     if 1 + b - c == 0:
         raise ValueError("c = b + 1 makes the b3 formulas singular")
-    x = MultiPoly.var(X)
     # x^{1-c} F(b-c+1, a-c+1, 2-c, x) and (1-x)^{c-a-b} F(c-a, c-b, 1-a-b+c, 1-x)
     # in binomial form; the degree-(c-b-1) and degree-(a-c) sums pair
     # binom(-b, .) with the top power, matching the n < 0 special case.
-    b1 = RatFunc(_binomial_sum(c - a - 1, -b, c - b - 1), x ** (c - 1))
-    tb1 = RatFunc(_binomial_sum(b - c, -b, a - c, shifted=True),
-                  (1 - x) ** (a + b - c))
+    b1 = FactoredFrac.quotient(_binomial_sum(c - a - 1, -b, c - b - 1), _x, c - 1)
+    tb1 = FactoredFrac.quotient(_binomial_sum(b - c, -b, a - c, shifted=True),
+                                1 - _x, a + b - c)
     return b1, _b3_from_b1(b1, b, c), tb1, _b3_from_b1(tb1, b, c)
 
 
@@ -480,9 +482,9 @@ class ZerosReport:
         return all(self.inversion_paired)
 
 
-def coefficient_list(p: MultiPoly, var: str = X):
-    """Ascending coefficients of a univariate polynomial, exact."""
-    parts = p.as_univariate(var)
+def coefficient_list(p: MultiPoly):
+    """Ascending coefficients of a univariate polynomial in x, exact."""
+    parts = p.as_univariate(X)
     deg = max(parts) if parts else 0
     out = []
     for k in range(deg + 1):

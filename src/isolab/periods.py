@@ -106,8 +106,8 @@ class PathSpec:
     def end(self) -> complex:
         return self.segments[-1].at(1.0)
 
-    def is_closed(self, tol: float = 1e-9) -> bool:
-        return abs(self.start() - self.end()) < tol
+    def is_closed(self) -> bool:
+        return abs(self.start() - self.end()) < 1e-9
 
     def check_clearance(self, curve: SuperellipticCurve, radius: float):
         """Every segment must keep `radius` distance from branch points it
@@ -362,15 +362,15 @@ def infinity_loop(curve: SuperellipticCurve, k: int,
     return PathSpec((arc,), branch, label=f"infinity:{k}")
 
 
-def double_loop(curve: SuperellipticCurve, i: int, j: int, shift: int,
-                radius_factor: float = 0.25) -> PathSpec:
+def double_loop(curve: SuperellipticCurve, i: int, j: int,
+                shift: int) -> PathSpec:
     """Pochhammer-style cycle: circle a_i counterclockwise, then a_j
     clockwise, connected through the midpoint, starting on sheet `shift`.
     The net monodromy is trivial, so the path closes on the curve."""
     ai = curve.point_numeric(i)
     aj = curve.point_numeric(j)
     sep = abs(ai - aj)
-    r = radius_factor * sep
+    r = 0.25 * sep
     u = (aj - ai) / sep  # unit vector i -> j
     base = 0.5 * (ai + aj)
     pi_ = math.pi
@@ -569,15 +569,15 @@ def period_matrix(curve: SuperellipticCurve, j: int, cycles,
     return PeriodMatrix(curve.N, len(cycles), ents, list(cycles), stats)
 
 
-def rank_check(B, rank_tol: float = RANK_TOL) -> int:
-    """Numerical rank: singular values above rank_tol * largest."""
+def rank_check(B) -> int:
+    """Numerical rank: singular values above RANK_TOL * largest."""
     ents = B.entries if isinstance(B, PeriodMatrix) else np.asarray(B)
     if ents.size == 0:
         return 0
     sv = np.linalg.svd(ents, compute_uv=False)
     if sv[0] == 0:
         return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 def isomonodromy_fd_check(curve: SuperellipticCurve, i: int, j: int,

@@ -237,6 +237,45 @@ class TestVerify:
             assert len(numeric) == (16 if extra else 0)
             assert all(c["detail"] == unbuilt for c in numeric)
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--a", "2"), "M = 2 needs an a-point with 2 coordinates, got 1"),
+        (("--a", "2,3", "--eps", "++"), "need M + 2 thetas and signs")])
+    def test_garnier_numeric_usage_error_whatever_b_holds(self, capsys,
+                                                          tmp_path, extra,
+                                                          message):
+        # a b that does not sum to zero once turned these into 16 failed
+        # checks (exit 1) instead of a usage error
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "2", "--n", "1")
+        doc = json.loads(out)
+        doc["b"][0] += " + a1"
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                 "--numeric", *extra, "--out", str(report))
+        assert code == 2 and out == "" and not report.exists()
+        assert err == f"error: {message}\n"
+
+    def test_garnier_b_over_lcm_once_per_document(self, capsys, tmp_path,
+                                                  monkeypatch):
+        from isolab import garnier
+        calls = []
+        over_lcm = garnier._over_lcm
+
+        def counting(b):
+            calls.append(1)
+            return over_lcm(b)
+        monkeypatch.setattr(garnier, "_over_lcm", counting)
+        path = tmp_path / "thm11.json"
+        code, _, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "2",
+                             "--n", "-2", "--c", "1,1", "--out", str(path))
+        assert code == 0 and len(calls) == 1
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 0 and json.loads(out)["pass"]
+        assert len(calls) == 1
+
     def test_garnier_m3_document_verified_quickly(self, capsys, tmp_path):
         # sum_b over the lcm of the denominators: about 0.5 s here, where a
         # sum over one opaque factor per denominator took over a minute

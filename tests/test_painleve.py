@@ -365,6 +365,83 @@ class TestIntegerRationalFamily:
             assert pvi_residual(yc, fam.params).is_zero()
 
 
+def reference_b3_from_b1(b1, b, c):
+    """b3 = -(x b1' + b b1)/(1 + b - c), canonicalised: the reference for
+    the factored _b3_from_b1."""
+    b1 = FactoredFrac._coerce(b1)
+    xf = FactoredFrac.var("x")
+    return (-(xf * b1.partial("x") + b * b1) / (1 + b - c)).to_ratfunc()
+
+
+def reference_sextet(n):
+    """The theorem 6 sextet with each block a RatFunc reduced by a gcd."""
+    k = -n
+    sign = F((-1) ** k)
+
+    def pair(alpha, beta, top, pole):
+        return (RatFunc(_binomial_sum(alpha, beta, top) * sign, x ** pole),
+                RatFunc(_binomial_sum(alpha, beta, top, shifted=True),
+                        (1 - x) ** pole))
+
+    b1, tb2 = pair(-k, -k, k, 2 * k)
+    b2, tb1 = pair(-k - 1, -k, k - 1, 2 * k - 1)
+    b3, tb3 = pair(-k, -k - 1, k - 1, 2 * k)
+    return {"b1": b1, "b2": b2, "b3": b3, "tb1": tb1, "tb2": tb2, "tb3": tb3}
+
+
+def reference_thm8_b_functions(a, b, c):
+    """The theorem 8 blocks (b1, b3, tb1, tb3) as RatFuncs reduced by a gcd."""
+    b1 = RatFunc(_binomial_sum(c - a - 1, -b, c - b - 1), x ** (c - 1))
+    tb1 = RatFunc(_binomial_sum(b - c, -b, a - c, shifted=True),
+                  (1 - x) ** (a + b - c))
+    return (b1, reference_b3_from_b1(b1, b, c), tb1,
+            reference_b3_from_b1(tb1, b, c))
+
+
+class TestFactoredBlocks:
+    """The PVI blocks are factored over x and x - 1; a family is
+    canonicalised once, at y."""
+
+    def test_one_normalisation_per_family(self, monkeypatch):
+        calls = []
+        init = RatFunc.__init__
+
+        def counting(self, num, den=None, _normalized=False):
+            if not _normalized:
+                calls.append(1)
+            init(self, num, den, _normalized)
+        monkeypatch.setattr(RatFunc, "__init__", counting)
+        families = [thm6_family(n) for n in range(-1, -6, -1)]
+        families += [thm8_family(*t) for t in admissible_thm8_triples(7)]
+        assert len(families) == 25
+        assert len(calls) == 25
+
+    def test_thm6_matches_the_reference(self):
+        cf = FactoredFrac.var("c")
+        for n in range(-1, -8, -1):
+            ref = reference_sextet(n)
+            assert rational_sextet(n) == ref, n
+            y = y_from_b(cf * ref["b1"] + ref["tb1"], cf * ref["b3"] + ref["tb3"])
+            assert thm6_family(n).y.to_text() == y.to_text(), n
+
+    def test_thm8_matches_the_reference(self):
+        cf = FactoredFrac.var("c")
+        for a, b, cc in admissible_thm8_triples(9):
+            ref = reference_thm8_b_functions(a, b, cc)
+            got = thm8_b_functions(a, b, cc)
+            assert list(got) == list(ref), (a, b, cc)
+            b1, b3, tb1, tb3 = ref
+            y = y_from_b(cf * b1 + tb1, cf * b3 + tb3)
+            assert thm8_family(a, b, cc).y.to_text() == y.to_text(), (a, b, cc)
+
+    def test_thm7_b3_matches_the_reference(self):
+        for n, b, cc in [(1, F(0), F(2)), (2, F(1, 3), F(1, 2)),
+                         (4, F(-2, 5), F(3)), (5, F(2, 7), F(-7, 3))]:
+            want = reference_b3_from_b1(RatFunc.from_poly(thm7_b1(n, b, cc)),
+                                        b, cc)
+            assert thm7_b3(n, b, cc) == want, (n, b, cc)
+
+
 class TestResidualGuards:
     def test_degenerate_candidates_rejected(self):
         p = PVIParams(F(1, 2), F(0), F(0), F(1, 2))
