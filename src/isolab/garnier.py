@@ -294,26 +294,32 @@ def _T_prime(x, a):
 
 def garnier_hamiltonians_m2(a, u, v, spec: GarnierSpec):
     """H_1, H_2 of the bivariate system, exactly as displayed."""
+    th, kappa = _theta_kappa(spec)
+    return [_hamiltonian_m2(which, a, u, v, th, kappa) for which in (0, 1)]
+
+
+def _theta_kappa(spec: GarnierSpec):
     th = [float(t) for t in spec.theta]
-    kappa = ((sum(th) - 1) ** 2 - float(spec.theta_inf) ** 2) / 4
+    return th, ((sum(th) - 1) ** 2 - float(spec.theta_inf) ** 2) / 4
+
+
+def _hamiltonian_m2(which: int, a, u, v, th, kappa) -> complex:
+    """H_{which + 1} alone, given the float theta and kappa of the spec."""
     a = [complex(x) for x in a]
     u = [complex(x) for x in u]
     v = [complex(x) for x in v]
-    out = []
-    for which in (0, 1):
-        ak = a[which]
-        pref = -_lam(ak, u) / _T_prime(ak, a)
-        total = 0j
-        for j in (0, 1):
-            uj = u[j]
-            lamp = uj - u[1 - j]
-            theta_terms = ((th[0] - (1 if which == 0 else 0)) / (uj - a[0])
-                           + (th[1] - (1 if which == 1 else 0)) / (uj - a[1])
-                           + th[2] / uj + th[3] / (uj - 1))
-            bracket = v[j] ** 2 - theta_terms * v[j] + kappa / (uj * (uj - 1))
-            total += _T(uj, a) / ((uj - ak) * lamp) * bracket
-        out.append(pref * total)
-    return out
+    ak = a[which]
+    pref = -_lam(ak, u) / _T_prime(ak, a)
+    total = 0j
+    for j in (0, 1):
+        uj = u[j]
+        lamp = uj - u[1 - j]
+        theta_terms = ((th[0] - (1 if which == 0 else 0)) / (uj - a[0])
+                       + (th[1] - (1 if which == 1 else 0)) / (uj - a[1])
+                       + th[2] / uj + th[3] / (uj - 1))
+        bracket = v[j] ** 2 - theta_terms * v[j] + kappa / (uj * (uj - 1))
+        total += _T(uj, a) / ((uj - ak) * lamp) * bracket
+    return pref * total
 
 
 def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
@@ -333,6 +339,7 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
         raise ValueError(f"M = 2 needs an a-point with 2 coordinates, "
                          f"got {len(a0)}")
     spec = solution.spec_for(eps)
+    th, kappa = _theta_kappa(spec)
     pm = solution.pm_coefficients()
     h = 1e-5  # the central-difference step
 
@@ -368,10 +375,10 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
         du = [(up[i] - um[i]) / (2 * h) for i in (0, 1)]
         dv = [(vp[i] - vm[i]) / (2 * h) for i in (0, 1)]
         for i in (0, 1):
-            dH_dv = _fd_partial(lambda vv, i=i, k=k: garnier_hamiltonians_m2(
-                a0, u0, _replace(v0, i, vv), spec)[k], v0[i], h)
-            dH_du = _fd_partial(lambda uu, i=i, k=k: garnier_hamiltonians_m2(
-                a0, _replace(u0, i, uu), v0, spec)[k], u0[i], h)
+            dH_dv = _fd_partial(lambda vv, i=i, k=k: _hamiltonian_m2(
+                k, a0, u0, _replace(v0, i, vv), th, kappa), v0[i], h)
+            dH_du = _fd_partial(lambda uu, i=i, k=k: _hamiltonian_m2(
+                k, a0, _replace(u0, i, uu), v0, th, kappa), u0[i], h)
             res = (abs(du[i] - dH_dv), abs(dv[i] + dH_du))
             if not (isfinite(res[0]) and isfinite(res[1])):
                 raise ArithmeticError(

@@ -5,15 +5,23 @@ the w-branch is tracked by nearest-root continuation with adaptive
 sub-stepping (steps are halved whenever the two closest m-th roots come
 within a factor-2 ambiguity margin).
 
-Quadrature runs in adaptive 16-point Gauss-Legendre panels. One panel pass
-evaluates every node and endpoint of the panel and of its two halves in one
-numpy pass, for all requested rows i at once: the branch index along the
-node sequence is a cumulative sum of rounded angle changes, and the same
-angular gaps give the factor-2 test for every step. A pass with an
-ambiguous step, or with P = 0 on it, is walked by the scalar
-`BranchTracker.advance` instead, halving and all. Each row keeps its own
+Quadrature runs in adaptive 16-point Gauss-Legendre panels. Every initial
+panel of a cycle is evaluated in one numpy pass, for all requested rows i at
+once: every node and endpoint of each panel and of its two halves. The
+halves of consecutive panels form one chain, along which the branch index is
+a cumulative sum of rounded angle changes, and the same angular gaps give
+the factor-2 test for every step; each whole panel is a chain from the end
+of the previous panel. The accepted panels' values are added in path order.
+A panel with a row that fails the tolerance is refined by passes of its
+halves; a panel with an ambiguous step, or with P = 0 on it, is redone alone
+from its start state, and a lone panel like that is walked by the scalar
+`BranchTracker.advance`, halving and all. The same pass function serves the
+cycle, the refinement and the redone panels. Each row keeps its own
 refinement decision, and a refined half reuses its value from the parent
-panel. Cycles are concrete contours:
+panel. P(z)
+that overflows float64 on the path raises PathOverflowError.
+
+Cycles are concrete contours:
 
 * double loops: around a_i counterclockwise then a_{i+1} clockwise, closed on
   the curve for every starting sheet,
@@ -29,8 +37,10 @@ times the chart residue, because z = 1/t^{m1} reverses orientation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +57,10 @@ _GAP_MARGIN = 1.0 - 1e-9
 
 class ContinuationError(RuntimeError):
     """Branch tracking became ambiguous (step too coarse near a branch point)."""
+
+
+class PathOverflowError(OverflowError, ValueError):
+    """P(z) is not finite in float64 somewhere on the path."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,66 +202,91 @@ class BranchTracker:
         self.w = roots[dists[0]]
         return self.w
 
-    def follow(self, z: np.ndarray, starts=(0,)):
-        """Nearest-root w at every point of z, in one numpy pass.
+    def follow(self, z: np.ndarray):
+        """Nearest-root w over consecutive panels in one numpy pass, from the
+        current state, which does not move.
 
-        z holds chains z[starts[c]:starts[c + 1]], each continuing from the
-        current state; the tracker ends at the last point. A step's branch
-        increment is rint((theta_prev - theta) m / 2 pi) over the principal
-        root angles, so the branch index is a cumulative sum, and the same
-        angular gaps give the distances of the factor-2 test of `advance`.
-        If any step fails that test, or P vanishes, the chains are walked by
-        `advance` instead. Returns (w, points walked by `advance`)."""
+        z has shape (K, parts, 17): per panel its whole (when parts is 3)
+        and its two halves, each as 16 nodes then its endpoint. The halves of
+        all K panels form one chain; each whole panel is a chain from the end
+        of the previous panel's halves. A step's branch increment is
+        rint((theta_prev - theta) m / 2 pi) over the principal root angles,
+        so the branch index is a cumulative sum, and the same angular gaps
+        give the distances of the factor-2 test of `advance`. Returns w and,
+        per panel, whether P != 0 and every step passed that test there.
+        Raises PathOverflowError where P(z) is not finite."""
         m = self.curve.m
-        P = _poly_at(self.curve, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = _poly_at(self.curve, z)
+        if not np.isfinite(P).all():
+            far = complex(z.flat[np.argmin(np.isfinite(P))])
+            raise PathOverflowError(
+                f"P(z) overflows float64 on the path, near z = {far:.3g}")
         if m == 1:
-            w = P
-        elif P.all():
-            w = self._follow_roots(P, starts)
-        else:
-            w = None
-        if w is None:
-            return self._follow_scalar(z, starts), len(z)
-        self.z, self.w = complex(z[-1]), complex(w[-1])
-        return w, 0
-
-    def _follow_roots(self, P, starts):
-        m = self.curve.m
+            return P, np.ones(len(z), dtype=bool)
         # abs, phase and the m-th root as mth_roots takes them (numpy's
         # vectorised atan2 and pow can differ from libm in the last bit)
-        r = np.array([x ** (1.0 / m) for x in np.hypot(P.real, P.imag).tolist()])
-        base = np.array(list(map(math.atan2, P.imag.tolist(), P.real.tolist()))) / m
-        prev_r = np.concatenate(([0.0], r[:-1]))
-        prev_base = np.concatenate(([0.0], base[:-1]))
-        prev_r[list(starts)] = abs(self.w)
-        prev_base[list(starts)] = cmath.phase(self.w)
-        x = (prev_base - base) * (m / (2 * math.pi))
-        steps = np.rint(x)
-        # half the angular gaps to the nearest and the second-nearest root;
-        # |r e^{2i h} - r'|^2 = (r - r')^2 + 4 r r' sin^2 h
-        h0 = np.abs(x - steps) * (math.pi / m)
-        dr2 = (r - prev_r) ** 2
-        rr4 = 4.0 * r * prev_r
-        d0 = dr2 + rr4 * np.sin(h0) ** 2
-        d1 = dr2 + rr4 * np.sin(math.pi / m - h0) ** 2
-        if np.any(4.0 * d0 > d1 * _GAP_MARGIN):
-            return None
-        turns = np.cumsum(steps)
-        for s in starts[1:]:
-            turns[s:] -= turns[s - 1]
-        ell = turns.astype(np.int64) % m
+        flat = P.ravel()
+        r = np.fromiter(map(math.pow, _abs(flat).tolist(), itertools.repeat(1.0 / m)),
+                        float, flat.size).reshape(P.shape)
+        base = np.fromiter(map(math.atan2, flat.imag.tolist(), flat.real.tolist()),
+                           float, flat.size).reshape(P.shape) / m
+        prev = []
+        for v, start in ((r, abs(self.w)), (base, cmath.phase(self.w))):
+            pv = np.empty_like(v)
+            pv[:, :, 1:] = v[:, :, :-1]
+            pv[:, -1, 0] = v[:, -2, 16]  # the right half follows the left
+            pv[1:, :-1, 0] = v[:-1, -1, 16, None]  # from the previous panel's end
+            pv[0, :-1, 0] = start
+            prev.append(pv)
+        steps, ok = _steps(m, r, base, *prev)
+        # turns at the end of each part, along the halves chain; a whole
+        # panel branches off where the previous panel's halves end
+        turns = np.cumsum(steps, axis=2)
+        ends = np.cumsum(turns[:, -2:, 16])
+        offset = np.empty(turns.shape[:2])
+        offset[:, :-1] = np.concatenate(([0.0], ends[1:-1:2]))[:, None]
+        offset[:, -1] = ends[::2]
+        ell = (turns + offset[:, :, None]).astype(np.int64) % m
         unit = np.exp(1j * (base + 2 * math.pi * ell / m))
-        return _join(r * unit.real, r * unit.imag)
+        w = _join(r * unit.real, r * unit.imag)
+        if len(z) > 1:
+            # a step from a panel's end takes |w| and arg w there, as the
+            # state of the tracker, for the factor-2 test
+            ends_w = w[:-1, -1, 16].tolist()
+            ok[1:, :-1, 0] = _steps(
+                m, r[1:, :-1, 0], base[1:, :-1, 0],
+                np.array([abs(v) for v in ends_w])[:, None],
+                np.array([cmath.phase(v) for v in ends_w])[:, None])[1]
+        return w, ok.all(axis=(1, 2)) & P.all(axis=(1, 2))
 
-    def _follow_scalar(self, z, starts):
+    def walk(self, z: np.ndarray):
+        """w along one panel's chains by `advance`: its whole panel (when z
+        has three parts), then its halves, each from the current state. The
+        tracker ends where the halves end."""
         start = self.state()
-        w = np.empty(len(z), dtype=complex)
-        bounds = list(starts) + [len(z)]
-        for lo, hi in zip(bounds, bounds[1:]):
+        zs, w = z.ravel().tolist(), np.empty(z.size, dtype=complex)
+        whole = z[0].size if len(z) == 3 else 0
+        for lo, hi in ((0, whole), (whole, z.size)):
             self.restore(start)
             for k in range(lo, hi):
-                w[k] = self.advance(complex(z[k]))
-        return w
+                w[k] = self.advance(zs[k])
+        return w.reshape(z.shape)
+
+
+def _steps(m: int, r, base, prev_r, prev_base):
+    """Branch increments of the steps from (prev_r, prev_base) to (r, base)
+    in polar form, and whether each step passes the factor-2 test."""
+    x = (prev_base - base) * (m / (2 * math.pi))
+    steps = np.rint(x)
+    # half the angular gaps to the nearest and the second-nearest root;
+    # |r e^{2i h} - r'|^2 = (r - r')^2 + 4 r r' sin^2 h
+    h0 = np.abs(x - steps) * (math.pi / m)
+    dr2 = (r - prev_r) ** 2
+    rr4 = 4.0 * r * prev_r
+    d0 = dr2 + rr4 * np.sin(h0) ** 2
+    d1 = dr2 + rr4 * np.sin(math.pi / m - h0) ** 2
+    return steps, ~(4.0 * d0 > d1 * _GAP_MARGIN)
 
 
 # Complex arithmetic on (re, im) pairs of float arrays, rounded operation for
@@ -420,10 +459,18 @@ _MAX_DEPTH = 24
 class QuadratureStats:
     """Effort and achieved error of the adaptive quadrature along one cycle."""
     tol: float = DEFAULT_TOL
-    panels: int = 0          # panel passes (each tracks the branch once)
+    panels: int = 0          # panels evaluated (whole and both halves, or halves)
     max_depth: int = 0       # deepest panel halving
     fallback_steps: int = 0  # points walked by the scalar BranchTracker.advance
     max_error: float = 0.0   # largest accepted |val1 - val2|, next to tol
+
+
+def _panel_count(seg) -> int:
+    if isinstance(seg, ArcSegment):
+        turns = abs(seg.angle1 - seg.angle0) / (2 * math.pi)
+        # a full turn may come out as 0.9999999999999999
+        return max(4, int(8 * turns + 1e-9))
+    return 4
 
 
 def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
@@ -431,10 +478,14 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
     """Integral of w^{jn}/(z - a_i) dz along the cycle, adaptive panels.
 
     `i` is one row (returns a complex) or a sequence of rows (returns an
-    array): the rows share every panel pass, so the branch is tracked once,
-    and each row is refined only where its own panel fails
-    |val1 - val2| <= max(tol, tol |val2|). `stats`, if given, accumulates
-    the effort and the achieved error."""
+    array): the rows share every tracked pass, so the branch is tracked
+    once, and each row is refined only where its own panel fails
+    |val1 - val2| <= max(tol, tol |val2|). A tol below the float resolution
+    raises ValueError. `stats`, if given, accumulates the effort and the
+    achieved error."""
+    if not tol >= sys.float_info.epsilon:
+        raise ValueError(f"tol {tol!r} is below the float resolution "
+                         f"{sys.float_info.epsilon!r}")
     single = isinstance(i, numbers.Integral)
     rows = [i] if single else list(i)
     poles = np.array([curve.point_numeric(r) for r in rows])[:, None, None]
@@ -445,47 +496,71 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
         stats = QuadratureStats()
     stats.tol = tol
 
-    def halves(seg, t0, t1, active, whole):
-        """One tracked pass: the 16-point values of both halves of [t0, t1]
-        (first the whole panel when `whole`) for the rows `active`, each
-        part's nodes followed by its endpoint. The whole panel is its own
-        chain; the halves continue the tracker to seg.at(t1). Returns the
-        (rows, parts) values and w at the midpoint."""
+    def evaluate(panels, active, val1):
+        """One tracked pass over consecutive panels (seg, t0, t1) from the
+        tracker's state, which does not move: the 16-point values of both
+        halves of every panel, and of the whole panel when val1 is None, for
+        the rows `active`. A pass of one panel that numpy cannot track is
+        walked by `advance`; a longer pass only reports such panels. Returns
+        the (rows, K, parts) values, z and w at every point, and per panel
+        whether its w stands."""
+        parts = 3 if val1 is None else 2
+        t0 = np.array([p[1] for p in panels])
+        t1 = np.array([p[2] for p in panels])
         tm = 0.5 * (t0 + t1)
-        lo = np.array([t0, t0, tm] if whole else [t0, tm])
-        hi = np.array([t1, tm, t1] if whole else [tm, t1])
+        lo = np.stack([t0, t0, tm] if parts == 3 else [t0, tm], axis=1)
+        hi = np.stack([t1, tm, t1] if parts == 3 else [tm, t1], axis=1)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = np.empty((len(lo), 17))
-        t[:, :16] = mid[:, None] + half[:, None] * _GL_NODES
-        t[:, 16] = hi
-        t = t.ravel()
-        z = seg.at_array(t)
-        w, scalar_steps = tracker.follow(z, (0, 17) if whole else (0,))
-        stats.fallback_steps += scalar_steps
-        z, w = z.reshape(-1, 17), w.reshape(-1, 17)
-        vel = seg.velocity_array(t).reshape(-1, 17)[:, :16]
-        zn, pa = z[:, :16], poles[active]
-        f = _div(_pow((w.real[:, :16], w.imag[:, :16]), e),
+        t = np.empty(lo.shape + (17,))
+        t[..., :16] = mid[..., None] + half[..., None] * _GL_NODES
+        t[..., 16] = hi
+        z = np.empty(t.shape, dtype=complex)
+        vel = np.empty(t.shape, dtype=complex)
+        k = 0
+        for seg, run in itertools.groupby(panels, key=lambda p: p[0]):
+            sl = slice(k, k + sum(1 for _ in run))
+            z[sl], vel[sl] = seg.at_array(t[sl]), seg.velocity_array(t[sl])
+            k = sl.stop
+        w, tracked = tracker.follow(z)
+        if len(panels) == 1 and not tracked[0]:
+            start = tracker.state()
+            w = tracker.walk(z[0])[None]
+            tracker.restore(start)
+            stats.fallback_steps += z.size
+            tracked[0] = True
+        zn, vel = z[..., :16], vel[..., :16]
+        pa = poles[active][:, None]
+        f = _div(_pow((w.real[..., :16], w.imag[..., :16]), e),
                  (zn.real - pa.real, zn.imag - pa.imag))
         terms = _mul((_GL_WEIGHTS * f[0], _GL_WEIGHTS * f[1]), (vel.real, vel.imag))
         # summed node by node, as the scalar loop adds them
-        vals = _join(*(part.cumsum(axis=2)[:, :, -1] * half for part in terms))
-        if not np.isfinite(vals).all():  # NaN would fail every halving
-            raise ZeroDivisionError("integrand is singular on the path")
-        return vals, w[-2, 16]
+        vals = _join(*(part.cumsum(axis=-1)[..., -1] * half for part in terms))
+        return vals, z, w, tracked
+
+    def judge(val1, left, right):
+        """val2, |val1 - val2| and which of them pass the tolerance test."""
+        val2 = left + right
+        err = _abs(val1 - val2)
+        return val2, err, err <= np.maximum(tol, tol * _abs(val2))
 
     def panel(seg, t0, t1, depth, active, val1):
         start = tracker.state()
-        vals, w_mid = halves(seg, t0, t1, active, val1 is None)
+        vals, z, w, _ = evaluate([(seg, t0, t1)], active, val1)
+        settle(seg, t0, t1, depth, active, val1, start, vals[:, 0], z[0], w[0])
+
+    def settle(seg, t0, t1, depth, active, val1, start, vals, z, w):
+        """Accept the rows of one evaluated panel that pass the test, and
+        refine the others from `start`, the state its pass started from."""
+        if not np.isfinite(vals).all():  # NaN would fail every halving
+            raise ZeroDivisionError("integrand is singular on the path")
         if val1 is None:
             val1 = vals[:, 0]
         left, right = vals[:, -2], vals[:, -1]
-        val2 = left + right
-        err = _abs(val1 - val2)
-        size = _abs(val2)
-        ok = err <= np.maximum(tol, tol * size)
+        w_mid, w_end = complex(w[-2, 16]), complex(w[-1, 16])
+        tracker.restore((complex(z[-1, 16]), w_end))
+        val2, err, ok = judge(val1, left, right)
         if depth >= _MAX_DEPTH:
-            if np.any(err > 1e-6 * np.maximum(1.0, size)):
+            if np.any(err > 1e-6 * np.maximum(1.0, _abs(val2))):
                 raise ArithmeticError("quadrature failed to converge on a panel")
             ok[:] = True
         stats.panels += 1
@@ -495,7 +570,6 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
             totals[active[ok]] += val2[ok]
         if ok.all():
             return
-        w_end = tracker.w
         tracker.restore(start)
         redo = ~ok
         tm = 0.5 * (t0 + t1)
@@ -510,14 +584,33 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
                 "the sheet its end lands on")
 
     everyone = np.arange(len(rows))
-    for seg in cycle.segments:
-        npanels = 4
-        if isinstance(seg, ArcSegment):
-            turns = abs(seg.angle1 - seg.angle0) / (2 * math.pi)
-            # a full turn may come out as 0.9999999999999999
-            npanels = max(4, int(8 * turns + 1e-9))
-        for k in range(npanels):
-            panel(seg, k / npanels, (k + 1) / npanels, 0, everyone, None)
+    todo = [(seg, k / n, (k + 1) / n) for seg in cycle.segments
+            for n in (_panel_count(seg),) for k in range(n)]
+    while todo:
+        # one pass for every panel still to do, which stands for each panel
+        # as long as the tracker ends where the pass assumed: a panel that
+        # fails the tolerance is refined, one it cannot track is redone alone
+        vals, z, w, tracked = evaluate(todo, everyone, None)
+        val2, err, ok = judge(*vals.transpose(2, 0, 1))
+        settled = (tracked & ok.all(axis=0)).tolist()
+        worst = err.max(axis=0).tolist()
+        ends = list(zip(z[:, -1, 16].tolist(), w[:, -1, 16].tolist()))
+        for k, (seg, t0, t1) in enumerate(todo):
+            start = tracker.state()
+            if settled[k]:
+                stats.panels += 1
+                stats.max_error = max(stats.max_error, worst[k])
+                totals += val2[:, k]
+                tracker.restore(ends[k])
+            elif tracked[k]:
+                settle(seg, t0, t1, 0, everyone, None, start, vals[:, k], z[k], w[k])
+            else:
+                panel(seg, t0, t1, 0, everyone, None)
+            if tracker.state() != ends[k]:
+                todo = todo[k + 1:]
+                break
+        else:
+            todo = []
     return complex(totals[0]) if single else totals
 
 

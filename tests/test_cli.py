@@ -629,6 +629,20 @@ def _cli_process(*args, **kw):
                             stdin=subprocess.DEVNULL, **kw)
 
 
+def _assert_usage_error(*args):
+    """isolab exits 2 within 20 s with one `error:` line and no output;
+    returns that line."""
+    proc = _cli_process(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                        text=True)
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2, (args, err)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestTolerance:
     COMMANDS = {"periods": ("periods", "--m", "2", "--n", "1", "--a", "0,1,2+1i"),
                 "verify": ("verify", "--theorem", "11", "--M", "2", "--n", "-1",
@@ -639,15 +653,12 @@ class TestTolerance:
     def test_bad_tol_is_a_usage_error(self, command, tol):
         # a child process with a timeout: tol <= 0 or nan once made the
         # quadrature halve its panels without end
-        proc = _cli_process(*self.COMMANDS[command], f"--tol={tol}",
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
-        try:
-            out, err = proc.communicate(timeout=20)
-        finally:
-            proc.kill()
-        assert proc.returncode == 2, (command, tol, err)
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        _assert_usage_error(*self.COMMANDS[command], f"--tol={tol}")
+
+    def test_tol_below_float_resolution_is_a_usage_error(self):
+        # the quadrature halved its panels for minutes at 1e-30; verify reads
+        # tol as a residual threshold, so only periods refuses it
+        _assert_usage_error(*self.COMMANDS["periods"], "--tol=1e-30")
 
     def test_default_tol_kept(self):
         assert cli._tol(None, 1e-6) == 1e-6
@@ -713,6 +724,13 @@ class TestPeriods:
         assert code == 0 and len(rows) > 100
         for row in rows[1:]:
             [float(cell) for cell in row[1:]]
+
+
+    @pytest.mark.parametrize("points", ["0,1,1e200", "0,1,1e120", "0,1e160,2"])
+    def test_overflowing_polynomial_is_a_usage_error(self, points):
+        # numpy warnings once went to stderr, then a misleading "singular"
+        err = _assert_usage_error("periods", "--m", "2", "--n", "1", "--a", points)
+        assert "overflows" in err
 
 
 class TestPeriodsTrace:

@@ -1,17 +1,22 @@
 import cmath
 import json
 import math
+import numbers
+import random
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isolab import periods
 from isolab.curves import SuperellipticCurve, residue_series_oracle
 from isolab.periods import (ArcSegment, BranchTracker, ContinuationError,
-                            LineSegment, PathSpec, QuadratureStats,
-                            build_cycle_basis, clearance_radius, continue_w,
-                            double_loop, infinity_loop, integrate_omega,
+                            LineSegment, PathOverflowError, PathSpec,
+                            QuadratureStats, build_cycle_basis,
+                            clearance_radius, continue_w, double_loop,
+                            infinity_loop, integrate_omega,
                             isomonodromy_fd_check, period_matrix, puncture_loop,
                             rank_check)
 
@@ -334,3 +339,199 @@ class TestBatchedQuadrature:
             st = QuadratureStats()
             integrate_omega(curve, [1, 2, 3], 1, loop, stats=st)
             assert st.max_depth == 0 and st.panels == 32, loop.label
+
+
+def reference_integrate_omega(curve, i, j, cycle, tol=1e-10, stats=None):
+    """integrate_omega as it was before the initial panels of a cycle shared
+    one pass: one tracked numpy pass per panel, in path order, each panel and
+    its halves walked by BranchTracker.advance when a step is ambiguous."""
+    single = isinstance(i, numbers.Integral)
+    rows = [i] if single else list(i)
+    poles = np.array([curve.point_numeric(r) for r in rows])[:, None, None]
+    e = j * curve.n
+    m = curve.m
+    tracker = BranchTracker(curve, cycle.start(), cycle.start_branch)
+    totals = np.zeros(len(rows), dtype=complex)
+    if stats is None:
+        stats = QuadratureStats()
+    stats.tol = tol
+
+    def follow_roots(P, starts):
+        r = np.array([x ** (1.0 / m) for x in np.hypot(P.real, P.imag).tolist()])
+        base = np.array(list(map(math.atan2, P.imag.tolist(), P.real.tolist()))) / m
+        prev_r = np.concatenate(([0.0], r[:-1]))
+        prev_base = np.concatenate(([0.0], base[:-1]))
+        prev_r[list(starts)] = abs(tracker.w)
+        prev_base[list(starts)] = cmath.phase(tracker.w)
+        x = (prev_base - base) * (m / (2 * math.pi))
+        steps = np.rint(x)
+        h0 = np.abs(x - steps) * (math.pi / m)
+        dr2 = (r - prev_r) ** 2
+        rr4 = 4.0 * r * prev_r
+        d0 = dr2 + rr4 * np.sin(h0) ** 2
+        d1 = dr2 + rr4 * np.sin(math.pi / m - h0) ** 2
+        if np.any(4.0 * d0 > d1 * periods._GAP_MARGIN):
+            return None
+        turns = np.cumsum(steps)
+        for s in starts[1:]:
+            turns[s:] -= turns[s - 1]
+        ell = turns.astype(np.int64) % m
+        unit = np.exp(1j * (base + 2 * math.pi * ell / m))
+        return periods._join(r * unit.real, r * unit.imag)
+
+    def follow(z, starts):
+        P = periods._poly_at(curve, z)
+        w = P if m == 1 else follow_roots(P, starts) if P.all() else None
+        if w is None:
+            start = tracker.state()
+            w = np.empty(len(z), dtype=complex)
+            bounds = list(starts) + [len(z)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                tracker.restore(start)
+                for k in range(lo, hi):
+                    w[k] = tracker.advance(complex(z[k]))
+            return w, len(z)
+        tracker.z, tracker.w = complex(z[-1]), complex(w[-1])
+        return w, 0
+
+    def halves(seg, t0, t1, active, whole):
+        tm = 0.5 * (t0 + t1)
+        lo = np.array([t0, t0, tm] if whole else [t0, tm])
+        hi = np.array([t1, tm, t1] if whole else [tm, t1])
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = np.empty((len(lo), 17))
+        t[:, :16] = mid[:, None] + half[:, None] * periods._GL_NODES
+        t[:, 16] = hi
+        t = t.ravel()
+        z = seg.at_array(t)
+        w, scalar_steps = follow(z, (0, 17) if whole else (0,))
+        stats.fallback_steps += scalar_steps
+        z, w = z.reshape(-1, 17), w.reshape(-1, 17)
+        vel = seg.velocity_array(t).reshape(-1, 17)[:, :16]
+        zn, pa = z[:, :16], poles[active]
+        f = periods._div(periods._pow((w.real[:, :16], w.imag[:, :16]), e),
+                         (zn.real - pa.real, zn.imag - pa.imag))
+        terms = periods._mul((periods._GL_WEIGHTS * f[0], periods._GL_WEIGHTS * f[1]),
+                             (vel.real, vel.imag))
+        vals = periods._join(*(part.cumsum(axis=2)[:, :, -1] * half
+                               for part in terms))
+        if not np.isfinite(vals).all():
+            raise ZeroDivisionError("integrand is singular on the path")
+        return vals, w[-2, 16]
+
+    def panel(seg, t0, t1, depth, active, val1):
+        start = tracker.state()
+        vals, w_mid = halves(seg, t0, t1, active, val1 is None)
+        if val1 is None:
+            val1 = vals[:, 0]
+        left, right = vals[:, -2], vals[:, -1]
+        val2 = left + right
+        err = periods._abs(val1 - val2)
+        size = periods._abs(val2)
+        ok = err <= np.maximum(tol, tol * size)
+        if depth >= periods._MAX_DEPTH:
+            if np.any(err > 1e-6 * np.maximum(1.0, size)):
+                raise ArithmeticError("quadrature failed to converge on a panel")
+            ok[:] = True
+        stats.panels += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        if ok.any():
+            stats.max_error = max(stats.max_error, float(err[ok].max()))
+            totals[active[ok]] += val2[ok]
+        if ok.all():
+            return
+        w_end = tracker.w
+        tracker.restore(start)
+        redo = ~ok
+        tm = 0.5 * (t0 + t1)
+        panel(seg, t0, tm, depth + 1, active[redo], left[redo])
+        same = periods._same_sheet(tracker.w, w_mid)
+        panel(seg, tm, t1, depth + 1, active[redo], right[redo] if same else None)
+        if ok.any() and not periods._same_sheet(tracker.w, w_end):
+            raise ContinuationError("refining a panel changed its end sheet")
+
+    everyone = np.arange(len(rows))
+    for seg in cycle.segments:
+        npanels = 4
+        if isinstance(seg, ArcSegment):
+            turns = abs(seg.angle1 - seg.angle0) / (2 * math.pi)
+            npanels = max(4, int(8 * turns + 1e-9))
+        for k in range(npanels):
+            panel(seg, k / npanels, (k + 1) / npanels, 0, everyone, None)
+    return complex(totals[0]) if single else totals
+
+
+TRIANGLE = (0.0, 1.0, 2.0 + 1.0j)
+QUADRANGLE = (0.0, 1.0, 2.4 + 0.8j, 3.6 - 0.9j)
+# (m, branch points, n, j) of the period matrices of the numeric benchmark
+PERIOD_GRID = [(2, TRIANGLE, 1, 1), (3, TRIANGLE, 1, 1), (3, TRIANGLE, 1, 2),
+               (2, QUADRANGLE, 1, 1), (4, TRIANGLE, 1, 1), (1, TRIANGLE, -1, 1),
+               (2, TRIANGLE, -1, 2), (1, QUADRANGLE, -1, 1)]
+
+
+def _reference_cases():
+    """(curve, rows, j, cycle): the jittered period grid with its infinity
+    and puncture loops, lines that refine or fall back to `advance`, and the
+    exponents of test_exponents_match_scalar_route."""
+    rng = random.Random(20)
+    for m, pts, n, j in PERIOD_GRID:
+        pts = [complex(z) + complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+               for z in pts]
+        curve = SuperellipticCurve(m, pts, n)
+        for cyc in build_cycle_basis(curve):
+            yield curve, range(1, curve.N + 1), j, cyc
+            yield curve, curve.N, j, cyc
+        yield curve, [1, 2], j, infinity_loop(curve, 2)
+        yield curve, 1, j, puncture_loop(curve, 1)
+    # the first panel of the long line steps past a_1 and a_2 at once: the
+    # pass leaves it to `advance`, which ends on another root than the pass
+    # assumed, so the panels after it take a second pass
+    long_line = PathSpec((LineSegment(-9.5 - 0.006j, 74.5 - 0.006j),), 0)
+    for path in (_line_beside_a1(0.1), _line_beside_a1(0.005), long_line):
+        for curve in (CURVE_23, CURVE_33):
+            yield curve, [1, 2, 3], 1, path
+            yield curve, 2, 1, path
+    loop = build_cycle_basis(CURVE_33)[1]
+    for j, n in ((0, 1), (1, -1), (2, -1), (5, 1)):
+        yield SuperellipticCurve(3, [0.0, 1.0, 2.0 + 1.0j], n), [1, 2, 3], j, loop
+
+
+class TestOnePassPerCycle:
+    def test_bit_identical_to_one_pass_per_panel(self, monkeypatch):
+        follow, passes = BranchTracker.follow, []
+
+        def counted(tracker, z):
+            passes[-1] += len(z) > 1
+            return follow(tracker, z)
+
+        monkeypatch.setattr(BranchTracker, "follow", counted)
+        kinds = set()
+        for curve, rows, j, cyc in _reference_cases():
+            got_st, want_st = QuadratureStats(), QuadratureStats()
+            passes.append(0)
+            got = integrate_omega(curve, rows, j, cyc, stats=got_st)
+            want = reference_integrate_omega(curve, rows, j, cyc, stats=want_st)
+            case = (curve.m, curve.n, j, cyc.label, rows)
+            assert type(got) is type(want), case
+            assert list(map(repr, np.atleast_1d(got))) == \
+                list(map(repr, np.atleast_1d(want))), case
+            assert got_st == want_st, case
+            kinds.add((got_st.max_depth > 0, got_st.fallback_steps > 0))
+        # panels accepted whole, refined, and walked by `advance`; cycles of
+        # one pass and of more
+        assert kinds == {(False, False), (True, False), (True, True)}
+        assert set(passes) == {1, 2}
+
+    def test_tol_below_float_resolution_is_refused(self):
+        for tol in (1e-30, 1e-17, math.nan):
+            with pytest.raises(ValueError, match="below the float resolution"):
+                integrate_omega(CURVE_23, 1, 1, build_cycle_basis(CURVE_23)[0], tol)
+
+    @pytest.mark.parametrize("points", [(0, 1, 1e200), (0, 1, 1e120), (0, 1e160, 2)])
+    def test_overflowing_polynomial_is_named(self, points):
+        curve = SuperellipticCurve(2, [complex(a) for a in points], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathOverflowError, match="overflows") as info:
+                period_matrix(curve, 1, build_cycle_basis(curve))
+        assert isinstance(info.value, ArithmeticError)
