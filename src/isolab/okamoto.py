@@ -1,16 +1,23 @@
 """Okamoto's birational canonical transformations of the PVI system.
 
-Implements the five generators w0..w4 acting on the parameter vector
-(b1, b2, b3, b4) and the induced birational maps on (y, p) through the
-2-vector identity
+The affine Weyl group of type D4^(1) acts on PVI by five reflections s0..s4
+(Okamoto, Ann. Mat. Pura Appl. 148, 1987; Noumi, Painleve Equations through
+Symmetry, 2004). In the Noumi-Yamada roots
 
-    F[b] (y, y(y-1)p)^T + g[b] = F[w(b)] (y_w, y_w(y_w-1)p_w)^T + g[w(b)],
+    alpha = (2 beta3, 1 - 2 beta_inf, beta_inf - beta1 - beta2 - beta3,
+             2 beta2, 2 beta1)
 
-solved exactly over rational functions. The corrected conventions are used
-throughout: w4 flips and swaps the first two coordinates, and g[b] carries
-the 1/2 factors (the original reference misprints both; see module tests).
-Degenerate starting pairs (y identically 0) are handled by the explicit
-prolongation formula instead, since det F[w(b)] vanishes there.
+node 2 is the centre of the diagram, and s_i negates alpha_i and adds it to
+each neighbour. On the pair (y, p) of the Hamiltonian system
+(painleve.hamiltonian_system_residual), s0, s3 and s4 fix y and send
+p -> p - alpha_i/(y - c_i) with c = (x, 1, 0); s1 fixes (y, p); s2 sends
+y -> y + alpha2/p. A reflection whose root is zero fixes (y, p), so the
+degenerate solution y = 0 passes through s4 exactly when beta1 = 0.
+
+Okamoto's letters w0..w4 act on b = (b1, b2, b3, b4) = (beta1 + beta2,
+beta1 - beta2, beta3 + beta_inf - 1, beta3 - beta_inf): w0, w1, w3 and w4
+are s0, s3, s1 and s4, and w2 (which swaps b2 and b3) is s4 s1 s2 s1 s4.
+Words act left to right, and each image is reduced after every reflection.
 """
 
 from __future__ import annotations
@@ -51,29 +58,53 @@ class OkamotoCoords:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
-_GENERATORS = {
-    "w0": lambda b: (b[0], b[1], -b[3] - 1, -b[2] - 1),
-    "w1": lambda b: (b[1], b[0], b[2], b[3]),
-    "w2": lambda b: (b[0], b[2], b[1], b[3]),
-    "w3": lambda b: (b[0], b[1], b[3], b[2]),
-    "w4": lambda b: (-b[1], -b[0], b[2], b[3]),
-}
+# The reflections s0..s4: the neighbours of node i, and the pole c_i of the
+# momentum shift p -> p - alpha_i/(y - c_i) (None: s1 fixes (y, p) and s2
+# moves y).
+_REFLECTIONS = (((2,), RatFunc.var(X)), ((2,), None),
+                ((0, 1, 3, 4), None), ((2,), 1), ((2,), 0))
+_LETTERS = {"w0": (0,), "w1": (3,), "w2": (4, 1, 2, 1, 4), "w3": (1,),
+            "w4": (4,)}
+
+
+def _roots(b: OkamotoCoords) -> list:
+    b1, b2, b3, b4 = map(to_rational, b.as_tuple())
+    return [b3 + b4 + 1, b4 - b3, -b1 - b4, b1 - b2, b1 + b2]
+
+
+def _coords(a) -> OkamotoCoords:
+    return OkamotoCoords((a[3] + a[4]) / 2, (a[4] - a[3]) / 2,
+                         (a[0] - a[1] - 1) / 2, (a[0] + a[1] - 1) / 2)
+
+
+def _reflect(i: int, a: list) -> list:
+    a = list(a)
+    for j in _REFLECTIONS[i][0]:
+        a[j] += a[i]
+    a[i] = -a[i]
+    return a
+
+
+def _reflections(word: str) -> list:
+    """The s_i indices spelled by a word like 'w1w2w1', in order."""
+    out = []
+    for i in range(0, len(word), 2):
+        if word[i] != "w" or i + 1 >= len(word) or not word[i + 1].isdigit():
+            raise ValueError(f"bad transformation word {word!r}")
+        gen = word[i:i + 2]
+        if gen not in _LETTERS:
+            raise ValueError(f"unknown generator {gen!r}")
+        out.extend(_LETTERS[gen])
+    return out
 
 
 def apply_word(word: str, b: OkamotoCoords) -> OkamotoCoords:
     """Apply a composition like 'w1w2w1' to the parameter vector,
     generators acting left to right."""
-    t = b.as_tuple()
-    i = 0
-    while i < len(word):
-        if word[i] != "w" or i + 1 >= len(word) or not word[i + 1].isdigit():
-            raise ValueError(f"bad transformation word {word!r}")
-        gen = word[i:i + 2]
-        if gen not in _GENERATORS:
-            raise ValueError(f"unknown generator {gen!r}")
-        t = _GENERATORS[gen](t)
-        i += 2
-    return OkamotoCoords(*t)
+    a = _roots(b)
+    for i in _reflections(word):
+        a = _reflect(i, a)
+    return _coords(a)
 
 
 def h_polynomial(y, p, b: OkamotoCoords) -> RatFunc:
@@ -84,70 +115,38 @@ def h_polynomial(y, p, b: OkamotoCoords) -> RatFunc:
             - b.b1 ** 2).to_ratfunc()
 
 
-def _sigma(vals, k):
-    from itertools import combinations
-    out = Fraction(0)
-    for comb in combinations(vals, k):
-        prod = Fraction(1)
-        for v in comb:
-            prod *= v
-        out += prod
-    return out
-
-
-def _F_matrix(b: OkamotoCoords, h: FactoredFrac):
-    s1 = _sigma((b.b1, b.b3, b.b4), 1)
-    s2 = _sigma((b.b1, b.b3, b.b4), 2)
-    s3 = _sigma((b.b1, b.b3, b.b4), 3)
-    return [[-h + s2, FactoredFrac.const(-b.b3 - b.b4)],
-            [s1 * h - s3, -h + b.b3 * b.b4]]
-
-
-def _g_vector(b: OkamotoCoords, h: FactoredFrac):
-    vals = b.as_tuple()
-    return [FactoredFrac.const(-Fraction(1, 2) * _sigma(vals, 2)),
-            -Fraction(1, 2) * _sigma(vals, 1) * h
-            + Fraction(1, 2) * _sigma(vals, 3)]
-
-
 class DegenerateTransform(ValueError):
-    """det F[w(b)] vanishes identically on the given pair."""
+    """A reflection with a nonzero root meets its pole: y = c_i identically,
+    or p = 0 identically for s2."""
 
 
 def okamoto_apply(word: str, y, p, b: OkamotoCoords):
     """Image (y_w, p_w, b_w) of (y, p) under the transformation word.
 
     y and p may be rational functions of x (and extra parameters), or formal
-    variables for identity work. Raises DegenerateTransform when the linear
-    solve degenerates (e.g. y identically 0 under w1w2w1); use
-    degenerate_prolongation for that case.
+    variables for identity work. Raises DegenerateTransform when a letter
+    divides by zero (e.g. y identically 0 under w4 with b1 + b2 != 0).
     """
-    y = FactoredFrac._coerce(y)
-    p = FactoredFrac._coerce(p)
-    bw = apply_word(word, b)
-    h = FactoredFrac._coerce(h_polynomial(y, p, b))
-    F = _F_matrix(b, h)
-    g = _g_vector(b, h)
-    Fw = _F_matrix(bw, h)
-    gw = _g_vector(bw, h)
-    v = [y, y * (y - 1) * p]
-    rhs = [F[0][0] * v[0] + F[0][1] * v[1] + g[0] - gw[0],
-           F[1][0] * v[0] + F[1][1] * v[1] + g[1] - gw[1]]
-    det = Fw[0][0] * Fw[1][1] - Fw[0][1] * Fw[1][0]
-    if det.is_zero():
-        raise DegenerateTransform(
-            "det F[w(b)] vanishes identically; use degenerate_prolongation")
-    yw = (rhs[0] * Fw[1][1] - rhs[1] * Fw[0][1]) / det
-    vw2 = (rhs[1] * Fw[0][0] - rhs[0] * Fw[1][0]) / det
-    den = yw * (yw - 1)
-    if den.is_zero():
-        return yw.to_ratfunc(), None, bw
-    return yw.to_ratfunc(), (vw2 / den).to_ratfunc(), bw
+    y, p = (FactoredFrac._coerce(v).to_ratfunc() for v in (y, p))
+    a = _roots(b)
+    for i in _reflections(word):
+        pole = _REFLECTIONS[i][1]
+        if a[i] and i == 2:
+            if p.is_zero():
+                raise DegenerateTransform("s2 meets p = 0 identically")
+            y = y + a[2] / p
+        elif a[i] and pole is not None:
+            if y == pole:
+                raise DegenerateTransform(f"s{i} meets y = {pole} identically")
+            p = p - a[i] / (y - pole)
+        a = _reflect(i, a)
+    return y, p, _coords(a)
 
 
 def degenerate_prolongation(p, b1, b3):
     """Prolongation of the w1w2w1 transformation to the degenerate solution
-    y = 0 (valid when beta1 = 0, i.e. b1 = -b2):
+    y = 0 (valid when beta1 = 0, i.e. b1 = -b2; okamoto_apply gives the same
+    pair there):
 
         y_w = (b1 - b3)/(p + 2 b1),
         p_w = -(b1 + b3)(p + 2 b1)/(p + b1 + b3).

@@ -18,8 +18,8 @@ from its start state, and a lone panel like that is walked by the scalar
 `BranchTracker.advance`, halving and all. The same pass function serves the
 cycle, the refinement and the redone panels. Each row keeps its own
 refinement decision, and a refined half reuses its value from the parent
-panel. P(z)
-that overflows float64 on the path raises PathOverflowError.
+panel. P(z) or an integrand that overflows float64 on the path raises
+PathOverflowError.
 
 Cycles are concrete contours:
 
@@ -60,7 +60,8 @@ class ContinuationError(RuntimeError):
 
 
 class PathOverflowError(OverflowError, ValueError):
-    """P(z) is not finite in float64 somewhere on the path."""
+    """P(z), or the integrand where P(z) != 0, is not finite in float64
+    somewhere on the path."""
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +531,15 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
             tracked[0] = True
         zn, vel = z[..., :16], vel[..., :16]
         pa = poles[active][:, None]
-        f = _div(_pow((w.real[..., :16], w.imag[..., :16]), e),
-                 (zn.real - pa.real, zn.imag - pa.imag))
-        terms = _mul((_GL_WEIGHTS * f[0], _GL_WEIGHTS * f[1]), (vel.real, vel.imag))
-        # summed node by node, as the scalar loop adds them
-        vals = _join(*(part.cumsum(axis=-1)[..., -1] * half for part in terms))
+        # an integrand that overflows is named by `settle`
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _div(_pow((w.real[..., :16], w.imag[..., :16]), e),
+                     (zn.real - pa.real, zn.imag - pa.imag))
+            terms = _mul((_GL_WEIGHTS * f[0], _GL_WEIGHTS * f[1]),
+                         (vel.real, vel.imag))
+            # summed node by node, as the scalar loop adds them
+            vals = _join(*(part.cumsum(axis=-1)[..., -1] * half
+                           for part in terms))
         return vals, z, w, tracked
 
     def judge(val1, left, right):
@@ -552,6 +557,10 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
         """Accept the rows of one evaluated panel that pass the test, and
         refine the others from `start`, the state its pass started from."""
         if not np.isfinite(vals).all():  # NaN would fail every halving
+            if (w[:, :16] != 0).all():  # P != 0 at every node
+                raise PathOverflowError(
+                    "the integrand overflows float64 on the path, near "
+                    f"z = {seg.at(t0):.3g}")
             raise ZeroDivisionError("integrand is singular on the path")
         if val1 is None:
             val1 = vals[:, 0]

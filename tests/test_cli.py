@@ -732,6 +732,12 @@ class TestPeriods:
         err = _assert_usage_error("periods", "--m", "2", "--n", "1", "--a", points)
         assert "overflows" in err
 
+    def test_overflowing_integrand_is_a_usage_error(self):
+        # P ~ 1e90 is finite, w^15 is not
+        err = _assert_usage_error("periods", "--m", "2", "--n", "5", "--j", "3",
+                                  "--a", "0,1,1e30")
+        assert "integrand overflows" in err
+
 
 class TestPeriodsTrace:
     def test_trace_rows(self, capsys):

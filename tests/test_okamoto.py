@@ -1,16 +1,55 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import MultiPoly, RatFunc
 from isolab.okamoto import (DegenerateTransform, OkamotoCoords, apply_word,
                             degenerate_prolongation, h_polynomial,
                             okamoto_apply, riccati_residual)
-from isolab.painleve import (PVIParams, conjugate_momentum, pvi_params,
-                             pvi_residual, thm5_solution)
+from isolab.painleve import (PVIParams, conjugate_momentum,
+                             hamiltonian_system_residual, pvi_params,
+                             pvi_residual, thm5_solution, thm6_family,
+                             thm7_solution, thm8_family)
 
 x = MultiPoly.var("x")
 c = MultiPoly.var("c")
+
+# Okamoto's generators on b as printed, the reference for apply_word.
+REFERENCE_GENERATORS = {
+    "w0": lambda b: (b[0], b[1], -b[3] - 1, -b[2] - 1),
+    "w1": lambda b: (b[1], b[0], b[2], b[3]),
+    "w2": lambda b: (b[0], b[2], b[1], b[3]),
+    "w3": lambda b: (b[0], b[1], b[3], b[2]),
+    "w4": lambda b: (-b[1], -b[0], b[2], b[3]),
+}
+
+FAMILIES = {
+    "thm5 n=1": lambda: thm5_solution(1),
+    "thm5 n=2": lambda: thm5_solution(2),
+    "thm6 n=-1": lambda: thm6_family(-1),
+    "thm6 n=-2": lambda: thm6_family(-2),
+    "thm7 (2, 1/3, 1/5)": lambda: thm7_solution(2, F(1, 3), F(1, 5)),
+    "thm8 (5, 1, 3)": lambda: thm8_family(5, 1, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def trajectory(name):
+    """(y, p, b) of a named PVI family, p its Hamiltonian momentum."""
+    fam = FAMILIES[name]()
+    return (fam.y, conjugate_momentum(fam.y, fam.theta),
+            OkamotoCoords.from_theta(fam.theta))
+
+
+# The reflection s_i as w-letters: s0, s1, s3, s4 are w0, w3, w1, w4, and s2
+# is w2 conjugated by w4 w3.
+S_LETTERS = {"0": "w0", "1": "w3", "2": "w4w3w2w3w4", "3": "w1", "4": "w4"}
+
+
+def s_word(indices: str) -> str:
+    return "".join(S_LETTERS[i] for i in indices.split())
 
 
 class TestCoordinates:
@@ -29,6 +68,17 @@ class TestCoordinates:
         assert apply_word("w4", b) == OkamotoCoords.of(-2, -1, 3, 4)
         with pytest.raises(ValueError):
             apply_word("w5", b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(REFERENCE_GENERATORS)), max_size=6),
+           st.lists(st.fractions(-50, 50, max_denominator=12), min_size=4,
+                    max_size=4))
+    def test_words_match_the_printed_generators(self, letters, b):
+        t = tuple(b)
+        for gen in letters:
+            t = REFERENCE_GENERATORS[gen](t)
+        assert apply_word("".join(letters), OkamotoCoords(*b)) == \
+            OkamotoCoords(*t)
 
 
 class TestGeneratorsOnTrajectories:
@@ -53,6 +103,42 @@ class TestGeneratorsOnTrajectories:
         assert pw == self.p - (self.b.b1 + self.b.b2) / self.y
 
 
+@pytest.mark.parametrize("word", ["w0", "w1", "w2", "w3", "w4", "w0w3",
+                                  "w3w0", "w1w2w1"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generator_images_solve_the_hamiltonian_system(family, word):
+    y, p, b = trajectory(family)
+    yw, pw, bw = okamoto_apply(word, y, p, b)
+    r1, r2 = hamiltonian_system_residual(yw, pw, bw.theta())
+    assert r1.is_zero() and r2.is_zero()
+    if word.startswith("w0"):
+        assert yw == y
+
+
+class TestOrbits:
+    """Translation words in s0..s4 step along the printed rational sequences."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_thm5_steps_by_three(self, n):
+        fam, target = thm5_solution(n), thm5_solution(n + 3)
+        yw, _, bw = okamoto_apply(
+            s_word("0 1 2 3 2 0 4 2 0 3 1 2 4 1 2 3 0 2"), fam.y,
+            conjugate_momentum(fam.y, fam.theta),
+            OkamotoCoords.from_theta(fam.theta))
+        assert yw == target.y
+        assert bw == OkamotoCoords.from_theta(target.theta)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_thm6_steps_down_by_one(self, n):
+        fam, target = thm6_family(n), thm6_family(n - 1)
+        yw, _, bw = okamoto_apply(
+            s_word("2 0 3 2 1 4 2 0 1 3 2 4 0 2 3 2 1 0"), fam.y,
+            conjugate_momentum(fam.y, fam.theta),
+            OkamotoCoords.from_theta(fam.theta))
+        assert yw == target.y
+        assert bw == OkamotoCoords.from_theta(target.theta)
+
+
 class TestSandwichOnFormalVariables:
     def test_matches_prolongation_at_y0(self):
         Y, P = RatFunc.var("Y"), RatFunc.var("P")
@@ -65,11 +151,19 @@ class TestSandwichOnFormalVariables:
         ywf, pwf = degenerate_prolongation(RatFunc.var("P"), b.b1, b.b3)
         assert y0 == ywf and p0 == pwf
 
-    def test_degenerate_route_detected(self):
-        b = OkamotoCoords.of(-2, 2, F(1, 2), 3)
-        p = RatFunc.var("P")
+    @pytest.mark.parametrize("b", [(-1, 1, 0, 1), (-1, 1, 1, 0),
+                                   (-2, 2, F(1, 2), 3)])
+    def test_y0_under_w1w2w1_is_the_prolongation(self, b):
+        b = OkamotoCoords.of(*b)
+        P = RatFunc.var("P")
+        yw, pw, bw = okamoto_apply("w1w2w1", RatFunc.zero(), P, b)
+        assert (yw, pw) == degenerate_prolongation(P, b.b1, b.b3)
+        assert bw == apply_word("w1w2w1", b)
+
+    def test_y0_under_w4_needs_beta1_zero(self):
+        b = OkamotoCoords.of(-2, 3, F(1, 2), 3)   # b1 + b2 != 0
         with pytest.raises(DegenerateTransform):
-            okamoto_apply("w1w2w1", RatFunc.zero(), p, b)
+            okamoto_apply("w4", RatFunc.zero(), RatFunc.var("P"), b)
 
 
 class TestWorkedPipeline:

@@ -535,3 +535,11 @@ class TestOnePassPerCycle:
             with pytest.raises(PathOverflowError, match="overflows") as info:
                 period_matrix(curve, 1, build_cycle_basis(curve))
         assert isinstance(info.value, ArithmeticError)
+
+    def test_overflowing_integrand_is_named(self):
+        # P ~ 1e90 stays finite, w^15 does not
+        curve = SuperellipticCurve(2, [0j, 1 + 0j, 1e30 + 0j], 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathOverflowError, match="integrand overflows"):
+                period_matrix(curve, 3, build_cycle_basis(curve))
