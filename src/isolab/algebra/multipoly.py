@@ -407,13 +407,6 @@ class MultiPoly:
         e = self._leading_key()
         return _grlex(self.vars)(e)[1], self._content * self._terms[e]
 
-    def coefficient(self, exps) -> Fraction:
-        names = self.vars
-        if len(exps) != len(names) or not all(0 <= p <= _MAX_EXP for p in exps):
-            return Fraction(0)
-        e = sum(p << _SLOTS[n] for n, p in zip(names, exps) if p)
-        return self._content * self._terms.get(e, 0)
-
     def _sign(self) -> int:
         """Sign of the graded-lex leading coefficient of the primitive part."""
         return 1 if self._terms[self._leading_key()] > 0 else -1

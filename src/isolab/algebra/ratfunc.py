@@ -106,12 +106,6 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.is_constant()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
-
     def __eq__(self, other):
         other = RatFunc._coerce(other)
         if other is None:

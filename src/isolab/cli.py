@@ -195,25 +195,30 @@ def _verify_pvi_doc(doc) -> list:
                              "names no variable of y")
     theta = painleve.ThetaTuple.of(*[Fraction(s) for s in doc["theta"]])
     params = painleve.PVIParams(*[Fraction(s) for s in doc["params"]])
-    checks = []
-    res = painleve.pvi_residual(y, params)
-    checks.append(("pvi-residual-symbolic", res.is_zero(),
-                   "0" if res.is_zero() else res.to_text()[:200]))
+
+    def verdict(yc, member):
+        """(pass, detail) of y or a member yc: a degenerate y in {0, 1, x,
+        inf} (yc None is inf) meets the parameter table, any other y has
+        zero residual. A member's nonzero residual is not printed."""
+        kind = "inf" if yc is None else painleve._pvi_degenerate_kind(yc)
+        if kind is not None:
+            return (painleve.degenerate_parameter_check(kind, params),
+                    f"degenerate {'member y' if member else 'y'} = {kind}")
+        r = painleve.pvi_residual(yc, params)
+        if r.is_zero():
+            return True, "0"
+        return False, "nonzero" if member else r.to_text()[:200]
+
+    checks = [("pvi-residual-symbolic", *verdict(y, False))]
     if cname is not None:
         samples = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2)]
 
         def one(cv):
-            name = f"pvi-residual-{cname}={cv}"
             try:
                 yc = y.substitute(cname, cv)
-                kind = painleve._pvi_degenerate_kind(yc)
             except ZeroDivisionError:  # y is reduced: this member is y = inf
-                kind = "inf"
-            if kind is not None:
-                return (name, painleve.degenerate_parameter_check(kind, params),
-                        f"degenerate member y = {kind}")
-            r = painleve.pvi_residual(yc, params)
-            return (name, r.is_zero(), "0" if r.is_zero() else "nonzero")
+                yc = None
+            return (f"pvi-residual-{cname}={cv}", *verdict(yc, True))
         checks.extend(sorted(map(one, samples)))
     checks.append(("theta-sum-zero", theta.triangular_sum() == 0,
                    str(theta.triangular_sum())))
@@ -250,6 +255,12 @@ def _verify_garnier_doc(doc, args, tol) -> list:
         if len(apt) != M:
             raise ParameterError(f"M = 2 needs an a-point with 2 coordinates, "
                                  f"got {len(apt)}")
+        taken = {0: "the pole 0", 1: "the pole 1"}  # exact equality only
+        for k, (z, text) in enumerate(zip(apt, args.a.split(",")), 1):
+            if z in taken:
+                raise ParameterError(f"a-point coordinate a{k} = {text.strip()} "
+                                     f"collides with {taken[z]}")
+            taken[z] = f"a{k}"
         eps_list = ([_parse_eps(args.eps)] if args.eps else
                     [tuple(s) for s in _all_eps(M + 2)])
         if any(len(eps) != M + 2 for eps in eps_list):
@@ -334,12 +345,11 @@ def cmd_zeros(args) -> int:
     if args.b is not None or args.c is not None:
         if None in (args.b, args.c):
             raise ParameterError("zeros with parameters needs both --b and --c")
-        fam = painleve.thm7_solution(n, _frac(args.b), _frac(args.c))
-        P, Q = fam.y.num, fam.y.den
-        names = [f"P{n + 1}", f"Q{n + 1}"]
+        P, Q = painleve._thm7_pq(n, *painleve._thm7_check_params(
+            n, _frac(args.b), _frac(args.c)))
     else:
         P, Q = painleve.pq_polynomials(n)
-        names = [f"P{n + 1}", f"Q{n + 1}"]
+    names = [f"P{n + 1}", f"Q{n + 1}"]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["poly_id", "degree", "re", "im",

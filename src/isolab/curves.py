@@ -65,12 +65,8 @@ class TruncatedSeries:
         self.phase = _phase_norm(phase)
 
     @classmethod
-    def zero(cls, order):
-        return cls(order, [], order)
-
-    @classmethod
-    def monomial(cls, coeff, exponent, order, phase=(0, 1)):
-        return cls(exponent, [coeff], order, phase)
+    def monomial(cls, coeff, exponent, order):
+        return cls(exponent, [coeff], order)
 
     def coefficient(self, k: int):
         """Coefficient of t^k; raises TruncationError past the known range."""

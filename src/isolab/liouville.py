@@ -6,8 +6,10 @@ second basic solution obtained by one quadrature,
     b1L(x) = b1P(x) * I(x),   I(x) = int x^{-c} (x-1)^{c-b+n-1} / b1P(x)^2 dx,
 
 with b3L derived by the same first-order relation as in the polynomial case.
-Everything here is numeric on the real interval (1, inf): adaptive
-Gauss-Kronrod quadrature for I, finite differences for the ODE residual.
+Everything here is numeric on the real interval (1, inf). Each sample point
+costs one adaptive Gauss-Kronrod quadrature for I(x) and two finite-difference
+stencils built on it: a 3-point one at FD1_STEP for b1L, b3L and the Wronskian,
+and a 5-point one at FD2_STEP for the ODE residual.
 The base point of I is chosen per sample point on the same side of every
 singularity (zeros of b1P are removable for the product b1P * I but not for
 the bare integral).
@@ -52,7 +54,8 @@ class LiouvillianReport:
 
 
 class LiouvillianFamily:
-    """Callable b1L/b3L for given (n, b, c), built on the polynomial b1P."""
+    """b1L, b3L and their checks for given (n, b, c), built on the
+    polynomial b1P."""
 
     def __init__(self, n: int, b, c):
         self.n = n
@@ -67,8 +70,6 @@ class LiouvillianFamily:
         roots = np.roots(self._b1p) if len(self._b1p) > 1 else np.array([])
         self._real_roots = sorted(float(r.real) for r in roots
                                   if abs(r.imag) < 1e-9 and r.real > 1.0)
-
-    # -- pieces -------------------------------------------------------------
 
     def b1p(self, x: float) -> float:
         return float(np.polyval(self._b1p, x))
@@ -97,12 +98,12 @@ class LiouvillianFamily:
             raise ArithmeticError(f"quadrature did not converge at x = {x}")
         return val
 
-    def _stencil(self, x: float, h: float, width: int = 1):
-        """b1L on the grid x + k*h, |k| <= width, with one long quadrature
-        plus tiny increments, so the dominant quadrature error cancels in
-        finite differences."""
+    def _stencil(self, x: float, ix: float, h: float, width: int):
+        """b1L on the grid x + k*h, |k| <= width, from I(x) = ix plus tiny
+        increments, so the dominant quadrature error cancels in finite
+        differences."""
         from scipy.integrate import quad
-        iv = {0: self.integral(x)}
+        iv = {0: ix}
         for k in range(1, width + 1):
             iv[k] = iv[k - 1] + quad(self.integrand, x + (k - 1) * h, x + k * h,
                                      epsabs=1e-14, epsrel=1e-13, limit=60)[0]
@@ -110,40 +111,30 @@ class LiouvillianFamily:
                                          epsabs=1e-14, epsrel=1e-13, limit=60)[0]
         return [self.b1p(x + k * h) * iv[k] for k in range(-width, width + 1)]
 
-    def b1l(self, x: float) -> float:
-        return self.b1p(x) * self.integral(x)
+    def sample(self, x: float) -> LiouvillianSample:
+        """b1L, b3L and both checks at x from one I(x) and two stencils.
 
-    def b3l(self, x: float) -> float:
-        """b3L = -(x b1L' + b b1L)/(1 + b - c), derivative by central FD."""
-        fm, f0, fp = self._stencil(x, FD1_STEP)
+        The width-1 stencil at FD1_STEP gives b1L (its centre), b3L =
+        -(x b1L' + b b1L)/(1 + b - c) and the Wronskian error
+        |b1P b1L' - b1P' b1L - x^{-c}(x-1)^{c-b+n-1}| / |target|; the 5-point
+        stencil at FD2_STEP gives the residual of
+        b'' + ((b-n+1)x - c)/(x(x-1)) b' - n b /(x(x-1)) b = 0."""
+        ix = self.integral(x)
+        fm, f0, fp = self._stencil(x, ix, FD1_STEP, 1)
         d = (fp - fm) / (2 * FD1_STEP)
-        denom = float(1 + self.b - self.c)
-        return -(x * d + float(self.b) * f0) / denom
-
-    def _derivatives_5pt(self, x: float, h: float):
-        f2m, fm, f0, fp, f2p = self._stencil(x, h, width=2)
-        d1 = (-f2p + 8 * fp - 8 * fm + f2m) / (12 * h)
-        d2 = (-f2p + 16 * fp - 30 * f0 + 16 * fm - f2m) / (12 * h * h)
-        return f0, d1, d2
-
-    # -- checks -------------------------------------------------------------
-
-    def wronskian_rel_err(self, x: float) -> float:
-        """|b1P b1L' - b1P' b1L - x^{-c}(x-1)^{c-b+n-1}| / |target|."""
-        fm, f0, fp = self._stencil(x, FD1_STEP)
-        d = (fp - fm) / (2 * FD1_STEP)
+        b3l = -(x * d + float(self.b) * f0) / float(1 + self.b - self.c)
         w = self.b1p(x) * d - float(np.polyval(self._b1p_d, x)) * f0
         target = (x ** self.exp_x) * ((x - 1.0) ** self.exp_xm1)
-        return abs(w - target) / abs(target)
-
-    def ode_residual(self, x: float) -> float:
-        """Central finite-difference residual of
-        b'' + ((b-n+1)x - c)/(x(x-1)) b' - n b /(x(x-1)) b1L = 0."""
-        f0, d1, d2 = self._derivatives_5pt(x, FD2_STEP)
+        h = FD2_STEP
+        g2m, gm, g0, gp, g2p = self._stencil(x, ix, h, 2)
+        d1 = (-g2p + 8 * gp - 8 * gm + g2m) / (12 * h)
+        d2 = (-g2p + 16 * gp - 30 * g0 + 16 * gm - g2m) / (12 * h * h)
         xx = x * (x - 1.0)
         lin = (float(self.b - self.n + 1) * x - float(self.c)) / xx
         const = -float(self.n * self.b) / xx
-        return d2 + lin * d1 + const * f0
+        return LiouvillianSample(x=x, b1L=f0, b3L=b3l,
+                                 wronskian_rel_err=abs(w - target) / abs(target),
+                                 ode_residual=d2 + lin * d1 + const * g0)
 
 
 def liouvillian_eval(n: int, b, c, sample_points) -> LiouvillianReport:
@@ -155,11 +146,5 @@ def liouvillian_eval(n: int, b, c, sample_points) -> LiouvillianReport:
         x = float(x)
         if x <= 1.0:
             raise ValueError("sample points must lie in (1, inf)")
-        samples.append(LiouvillianSample(
-            x=x,
-            b1L=fam.b1l(x),
-            b3L=fam.b3l(x),
-            wronskian_rel_err=fam.wronskian_rel_err(x),
-            ode_residual=fam.ode_residual(x),
-        ))
+        samples.append(fam.sample(x))
     return LiouvillianReport(n=n, b=fam.b, c=fam.c, samples=samples)

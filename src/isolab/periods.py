@@ -376,27 +376,23 @@ def clearance_radius(curve) -> float:
     return CLEARANCE_FACTOR * _min_separation(curve)
 
 
-def puncture_loop(curve: SuperellipticCurve, nu: int,
-                  radius: float = None) -> PathSpec:
+def puncture_loop(curve: SuperellipticCurve, nu: int) -> PathSpec:
     """Closed loop on the curve around the ramification point (a_nu, 0):
-    the z-circle traversed m times, counterclockwise."""
+    the z-circle of radius a quarter of the distance to the nearest other
+    branch point, traversed m times, counterclockwise."""
     a = curve.point_numeric(nu)
-    if radius is None:
-        dist = min(abs(a - curve.point_numeric(j))
-                   for j in range(1, curve.N + 1) if j != nu)
-        radius = 0.25 * dist
+    radius = 0.25 * min(abs(a - curve.point_numeric(j))
+                        for j in range(1, curve.N + 1) if j != nu)
     arc = ArcSegment(a, radius, 0.0, 2 * math.pi * curve.m)
     return PathSpec((arc,), 0, label=f"puncture:{nu}")
 
 
-def infinity_loop(curve: SuperellipticCurve, k: int,
-                  radius: float = None) -> PathSpec:
-    """Closed loop around the k-th point over z = infinity: an m1-fold large
-    circle whose starting sheet selects the point."""
+def infinity_loop(curve: SuperellipticCurve, k: int) -> PathSpec:
+    """Closed loop around the k-th point over z = infinity: an m1-fold circle
+    of radius 10 max|a_i| + 10 whose starting sheet selects the point."""
     inv = curve.invariants()
-    if radius is None:
-        radius = 10 * max(abs(curve.point_numeric(i))
-                          for i in range(1, curve.N + 1)) + 10
+    radius = 10 * max(abs(curve.point_numeric(i))
+                      for i in range(1, curve.N + 1)) + 10
     arc = ArcSegment(0j, radius, 0.0, 2 * math.pi * inv.m1)
     branch = ((k - 1) * inv.m1) % curve.m
     return PathSpec((arc,), branch, label=f"infinity:{k}")
@@ -650,12 +646,11 @@ class PeriodMatrix:
         return out
 
 
-def continuation_trace_rows(curve: SuperellipticCurve, path: PathSpec,
-                            steps: int = 256):
-    """CSV rows (header + samples) of a w-continuation along the path,
-    for debugging branch tracking."""
+def continuation_trace_rows(curve: SuperellipticCurve, path: PathSpec):
+    """CSV rows (header + samples) of a w-continuation along the path at
+    continue_w's default sampling, for debugging branch tracking."""
     rows = [["index", "z_re", "z_im", "w_re", "w_im"]]
-    for k, (z, w) in enumerate(continue_w(curve, path, steps)):
+    for k, (z, w) in enumerate(continue_w(curve, path)):
         rows.append([k, repr(z.real), repr(z.imag), repr(w.real), repr(w.imag)])
     return rows
 
@@ -683,8 +678,7 @@ def rank_check(B) -> int:
 
 
 def isomonodromy_fd_check(curve: SuperellipticCurve, i: int, j: int,
-                          cycle: PathSpec, vary: int, h: float = 1e-4,
-                          tol: float = DEFAULT_TOL) -> float:
+                          cycle: PathSpec, vary: int, h: float = 1e-4) -> float:
     """Central-difference check of the reduced flow on a fixed cycle:
 
         d b_i / d a_k  =  -(j n / m) (b_i - b_k)/(a_i - a_k),   k != i,
@@ -700,10 +694,10 @@ def isomonodromy_fd_check(curve: SuperellipticCurve, i: int, j: int,
         moved[vary - 1] = complex(moved[vary - 1]) + delta
         return SuperellipticCurve(curve.m, moved, curve.n)
 
-    bp = integrate_omega(shifted(+h), i, j, cycle, tol)
-    bm = integrate_omega(shifted(-h), i, j, cycle, tol)
+    bp = integrate_omega(shifted(+h), i, j, cycle)
+    bm = integrate_omega(shifted(-h), i, j, cycle)
     lhs = (bp - bm) / (2 * h)
-    bi, bk = integrate_omega(curve, (i, vary), j, cycle, tol)
+    bi, bk = integrate_omega(curve, (i, vary), j, cycle)
     gap = curve.point_numeric(i) - curve.point_numeric(vary)
     rhs = -(j * curve.n / curve.m) * (bi - bk) / gap
     return abs(lhs - rhs)

@@ -188,6 +188,33 @@ class TestVerify:
         assert member["pass"] is passed
         assert code == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("b, c, kind", [("-3", "0", "1"), ("0", "-3", "x")])
+    def test_degenerate_document_is_verified(self, capsys, b, c, kind):
+        # theorem 7 at (1, -3, 0) is y = 1 (gamma = 0), at (1, 0, -3) y = x
+        # (delta = 1/2): both solve PVI, by the degenerate parameter table
+        code, out, err = run_cli(capsys, "verify", "--theorem", "7", "--n", "1",
+                                 f"--b={b}", f"--c={c}")
+        symbolic = {c["name"]: c for c in json.loads(out)["checks"]}[
+            "pvi-residual-symbolic"]
+        assert symbolic == {"name": "pvi-residual-symbolic", "pass": True,
+                            "detail": f"degenerate y = {kind}"}
+        assert code == 0 and err == ""
+
+    def test_degenerate_document_off_its_parameters_fails(self, capsys,
+                                                         tmp_path):
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "7", "--n", "1",
+                            "--b=-3", "--c=0")
+        doc = json.loads(out)
+        assert doc["y"] == "1" and doc["params"][2] == "0"
+        doc["params"][2] = "1"
+        path = tmp_path / "pvi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        symbolic = {c["name"]: c for c in json.loads(out)["checks"]}[
+            "pvi-residual-symbolic"]
+        assert not symbolic["pass"] and symbolic["detail"] == "degenerate y = 1"
+        assert code == 1 and err == ""
+
     def test_garnier_pm_checked_against_b(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "generate", "--theorem", "11", "--M", "2",
                             "--n", "-1", "--c", "2,-1")
@@ -239,7 +266,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra, message", [
         (("--a", "2"), "M = 2 needs an a-point with 2 coordinates, got 1"),
-        (("--a", "2,3", "--eps", "++"), "need M + 2 thetas and signs")])
+        (("--a", "2,3", "--eps", "++"), "need M + 2 thetas and signs"),
+        (("--a", "0,1"), "a-point coordinate a1 = 0 collides with the pole 0"),
+        (("--a", "2, 1+0i"), "a-point coordinate a2 = 1+0i collides with the pole 1"),
+        (("--a", "0,3"), "a-point coordinate a1 = 0 collides with the pole 0"),
+        (("--a", "2,2"), "a-point coordinate a2 = 2 collides with a1")])
     def test_garnier_numeric_usage_error_whatever_b_holds(self, capsys,
                                                           tmp_path, extra,
                                                           message):
@@ -699,6 +730,21 @@ class TestZeros:
         assert code == 0
         assert sum(1 for r in rows if r[0] == "P26") == 26
         assert sum(1 for r in rows if r[0] == "Q26") == 26
+
+    @pytest.mark.parametrize("n, b, c", [(2, "-3", "-3"), (1, "-3", "0")])
+    def test_parameters_export_the_unreduced_pair(self, capsys, n, b, c):
+        # the printed P_{n+1} = x b1 and Q_{n+1}, not the reduced y = P/Q:
+        # (2, -3, -3) has P3 = 3x(x-1)^2 and Q3 = -3(x-1)^2(x-4)
+        code, out, err = run_cli(capsys, "zeros", "--n", str(n),
+                                 f"--b={b}", f"--c={c}")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert code == 0 and err == ""
+        for name in (f"P{n + 1}", f"Q{n + 1}"):
+            mine = [r for r in rows if r[0] == name]
+            assert len(mine) == n + 1 and {r[1] for r in mine} == {str(n + 1)}
+        if n == 2:
+            assert sorted(round(float(r[2]), 6) for r in rows
+                          if r[0] == "Q3") == [1.0, 1.0, 4.0]
 
 
 class TestPeriods:

@@ -355,6 +355,20 @@ class TestIntegerRationalFamily:
         flip = y8.substitute("c", RatFunc(-c, MultiPoly.const(1)))
         assert flip == thm6_family(-1).y
 
+    def test_thm6_by_the_thm8_route(self):
+        # theorem 6 at n = -k is theorem 8 at (3k, k, 2k + 1) with c -> s c,
+        # s = (-1)^k; theorem 8 derives b3 from b1, so each printed b3 sum
+        # of the sextet is checked against b1 by the first-order relation
+        cpar = FactoredFrac.var("c")
+        for n in range(-1, -8, -1):
+            k = -n
+            b1, b3, tb1, tb3 = thm8_b_functions(3 * k, k, 2 * k + 1)
+            s = (-1) ** k
+            fam = thm6_family(n)
+            assert fam.y == y_from_b(s * cpar * b1 + tb1, s * cpar * b3 + tb3), n
+            if k >= 2:
+                assert fam.theta == thm8_family(3 * k, k, 2 * k + 1).theta, n
+
     def test_smallest_admissible(self):
         assert min(admissible_thm8_triples(8)) == (4, 1, 3)
         fam = thm8_family(4, 1, 3)
