@@ -63,6 +63,14 @@ those two bounds: it runs the `+ - *` formula once on `_Bound` values (a
 POPL 1977), so the box and the digit width come from the formula itself and
 grow with it (painleve.pvi_residual is the one user).
 
+Evaluation at floats: `evaluate` sums the terms in float and applies the
+content as float(c) * sum. If that overflows, loses a monomial of nonzero
+inputs below the normal range, meets a content outside the float range or
+ends not finite at finite inputs, one exact fallback reads each float as the
+dyadic rational it is (a complex one as a pair), sums exactly and rounds once
+per component (Goldberg, ACM Comput. Surv. 23, 1991), raising OverflowError
+beyond the float range. A non-finite input never enters the fallback.
+
 Truncated products: each printed closed form is one coefficient of a
 product of polynomials in t given as coefficient lists; `grade` gives one
 coefficient, `truncated_product` grades 0..r, for every family builder.
@@ -75,7 +83,8 @@ import sys
 import threading
 from fractions import Fraction
 from functools import reduce
-from math import frexp, ldexp, gcd as _igcd, lcm as _ilcm
+from cmath import isfinite
+from math import nan, gcd as _igcd, lcm as _ilcm
 
 
 class ExponentOverflowError(OverflowError, ValueError):
@@ -218,52 +227,8 @@ def _quotient(t1: dict, t2: dict):
     return quot
 
 
-def _scaled(c: Fraction, x, e: int = 0):
-    """c * x * 2**e for a float or complex x. A content c outside the float
-    range is applied as m * 2**k, |m| in (1/2, 2), so that a representable
-    product neither overflows nor flushes to zero on the way."""
-    n, d = c.numerator, c.denominator
-    k = n.bit_length() - d.bit_length()
-    if not e and -1000 < k < 1000:
-        return float(c) * x
-    m = n / (d << k) if k > 0 else (n << -k) / d
-    if isinstance(x, complex):
-        return complex(_ldexp_mul(m, x.real, k + e),
-                       _ldexp_mul(m, x.imag, k + e))
-    return _ldexp_mul(m, x, k + e)
-
-
-def _ldexp_mul(m: float, x: float, e: int) -> float:
-    xm, xe = frexp(x)
-    return ldexp(m * xm, xe + e)
-
-
-def _split(x):
-    """x = m * 2**k with the larger part of m of magnitude in [1/2, 1)."""
-    if isinstance(x, complex):
-        k = frexp(max(abs(x.real), abs(x.imag)))[1]
-        return complex(ldexp(x.real, -k), ldexp(x.imag, -k)), k
-    return frexp(x)
-
-
-def _power_split(x, p: int):
-    """x**p as (m, k) with x**p = m * 2**k, by squaring on normalised
-    mantissas, so that neither underflow nor overflow can occur."""
-    m, k = 1.0, 0
-    xm, xk = _split(x)
-    while p:
-        if p & 1:
-            m, j = _split(m * xm)
-            k += xk + j
-        p >>= 1
-        if p:
-            xm, j = _split(xm * xm)
-            xk = 2 * xk + j
-    return m, k
-
-
-class _Underflow(Exception):
-    """A float monomial of nonzero inputs came out 0.0 or subnormal."""
+class _OutOfRange(Exception):
+    """A monomial of nonzero float inputs, or the content, is out of range."""
 
 
 class MultiPoly:
@@ -617,7 +582,8 @@ class MultiPoly:
         return self._plan
 
     def evaluate(self, assignment: dict):
-        """Numeric/exact evaluation with every variable assigned."""
+        """Numeric/exact evaluation with every variable assigned; float
+        inputs take the float path or its exact fallback (module docstring)."""
         if not self._terms:
             return Fraction(0)
         xs = [assignment[n] for n in self.vars]
@@ -627,6 +593,7 @@ class MultiPoly:
                 floats = True
                 break
         plan = self._evaluation_plan()
+        c = self._content
         try:
             out = None
             for v, powers in plan:
@@ -634,34 +601,37 @@ class MultiPoly:
                 for i, p in powers:
                     t = t * xs[i] ** p
                 if floats and abs(t) < _TINY and all(xs[i] for i, _ in powers):
-                    raise _Underflow  # a monomial of nonzero inputs was lost
+                    raise _OutOfRange  # a monomial of nonzero inputs was lost
                 out = t if out is None else out + t
-        except (OverflowError, _Underflow):
-            # a coefficient, monomial or partial sum beyond the float range
-            return self._evaluate_scaled(xs, plan)
-        c = self._content
-        if isinstance(out, (float, complex)):
-            return _scaled(c, out)
-        return c * out
+            if not floats:
+                return c * out
+            n, d = c.numerator, c.denominator
+            if abs(n.bit_length() - d.bit_length()) >= 1000:
+                raise _OutOfRange  # the content is outside the float range
+            out = float(c) * out
+            if isfinite(out):
+                return out
+        except (OverflowError, _OutOfRange):
+            out = None
+        return self._evaluate_exact(xs, plan, out)
 
-    def _evaluate_scaled(self, xs, plan):
-        """Float evaluation that keeps each float monomial as m * 2**k and
-        applies the term's exact coefficient to it, so that no coefficient
-        is converted whole and no monomial underflows or overflows."""
-        out = 0.0
+    def _evaluate_exact(self, xs, plan, out):
+        """evaluate's exact fallback; out is the float value, None if none."""
+        if any(isinstance(x, (float, complex)) and not isfinite(x) for x in xs):
+            return nan if out is None else out
+        zs = [(Fraction(x.real), Fraction(x.imag)) for x in xs]
+        real = imag = 0
         for v, powers in plan:
-            cv = self._content * v
-            m, k = 1.0, 0
+            a, b = v, 0
             for i, p in powers:
-                x = xs[i]
-                if isinstance(x, (float, complex)):
-                    xm, xk = _power_split(x, p)
-                    m, j = _split(m * xm)
-                    k += xk + j
-                else:
-                    cv = cv * x ** p
-            out += _scaled(cv, m, k)
-        return out
+                zr, zi = zs[i]
+                for _ in range(p):
+                    a, b = a * zr - b * zi, a * zi + b * zr
+            real, imag = real + a, imag + b
+        c = self._content
+        if any(isinstance(x, complex) for x in xs):
+            return complex(float(c * real), float(c * imag))
+        return float(c * real)
 
     # ---------------- Kronecker images ----------------
 

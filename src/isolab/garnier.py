@@ -331,7 +331,8 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     explicit Hamiltonians. A residual that is not finite raises
     ArithmeticError: max() would drop a NaN and read it as a pass. An
     a-point without exactly two coordinates raises ValueError before P_2 is
-    evaluated."""
+    evaluated; one at which P_2 drops degree or overflows float64 raises
+    ValueError too."""
     if solution.M != 2:
         raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
     a0 = [complex(x) for x in a_numeric]
@@ -344,9 +345,12 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     h = 1e-5  # the central-difference step
 
     def uv_at(a):
-        rr = u_roots(pm, a)
+        try:
+            rr = u_roots(pm, a)
+        except OverflowError:
+            raise ValueError(f"P_2 overflows float64 at a = {a}") from None
         if rr.degree_dropped or len(rr.roots) != 2:
-            raise ArithmeticError(
+            raise ValueError(
                 f"P_2 degenerates at a = {a}; pick a generic point")
         u = rr.roots
         v = v_momenta(u, solution.betas, spec.eps, a)

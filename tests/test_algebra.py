@@ -1,3 +1,4 @@
+import math
 import operator
 import os
 import pickle
@@ -233,6 +234,89 @@ class TestMultiPoly:
         assert p.evaluate({"x": 1e300}) == pytest.approx(1e-100, rel=1e-15)
         z = p.evaluate({"x": -1e300 + 2e300j})
         assert z == pytest.approx(-1e-100 + 2e-100j, rel=1e-15)
+
+    def test_evaluate_float_product_past_the_range(self):
+        # 1e200 * 1e200 is inf in float and raises nothing; the value is not
+        p = F(1, 10 ** 400) * x * y
+        assert p.evaluate({"x": 1e200, "y": 1e200}) == 0.9999999999999999
+        assert p.evaluate({"x": 1e200j, "y": 1e200}) == 0.9999999999999999j
+
+    def test_evaluate_fallback_is_correctly_rounded(self, monkeypatch):
+        # whenever the exact fallback runs, each component is the value at
+        # the dyadic rationals the inputs are, rounded once, or the call
+        # raises OverflowError where that value does not fit a float
+        import random
+        rng = random.Random(20261019)
+        ran = []
+        fallback = MultiPoly._evaluate_exact
+
+        def spy(self, *args):
+            ran.append(self)
+            return fallback(self, *args)
+        monkeypatch.setattr(MultiPoly, "_evaluate_exact", spy)
+
+        def rand_float():
+            e = rng.choice((rng.randint(-20, 20), rng.randint(-1070, -300),
+                            rng.randint(300, 1020)))
+            return rng.choice((-1, 1)) * math.ldexp(rng.uniform(0.5, 1), e)
+
+        def exact(p, point):
+            zs = [(F(point[n].real), F(point[n].imag)) for n in p.vars]
+            re = im = F(0)
+            for exps, c in p.terms():
+                a, b = c, F(0)
+                for (zr, zi), e in zip(zs, exps):
+                    for _ in range(e):
+                        a, b = a * zr - b * zi, a * zi + b * zr
+                re, im = re + a, im + b
+            return re, im
+
+        def correctly_rounded(r, value):
+            near = (math.nextafter(r, math.inf), math.nextafter(r, -math.inf))
+            return math.isfinite(r) and all(
+                abs(F(r) - value) <= abs(F(s) - value)
+                for s in near if math.isfinite(s))
+
+        too_big = F(2 ** 1024 - 2 ** 970)  # rounds to inf
+        for _ in range(400):
+            p = MultiPoly.zero()
+            for _ in range(rng.randint(1, 4)):
+                coeff = rng.choice((-9, 9)) * 10 ** rng.choice((0, 0, 100, 310, 400))
+                p = p + MultiPoly.monomial(coeff, {"x": rng.randint(0, 3),
+                                                   "y": rng.randint(0, 3)})
+            p = p * F(10 ** rng.choice((0, 200, 400)), 10 ** rng.choice((0, 200, 400)))
+            point = {n: rand_float() for n in ("x", "y")}
+            if rng.random() < 0.3:
+                point["x"] = complex(point["x"], rand_float())
+            before = len(ran)
+            try:
+                got = p.evaluate(point)
+            except OverflowError:
+                got = None
+            if len(ran) == before:
+                continue
+            re, im = exact(p, point)
+            if abs(re) >= too_big or abs(im) >= too_big:
+                assert got is None, (p, point)
+            else:
+                assert isinstance(got, complex) == any(
+                    isinstance(point[n], complex) for n in p.vars)
+                assert correctly_rounded(got.real, re), (p, point)
+                assert correctly_rounded(got.imag, im), (p, point)
+        assert len(ran) >= 100
+
+    def test_evaluate_non_finite_inputs(self):
+        # a non-finite input keeps the float path's inf or nan
+        inf, nan = float("inf"), float("nan")
+        assert math.isnan((x * y).evaluate({"x": nan, "y": 1.0}))
+        assert (x + 1).evaluate({"x": inf}) == inf
+        assert (x ** 2 - 3 * y).evaluate({"x": 2.0, "y": inf}) == -inf
+        assert math.isnan((x * y).evaluate({"x": inf, "y": 0.0}))
+        assert math.isnan((x - y).evaluate({"x": inf, "y": inf}))
+        z = (x * y + 1).evaluate({"x": complex(nan, 1), "y": 2j})
+        assert math.isnan(z.real) and math.isnan(z.imag)
+        # where the float path raised it has no value to keep
+        assert math.isnan((x ** 2 + y).evaluate({"x": 1e-200, "y": inf}))
 
 
 @st.composite

@@ -344,6 +344,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"error: bad coordinate {quoted}")
 
+    @pytest.mark.parametrize("points, message", [
+        ("2,3", "P_2 degenerates at a = [(2+0j), (3+0j)]; pick a generic point"),
+        ("1e200,3", "P_2 overflows float64 at a = [(1e+200+0j), (3+0j)]")])
+    def test_garnier_point_p2_cannot_serve_is_a_usage_error(self, points,
+                                                            message):
+        # both once exited 1 as a "numeric failure"
+        err = _assert_usage_error("verify", "--theorem", "10", "--M", "2",
+                                  "--m", "2", "--n", "1", "--numeric",
+                                  "--a", points)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("points", ["2", "2,3.5,4"])
     def test_garnier_a_point_of_wrong_length(self, points):
