@@ -11,7 +11,7 @@ finite differences) for period-integral and quadrature-based solutions.
 """
 
 from .algebra import (Fraction, MultiPoly, RatFunc, FactoredFrac, binom,
-                      pochhammer, parse_poly, parse_ratfunc, poly_gcd)
+                      parse_poly, parse_ratfunc, poly_gcd)
 from .curves import (SuperellipticCurve, CurveInvariants, TruncatedSeries,
                      curve_invariants, cycle_count, expand_at_infinity,
                      expand_at_branch_point, residue_series_oracle)

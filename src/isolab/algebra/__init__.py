@@ -2,15 +2,14 @@
 
 from fractions import Fraction
 
-from .scalars import Rational, binom, binomials, pochhammer, to_rational
+from .scalars import binom, binomials, to_rational
 from .multipoly import (MultiPoly, grade, parse_poly, poly_gcd, prove_zero,
                         truncated_product)
 from .ratfunc import RatFunc, parse_fraction, parse_ratfunc
 from .factored import FactoredFrac
 
 __all__ = [
-    "Fraction", "Rational", "binom", "binomials", "pochhammer",
-    "to_rational",
+    "Fraction", "binom", "binomials", "to_rational",
     "MultiPoly", "grade", "parse_poly", "poly_gcd", "prove_zero",
     "truncated_product", "RatFunc", "parse_fraction",
     "parse_ratfunc",

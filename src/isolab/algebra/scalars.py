@@ -1,5 +1,4 @@
-"""Exact scalar helpers: generalized binomials, one at a time or as a row,
-and rising factorials.
+"""Exact scalar helpers: generalized binomials, one at a time or as a row.
 
 All exact arithmetic in this package runs on ``fractions.Fraction``; complex
 floats are a separate numeric layer and conversions are always explicit.
@@ -9,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-Rational = Fraction
 
 
 def to_rational(x) -> Fraction:
@@ -53,14 +50,3 @@ def binomials(beta, jmax: int) -> list:
         b = b * (beta - k) / (k + 1)
         row.append(b)
     return row
-
-
-def pochhammer(theta, j: int) -> Fraction:
-    """Rising factorial theta*(theta+1)*...*(theta+j-1); equals 1 at j=0."""
-    if j < 0:
-        raise ValueError("pochhammer needs j >= 0")
-    theta = to_rational(theta)
-    out = Fraction(1)
-    for k in range(j):
-        out *= theta + k
-    return out

@@ -18,6 +18,7 @@ import argparse
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -262,7 +263,7 @@ def _verify_garnier_doc(doc, args, tol) -> list:
                                      f"collides with {taken[z]}")
             taken[z] = f"a{k}"
         eps_list = ([_parse_eps(args.eps)] if args.eps else
-                    [tuple(s) for s in _all_eps(M + 2)])
+                    list(itertools.product((1, -1), repeat=M + 2)))
         if any(len(eps) != M + 2 for eps in eps_list):
             raise ParameterError("need M + 2 thetas and signs")
     b = [parse_ratfunc(t) for t in doc["b"]]
@@ -296,13 +297,6 @@ def _verify_garnier_doc(doc, args, tol) -> list:
                     built and bool(r < tol), f"{r:.3e}" if built else unbuilt)
         checks.extend(sorted(map(one, eps_list)))
     return checks
-
-
-def _all_eps(k):
-    out = [[]]
-    for _ in range(k):
-        out = [e + [s] for e in out for s in (1, -1)]
-    return out
 
 
 def cmd_verify(args) -> int:

@@ -24,7 +24,12 @@ PathOverflowError.
 Cycles are concrete contours:
 
 * double loops: around a_i counterclockwise then a_{i+1} clockwise, closed on
-  the curve for every starting sheet,
+  the curve for every starting sheet. Both circles have radius
+  r = min(|a_i - a_{i+1}|, 2d)/4, d the distance from a_i or a_{i+1} to the
+  nearest other branch point, so every other branch point lies at least 2r
+  from both centres and neither circle encloses it. The lines from the
+  midpoint run along the segment a_i a_{i+1}, which holds no other branch
+  point: the pair is consecutive in (real, imag) order,
 * puncture loops: an m-fold circle around a branch point (one chart loop),
 * infinity loops: an m1-fold large circle, the starting sheet selecting which
   of the s points above z = infinity is encircled.
@@ -49,7 +54,6 @@ from .curves import SuperellipticCurve
 
 DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-8
-CLEARANCE_FACTOR = 0.05
 # BranchTracker.follow leaves steps within this factor of the factor-2
 # threshold to `advance`, so rounding never picks a branch differently
 _GAP_MARGIN = 1.0 - 1e-9
@@ -123,33 +127,6 @@ class PathSpec:
 
     def is_closed(self) -> bool:
         return abs(self.start() - self.end()) < 1e-9
-
-    def check_clearance(self, curve: SuperellipticCurve, radius: float):
-        """Every segment must keep `radius` distance from branch points it
-        does not deliberately encircle."""
-        for seg in self.segments:
-            for i in range(1, curve.N + 1):
-                a = curve.point_numeric(i)
-                if isinstance(seg, ArcSegment) and abs(seg.center - a) < 1e-12:
-                    continue  # the circle around a itself
-                d = _segment_distance(seg, a)
-                if d < radius:
-                    raise ValueError(
-                        f"path comes within {d:.3g} of branch point {i} "
-                        f"(clearance {radius:.3g})")
-
-
-def _segment_distance(seg, a: complex) -> float:
-    if isinstance(seg, LineSegment):
-        dz = seg.z1 - seg.z0
-        L2 = abs(dz) ** 2
-        if L2 == 0:
-            return abs(seg.z0 - a)
-        rel = a - seg.z0
-        t = max(0.0, min(1.0, (rel.real * dz.real + rel.imag * dz.imag) / L2))
-        return abs(seg.at(t) - a)
-    d_center = abs(a - seg.center)
-    return abs(d_center - seg.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +343,13 @@ def continue_w(curve: SuperellipticCurve, path: PathSpec, steps: int = 256):
 # cycle construction
 
 
-def _min_separation(curve) -> float:
-    pts = [curve.point_numeric(i) for i in range(1, curve.N + 1)]
-    return min(abs(p - q) for i, p in enumerate(pts)
-               for q in pts[i + 1:])
-
-
-def clearance_radius(curve) -> float:
-    return CLEARANCE_FACTOR * _min_separation(curve)
+def _nearest_other(curve: SuperellipticCurve, *centres: int) -> float:
+    """Distance from the branch points `centres` to the nearest branch point
+    that is not one of them; inf when there is none."""
+    pts = [curve.point_numeric(c) for c in centres]
+    return min((abs(a - curve.point_numeric(k)) for a in pts
+                for k in range(1, curve.N + 1) if k not in centres),
+               default=math.inf)
 
 
 def puncture_loop(curve: SuperellipticCurve, nu: int) -> PathSpec:
@@ -381,9 +357,8 @@ def puncture_loop(curve: SuperellipticCurve, nu: int) -> PathSpec:
     the z-circle of radius a quarter of the distance to the nearest other
     branch point, traversed m times, counterclockwise."""
     a = curve.point_numeric(nu)
-    radius = 0.25 * min(abs(a - curve.point_numeric(j))
-                        for j in range(1, curve.N + 1) if j != nu)
-    arc = ArcSegment(a, radius, 0.0, 2 * math.pi * curve.m)
+    arc = ArcSegment(a, 0.25 * _nearest_other(curve, nu), 0.0,
+                     2 * math.pi * curve.m)
     return PathSpec((arc,), 0, label=f"puncture:{nu}")
 
 
@@ -402,11 +377,16 @@ def double_loop(curve: SuperellipticCurve, i: int, j: int,
                 shift: int) -> PathSpec:
     """Pochhammer-style cycle: circle a_i counterclockwise, then a_j
     clockwise, connected through the midpoint, starting on sheet `shift`.
-    The net monodromy is trivial, so the path closes on the curve."""
+    The net monodromy is trivial, so the path closes on the curve.
+
+    Both circles have radius r = min(|a_i - a_j|, 2d)/4, d the distance from
+    a_i or a_j to the nearest other branch point, so every other branch
+    point lies at least 2r from both centres: each circle encloses its own
+    branch point and no other."""
     ai = curve.point_numeric(i)
     aj = curve.point_numeric(j)
     sep = abs(ai - aj)
-    r = 0.25 * sep
+    r = 0.25 * min(sep, 2 * _nearest_other(curve, i, j))
     u = (aj - ai) / sep  # unit vector i -> j
     base = 0.5 * (ai + aj)
     pi_ = math.pi

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, binomials,
-                            grade, pochhammer, parse_poly, parse_ratfunc,
+                            grade, parse_poly, parse_ratfunc,
                             poly_gcd, prove_zero, truncated_product)
 from isolab.algebra.multipoly import ExponentOverflowError, _W, _box
 
@@ -27,11 +27,6 @@ class TestScalars:
         assert binom(F(7, 3), 0) == 1
         assert binom(F(1, 2), 1) == F(1, 2)
         assert binom(F(1, 3), 2) == F(-1, 9)
-
-    def test_pochhammer_examples(self):
-        assert pochhammer(F(5, 3), 0) == 1
-        assert pochhammer(2, 3) == 24
-        assert pochhammer(-3, 5) == 0
 
     @given(st.integers(-9, 9), st.integers(1, 9), st.integers(0, 8))
     def test_binom_falling_factorial(self, num, den, j):

@@ -14,9 +14,8 @@ from isolab import periods
 from isolab.curves import SuperellipticCurve, residue_series_oracle
 from isolab.periods import (ArcSegment, BranchTracker, ContinuationError,
                             LineSegment, PathOverflowError, PathSpec,
-                            QuadratureStats, build_cycle_basis,
-                            clearance_radius, continue_w, double_loop,
-                            infinity_loop, integrate_omega,
+                            QuadratureStats, build_cycle_basis, continue_w,
+                            double_loop, infinity_loop, integrate_omega,
                             isomonodromy_fd_check, period_matrix, puncture_loop,
                             rank_check)
 
@@ -71,13 +70,31 @@ class TestCycles:
         for cyc in build_cycle_basis(CURVE_33):
             assert cyc.is_closed()
 
-    def test_clearance_check(self):
-        seg = LineSegment(-1 + 0j, 3 + 0j)  # runs straight through 0 and 1
-        path = PathSpec((seg,), 0)
-        with pytest.raises(ValueError):
-            path.check_clearance(CURVE_23, clearance_radius(CURVE_23))
-        for cyc in build_cycle_basis(CURVE_23):
-            cyc.check_clearance(CURVE_23, 1e-6)
+    @pytest.mark.parametrize("points", [(0, 10, 10.1 + 2j), (0, 1, 1 + 0.01j)])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_close_third_point_stays_outside_the_loops(self, points, m):
+        # a circle of radius |a_i - a_j|/4 around 10 (or 1) would swallow the
+        # third branch point, and the columns would no longer sum to zero
+        curve = SuperellipticCurve(m, list(points), 1)
+        B = period_matrix(curve, 1, build_cycle_basis(curve))
+        scale = np.abs(B.entries).max()
+        assert np.abs(B.entries.sum(axis=0)).max() < 1e-9 * max(scale, 1.0)
+        assert rank_check(B) == curve.N - 1
+
+    def test_double_loops_clear_every_other_branch_point(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(rng.randint(3, 6))]
+            curve = SuperellipticCurve(rng.choice((2, 3)), pts, 1)
+            for cyc in build_cycle_basis(curve):
+                arcs = [s for s in cyc.segments if isinstance(s, ArcSegment)]
+                centres = {arc.center for arc in arcs}
+                assert len(arcs) == 2 and len(centres) == 2
+                for arc in arcs:
+                    for a in pts:
+                        if a not in centres:
+                            assert abs(a - arc.center) >= 2 * arc.radius
 
 
 class TestIntegration:
