@@ -25,11 +25,11 @@ import os
 import sys
 from fractions import Fraction
 
-SCHEMA_VERSION = 1
+from .schlesinger import SCHEMA_VERSION
 
 
-class ParameterError(Exception):
-    pass
+class ParameterError(ValueError):
+    """A usage error: main prints its message and exits 2."""
 
 
 def _frac(text) -> Fraction:
@@ -170,6 +170,9 @@ def _check_doc(doc) -> str:
     """Kind of a verifiable document; ParameterError if it is malformed."""
     if not isinstance(doc, dict):
         raise ParameterError("document must be a JSON object")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParameterError(f"cannot verify schema_version {version!r}")
     kind = doc.get("kind")
     schema = _DOC_SCHEMA.get(kind) if isinstance(kind, str) else None
     if schema is None:
@@ -250,22 +253,16 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     if args and args.numeric:  # usage errors come first, whatever b holds
         if not args.a:
             raise ParameterError("--numeric needs --a a1,a2")
-        if M != 2:
-            raise ParameterError("numeric Hamiltonian check is M = 2 only")
         apt = _parse_points(args.a)
-        if len(apt) != M:
-            raise ParameterError(f"M = 2 needs an a-point with 2 coordinates, "
-                                 f"got {len(apt)}")
+        eps_list = ([_parse_eps(args.eps)] if args.eps else
+                    list(itertools.product((1, -1), repeat=M + 2)))
+        garnier.check_m2_inputs(M, apt, eps_list)
         taken = {0: "the pole 0", 1: "the pole 1"}  # exact equality only
         for k, (z, text) in enumerate(zip(apt, args.a.split(",")), 1):
             if z in taken:
                 raise ParameterError(f"a-point coordinate a{k} = {text.strip()} "
                                      f"collides with {taken[z]}")
             taken[z] = f"a{k}"
-        eps_list = ([_parse_eps(args.eps)] if args.eps else
-                    list(itertools.product((1, -1), repeat=M + 2)))
-        if any(len(eps) != M + 2 for eps in eps_list):
-            raise ParameterError("need M + 2 thetas and signs")
     b = [parse_ratfunc(t) for t in doc["b"]]
     betas = [Fraction(s) for s in doc["betas"]]
     sol = garnier.GarnierAlgebraicSolution(
@@ -273,10 +270,14 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     s = sol.sum_b()
     built = s.is_zero()  # P_M exists only when the b_i sum to zero
     unbuilt = "P_M not built: sum of b_i is nonzero"
-    pm = sol.pm_coefficients() if built else None
+    pm = sol.pm_coefficients() if built else []
+    top = max((k for k, c in enumerate(pm) if not c.is_zero()), default=None)
+    degree = unbuilt if not built else "P_M is 0" if top is None else str(top)
+    # the numeric checks read P_M only at its full degree M
+    why = (None if top == M else degree if top is None
+           else f"P_M has degree {top} < M = {M}")
     checks = [("sum-b-zero", built, "0" if built else s.to_text()),
-              ("pm-degree", built and len(pm) == M + 1,
-               f"{len(pm) - 1}" if built else unbuilt)]
+              ("pm-degree", top == M, degree)]
     if "pm_coefficients" in doc:
         texts = doc["pm_coefficients"]
         if not (isinstance(texts, list) and len(texts) == M + 1
@@ -292,9 +293,9 @@ def _verify_garnier_doc(doc, args, tol) -> list:
                            else f"differs at {', '.join(bad)}"))
     if args and args.numeric:
         def one(eps):
-            r = float(garnier.garnier_residual_m2(sol, apt, eps)) if built else 0
+            r = 0 if why else float(garnier.garnier_residual_m2(sol, apt, eps))
             return (f"garnier-m2-eps{''.join('+' if e > 0 else '-' for e in eps)}",
-                    built and bool(r < tol), f"{r:.3e}" if built else unbuilt)
+                    not why and bool(r < tol), why or f"{r:.3e}")
         checks.extend(sorted(map(one, eps_list)))
     return checks
 
@@ -626,9 +627,6 @@ def main(argv=None) -> int:
         # interpreter's final flush stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ParameterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

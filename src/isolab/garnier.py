@@ -22,13 +22,13 @@ import numpy as np
 
 from .algebra import (MultiPoly, RatFunc, poly_gcd, to_rational,
                       truncated_product)
-from .schlesinger import (HypothesisError, default_variables, _check,
-                          _poly_class_entries, _rational_class_entries)
+from .schlesinger import (SCHEMA_VERSION, HypothesisError, default_variables,
+                          _check, _poly_class_entries, _rational_class_entries)
 
 __all__ = ["GarnierSpec", "GarnierAlgebraicSolution", "HypothesisError",
            "pm_polynomial", "thm10_solution", "thm11_family",
            "residue_basis_vector", "u_roots", "v_momenta", "theta_from_eps",
-           "garnier_hamiltonians_m2", "garnier_residual_m2"]
+           "garnier_hamiltonians_m2", "garnier_residual_m2", "check_m2_inputs"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class GarnierSpec:
     eps: tuple
 
     def __post_init__(self):
-        if len(self.theta) != self.M + 2 or len(self.eps) != self.M + 2:
-            raise ValueError("need M + 2 thetas and signs")
+        _check_lengths(self.M, self.theta, self.eps)
         if any(e not in (1, -1) for e in self.eps):
             raise ValueError("eps entries must be +-1")
 
@@ -88,7 +87,7 @@ class GarnierAlgebraicSolution:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "kind": "garnier-algebraic",
             "provenance": {k: str(v) for k, v in self.provenance.items()},
             "M": self.M,
@@ -257,7 +256,6 @@ def u_roots(pm_coeffs, a_numeric) -> RootResult:
 def v_momenta(u, betas, eps, a_numeric) -> list:
     """v_j = sum_i (1 + eps_i) beta_i / (u_j - a_i) over the M + 2 poles
     (a_1..a_M, 0, 1)."""
-    M = len(a_numeric)
     poles = [complex(x) for x in a_numeric] + [0j, 1 + 0j]
     out = []
     for uj in u:
@@ -322,6 +320,22 @@ def _hamiltonian_m2(which: int, a, u, v, th, kappa) -> complex:
     return pref * total
 
 
+def _check_lengths(M: int, *vectors):
+    if any(len(v) != M + 2 for v in vectors):
+        raise ValueError("need M + 2 thetas and signs")
+
+
+def check_m2_inputs(M: int, a_point, eps_vectors=()):
+    """The input rules of garnier_residual_m2, each a ValueError: M = 2, an
+    a-point of two coordinates and sign vectors of M + 2 entries."""
+    if M != 2:
+        raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
+    if len(a_point) != 2:
+        raise ValueError(f"M = 2 needs an a-point with 2 coordinates, "
+                         f"got {len(a_point)}")
+    _check_lengths(M, *eps_vectors)
+
+
 def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
                         eps) -> float:
     """Max absolute residual of the 8 Hamilton equations at an a-point.
@@ -329,53 +343,39 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     du_i/da_k and dv_i/da_k come from central differences with nearest-root
     tracking; dH_k/du_i and dH_k/dv_i from central differences of the
     explicit Hamiltonians. A residual that is not finite raises
-    ArithmeticError: max() would drop a NaN and read it as a pass. An
-    a-point without exactly two coordinates raises ValueError before P_2 is
-    evaluated; one at which P_2 drops degree or overflows float64 raises
-    ValueError too."""
-    if solution.M != 2:
-        raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
+    ArithmeticError: max() would drop a NaN and read it as a pass. Inputs
+    that break check_m2_inputs raise ValueError before P_2 is evaluated, an
+    a-point at which P_2 has fewer than two roots or overflows float64 too."""
+    check_m2_inputs(solution.M, a_numeric)
     a0 = [complex(x) for x in a_numeric]
-    if len(a0) != 2:
-        raise ValueError(f"M = 2 needs an a-point with 2 coordinates, "
-                         f"got {len(a0)}")
     spec = solution.spec_for(eps)
     th, kappa = _theta_kappa(spec)
     pm = solution.pm_coefficients()
     h = 1e-5  # the central-difference step
 
-    def uv_at(a):
+    def uv(a, base=None):  # at a0, or beside it matched to the base roots
         try:
-            rr = u_roots(pm, a)
+            u = u_roots(pm, a).roots
         except OverflowError:
+            if base is not None:
+                raise
             raise ValueError(f"P_2 overflows float64 at a = {a}") from None
-        if rr.degree_dropped or len(rr.roots) != 2:
-            raise ValueError(
-                f"P_2 degenerates at a = {a}; pick a generic point")
-        u = rr.roots
-        v = v_momenta(u, solution.betas, spec.eps, a)
-        return u, v
-
-    def tracked(base_u, a):
-        rr = u_roots(pm, a)
-        if len(rr.roots) != 2:
-            raise ArithmeticError(f"root collision near a = {a}")
-        r = rr.roots
-        # nearest-root matching against the base configuration
-        if (abs(r[0] - base_u[0]) + abs(r[1] - base_u[1])
-                <= abs(r[1] - base_u[0]) + abs(r[0] - base_u[1])):
-            u = r
-        else:
-            u = [r[1], r[0]]
+        if len(u) < 2:  # also where P_2 drops degree
+            if base is not None:
+                raise ArithmeticError(f"root collision near a = {a}")
+            raise ValueError(f"P_2 degenerates at a = {a}; pick a generic point")
+        if base is not None and not (abs(u[0] - base[0]) + abs(u[1] - base[1])
+                                     <= abs(u[1] - base[0]) + abs(u[0] - base[1])):
+            u = [u[1], u[0]]
         return u, v_momenta(u, solution.betas, spec.eps, a)
 
-    u0, v0 = uv_at(a0)
+    u0, v0 = uv(a0)
     worst = 0.0
     for k in (0, 1):
         ap = list(a0); ap[k] += h
         am = list(a0); am[k] -= h
-        up, vp = tracked(u0, ap)
-        um, vm = tracked(u0, am)
+        up, vp = uv(ap, u0)
+        um, vm = uv(am, u0)
         du = [(up[i] - um[i]) / (2 * h) for i in (0, 1)]
         dv = [(vp[i] - vm[i]) / (2 * h) for i in (0, 1)]
         for i in (0, 1):

@@ -647,14 +647,29 @@ def period_matrix(curve: SuperellipticCurve, j: int, cycles,
 
 
 def rank_check(B) -> int:
-    """Numerical rank: singular values above RANK_TOL * largest."""
+    """Numerical rank: the singular values above RANK_TOL * the largest.
+
+    For a PeriodMatrix with stats they must also exceed sqrt(rows * cols) *
+    tol, tol the largest quadrature tolerance of its cycles: the quadrature
+    only guarantees each entry to max(tol, tol |value|), so a matrix of
+    rounding noise has rank 0. A raw array keeps the relative rule alone.
+
+    The rank of a period matrix is N - 1 for many curves, not all. Measured
+    with the cycle basis of build_cycle_basis, it is N - 2 where n < 0, j n
+    is not divisible by m and m divides N: at (m, N, n, j) = (2, 4, -1, 1),
+    (2, 4, -3, 1), (2, 6, -1, 1), (3, 3, -1, 1), (3, 6, -1, 1), (3, 6, -2, 1),
+    (3, 6, -1, 2), (4, 4, -1, 1), (4, 8, -1, 1) and (6, 6, -1, 1). It is
+    N - 1 at (4, 6, -1, 1), (6, 4, -1, 1), (2, 5, -1, 1), (2, 4, -1, 2) and
+    (3, 3, -1, 3). For m = 2, N = 4, n = -1 the extra relation is exact:
+    sum_i (a_i^2 - (S/2) a_i) omega_i = d((S z - 2 z^2)/w), S = sum_i a_i."""
     ents = B.entries if isinstance(B, PeriodMatrix) else np.asarray(B)
     if ents.size == 0:
         return 0
     sv = np.linalg.svd(ents, compute_uv=False)
-    if sv[0] == 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    floor = RANK_TOL * sv[0]
+    if isinstance(B, PeriodMatrix) and B.stats:
+        floor = max(floor, math.sqrt(ents.size) * max(s.tol for s in B.stats))
+    return int(np.sum(sv > floor))
 
 
 def isomonodromy_fd_check(curve: SuperellipticCurve, i: int, j: int,

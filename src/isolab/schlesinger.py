@@ -39,6 +39,8 @@ from math import prod
 from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, grade,
                        to_rational, truncated_product)
 
+SCHEMA_VERSION = 1  # of every JSON document isolab writes or reads
+
 
 class HypothesisError(ValueError):
     """A theorem hypothesis is violated; the message names it."""
@@ -218,7 +220,7 @@ class TriangularSolution:
         texts = {id(v): v for v in self.entries.values()}  # one per object
         texts = {k: self.frame.to_a(v).to_text() for k, v in texts.items()}
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "kind": "triangular-schlesinger",
             "provenance": {k: str(v) for k, v in self.provenance.items()},
             "p": self.p,

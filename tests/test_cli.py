@@ -371,6 +371,50 @@ class TestVerify:
         assert err == ("error: M = 2 needs an a-point with 2 coordinates, "
                        f"got {points.count(',') + 1}\n")
 
+    def test_garnier_pm_below_degree_m_fails(self, capsys, tmp_path):
+        # b sums to 0 and P_2 = (a1 - 1) z - a1 a2 + a2 has degree 1 at every
+        # a-point: pm-degree once read "2", and --numeric blamed the point
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "2", "--n", "1")
+        doc = json.loads(out)
+        del doc["pm_coefficients"]
+        path = tmp_path / "degree1.json"
+        for b, degree, why in (
+                (["(1)/(a1)", "0", "(a1 - 1)/(a1)", "-1"], "1",
+                 "P_M has degree 1 < M = 2"),
+                (["0"] * 4, "P_M is 0", "P_M is 0")):
+            path.write_text(json.dumps({**doc, "b": b}))
+            for extra in ((), ("--numeric", "--a", "2,3.5", "--eps", "++++")):
+                code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                         *extra)
+                checks = {c["name"]: c for c in json.loads(out)["checks"]}
+                assert code == 1 and err == ""
+                assert checks["sum-b-zero"]["pass"]
+                assert not checks["pm-degree"]["pass"]
+                assert checks["pm-degree"]["detail"] == degree
+                numeric = [c for n, c in checks.items()
+                           if n.startswith("garnier-m2")]
+                assert len(numeric) == (1 if extra else 0)
+                assert all(not c["pass"] and c["detail"] == why
+                           for c in numeric)
+
+    @pytest.mark.parametrize("version", [2, True, "1", 1.0])
+    def test_other_schema_version_is_a_usage_error(self, capsys, tmp_path,
+                                                   version):
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "2", "--n", "1")
+        doc = json.loads(out)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "schema_version": version}))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot verify schema_version {version!r}\n"
+        # a document without the key is read as version 1
+        del doc["schema_version"]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 0 and json.loads(out)["pass"]
+
 
 class TestVerifyInputValidation:
     def verify_doc(self, capsys, tmp_path, doc):

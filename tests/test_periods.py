@@ -141,6 +141,28 @@ class TestPeriodMatrix:
     def test_zero_matrix_rank(self):
         assert rank_check(np.zeros((3, 4), dtype=complex)) == 0
 
+    def test_rounding_noise_has_rank_zero(self):
+        # N = m = 2, n = -1: both w^-1 dz/(z - a_i) are exact (their sum is
+        # -2 d(1/w)), so every period is rounding noise; it once read rank 1
+        curve = SuperellipticCurve(2, [0.3 + 0.1j, 1.7 - 0.4j], -1)
+        B = period_matrix(curve, 1, build_cycle_basis(curve))
+        assert np.abs(B.entries).max() < 1e-12
+        assert rank_check(B) == 0
+
+    def test_rank_n_minus_two_where_m_divides_n(self):
+        # n < 0, j n not divisible by m and m | N: one exact relation more,
+        # for m = 2, N = 4, n = -1
+        # sum_i (a_i^2 - (S/2) a_i) omega_i = d((S z - 2 z^2)/w), S = sum a_i
+        pts = [0.0, 1.0, 2.4 + 0.8j, 3.6 - 0.9j]
+        curve = SuperellipticCurve(2, pts, -1)
+        B = period_matrix(curve, 1, build_cycle_basis(curve))
+        assert rank_check(B) == 2
+        a = np.array(pts, dtype=complex)
+        relation = (a ** 2 - a.sum() / 2 * a) @ B.entries
+        assert np.abs(relation).max() < 1e-12 * np.abs(B.entries).max()
+        curve = SuperellipticCurve(3, [0.0, 1.0, 2.0 + 1.0j], -1)
+        assert rank_check(period_matrix(curve, 1, build_cycle_basis(curve))) == 1
+
     def test_rank_stable_under_recombination(self):
         B = period_matrix(CURVE_33, 1, build_cycle_basis(CURVE_33))
         rng = np.random.default_rng(11)
