@@ -7,12 +7,7 @@ quadrature precision, small loops reproduce 2*pi*i times the exact residues,
 and the period matrix over a cycle basis has rank N - 1 on this curve.
 
 The rank is not N - 1 on every curve: it is N - 2 where n < 0, j n is not
-divisible by m and m divides N. Measured at (m, N, n, j) = (2, 4, -1, 1),
-(2, 4, -3, 1), (2, 6, -1, 1), (3, 3, -1, 1), (3, 6, -1, 1), (3, 6, -2, 1),
-(3, 6, -1, 2), (4, 4, -1, 1), (4, 8, -1, 1) and (6, 6, -1, 1); N - 1 at
-(4, 6, -1, 1), (6, 4, -1, 1), (2, 5, -1, 1), (2, 4, -1, 2) and (3, 3, -1, 3).
-For m = 2, N = 4, n = -1 the extra relation is exact:
-sum_i (a_i^2 - (S/2) a_i) omega_i = d((S z - 2 z^2)/w), S = a_1 + ... + a_4.
+divisible by m and m divides N (see rank_check for the measured cases).
 """
 
 import cmath

@@ -254,9 +254,9 @@ def _verify_garnier_doc(doc, args, tol) -> list:
         if not args.a:
             raise ParameterError("--numeric needs --a a1,a2")
         apt = _parse_points(args.a)
-        eps_list = ([_parse_eps(args.eps)] if args.eps else
-                    list(itertools.product((1, -1), repeat=M + 2)))
-        garnier.check_m2_inputs(M, apt, eps_list)
+        eps_list = [_parse_eps(args.eps)] if args.eps else []
+        garnier.check_m2_inputs(M, apt, eps_list)  # before M sizes the product
+        eps_list = eps_list or list(itertools.product((1, -1), repeat=M + 2))
         taken = {0: "the pole 0", 1: "the pole 1"}  # exact equality only
         for k, (z, text) in enumerate(zip(apt, args.a.split(",")), 1):
             if z in taken:
@@ -272,10 +272,14 @@ def _verify_garnier_doc(doc, args, tol) -> list:
     unbuilt = "P_M not built: sum of b_i is nonzero"
     pm = sol.pm_coefficients() if built else []
     top = max((k for k, c in enumerate(pm) if not c.is_zero()), default=None)
-    degree = unbuilt if not built else "P_M is 0" if top is None else str(top)
-    # the numeric checks read P_M only at its full degree M
-    why = (None if top == M else degree if top is None
-           else f"P_M has degree {top} < M = {M}")
+    # the numeric checks read P_M only at its full degree M; `why` says why not
+    if not built:
+        degree = why = unbuilt
+    elif top is None:
+        degree = why = "P_M is 0"
+    else:
+        degree = str(top)
+        why = None if top == M else f"P_M has degree {top} < M = {M}"
     checks = [("sum-b-zero", built, "0" if built else s.to_text()),
               ("pm-degree", top == M, degree)]
     if "pm_coefficients" in doc:
@@ -377,14 +381,12 @@ def cmd_periods(args) -> int:
         idx = int(args.trace)
         if not (0 <= idx < len(cycles)):
             raise ParameterError(f"--trace index out of range 0..{len(cycles) - 1}")
-        for row in periods.continuation_trace_rows(curve, cycles[idx]):
-            writer.writerow(row)
+        writer.writerows(periods.continuation_trace_rows(curve, cycles[idx]))
         _emit(args, buf.getvalue().rstrip("\n"))
         return 0
     B = periods.period_matrix(curve, j, cycles, tol)
     rank = periods.rank_check(B)
-    for row in B.to_csv_rows():
-        writer.writerow(row)
+    writer.writerows(B.to_csv_rows())
     writer.writerow(["rank", rank, "", "", ""])
     _emit(args, buf.getvalue().rstrip("\n"))
     return 0
@@ -532,14 +534,10 @@ def cmd_reproduce(args) -> int:
     if bad:
         raise ParameterError(f"unknown example id(s) {bad}; "
                              f"known: {', '.join(sorted(GOLDEN))} or 'all'")
-    ok_all = True
-    lines = []
-    for eid in ids:
-        ok, detail = GOLDEN[eid]()
-        ok_all = ok_all and ok
-        lines.append(f"{eid}: {'PASS' if ok else 'FAIL'} ({detail})")
-    _emit(args, "\n".join(lines))
-    return 0 if ok_all else 1
+    results = [(eid, *GOLDEN[eid]()) for eid in ids]
+    _emit(args, "\n".join(f"{eid}: {'PASS' if ok else 'FAIL'} ({detail})"
+                          for eid, ok, detail in results))
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,7 @@ class QuadratureStats:
     max_depth: int = 0       # deepest panel halving
     fallback_steps: int = 0  # points walked by the scalar BranchTracker.advance
     max_error: float = 0.0   # largest accepted |val1 - val2|, next to tol
+    abs_integral: float = 0.0  # integral of |integrand dz| summed over rows
 
 
 def _panel_count(seg) -> int:
@@ -516,7 +517,9 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
             # summed node by node, as the scalar loop adds them
             vals = _join(*(part.cumsum(axis=-1)[..., -1] * half
                            for part in terms))
-        return vals, z, w, tracked
+            # sum |term| over both halves, which bounds the rounding of val2
+            sizes = (np.abs(terms[0]) + np.abs(terms[1])).sum(axis=-1) * half
+        return vals, sizes[..., -2] + sizes[..., -1], z, w, tracked
 
     def judge(val1, left, right):
         """val2, |val1 - val2| and which of them pass the tolerance test."""
@@ -526,10 +529,11 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
 
     def panel(seg, t0, t1, depth, active, val1):
         start = tracker.state()
-        vals, z, w, _ = evaluate([(seg, t0, t1)], active, val1)
-        settle(seg, t0, t1, depth, active, val1, start, vals[:, 0], z[0], w[0])
+        vals, sizes, z, w, _ = evaluate([(seg, t0, t1)], active, val1)
+        settle(seg, t0, t1, depth, active, val1, start, vals[:, 0], sizes[:, 0],
+               z[0], w[0])
 
-    def settle(seg, t0, t1, depth, active, val1, start, vals, z, w):
+    def settle(seg, t0, t1, depth, active, val1, start, vals, sizes, z, w):
         """Accept the rows of one evaluated panel that pass the test, and
         refine the others from `start`, the state its pass started from."""
         if not np.isfinite(vals).all():  # NaN would fail every halving
@@ -552,6 +556,7 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
         stats.max_depth = max(stats.max_depth, depth)
         if ok.any():
             stats.max_error = max(stats.max_error, float(err[ok].max()))
+            stats.abs_integral += float(sizes[ok].sum())
             totals[active[ok]] += val2[ok]
         if ok.all():
             return
@@ -575,7 +580,7 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
         # one pass for every panel still to do, which stands for each panel
         # as long as the tracker ends where the pass assumed: a panel that
         # fails the tolerance is refined, one it cannot track is redone alone
-        vals, z, w, tracked = evaluate(todo, everyone, None)
+        vals, sizes, z, w, tracked = evaluate(todo, everyone, None)
         val2, err, ok = judge(*vals.transpose(2, 0, 1))
         settled = (tracked & ok.all(axis=0)).tolist()
         worst = err.max(axis=0).tolist()
@@ -585,10 +590,12 @@ def integrate_omega(curve: SuperellipticCurve, i, j: int, cycle: PathSpec,
             if settled[k]:
                 stats.panels += 1
                 stats.max_error = max(stats.max_error, worst[k])
+                stats.abs_integral += float(sizes[:, k].sum())
                 totals += val2[:, k]
                 tracker.restore(ends[k])
             elif tracked[k]:
-                settle(seg, t0, t1, 0, everyone, None, start, vals[:, k], z[k], w[k])
+                settle(seg, t0, t1, 0, everyone, None, start, vals[:, k],
+                       sizes[:, k], z[k], w[k])
             else:
                 panel(seg, t0, t1, 0, everyone, None)
             if tracker.state() != ends[k]:
@@ -649,10 +656,13 @@ def period_matrix(curve: SuperellipticCurve, j: int, cycles,
 def rank_check(B) -> int:
     """Numerical rank: the singular values above RANK_TOL * the largest.
 
-    For a PeriodMatrix with stats they must also exceed sqrt(rows * cols) *
-    tol, tol the largest quadrature tolerance of its cycles: the quadrature
-    only guarantees each entry to max(tol, tol |value|), so a matrix of
-    rounding noise has rank 0. A raw array keeps the relative rule alone.
+    For a PeriodMatrix with stats they must also exceed the rounding bound
+    of its entries: a sum of n terms rounds by at most n eps sum |term|, and
+    each cycle adds 16 nodes a panel and then its panels, so column k is off
+    by at most (16 + panels_k) eps abs_integral_k, and the 2-norm of these
+    column bounds bounds the noise's largest singular value. A matrix of
+    rounding noise thus has rank 0, at any scale of the curve. A raw array
+    keeps the relative rule alone.
 
     The rank of a period matrix is N - 1 for many curves, not all. Measured
     with the cycle basis of build_cycle_basis, it is N - 2 where n < 0, j n
@@ -668,7 +678,9 @@ def rank_check(B) -> int:
     sv = np.linalg.svd(ents, compute_uv=False)
     floor = RANK_TOL * sv[0]
     if isinstance(B, PeriodMatrix) and B.stats:
-        floor = max(floor, math.sqrt(ents.size) * max(s.tol for s in B.stats))
+        floor = max(floor, math.hypot(*(
+            (16 + s.panels) * sys.float_info.epsilon * s.abs_integral
+            for s in B.stats)))
     return int(np.sum(sv > floor))
 
 

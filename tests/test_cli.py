@@ -398,6 +398,27 @@ class TestVerify:
                 assert all(not c["pass"] and c["detail"] == why
                            for c in numeric)
 
+    @pytest.mark.parametrize("M", [1, 3, 40])
+    def test_garnier_numeric_needs_m_two(self, capsys, tmp_path, monkeypatch,
+                                         M):
+        # M = 40 once built the 2^42 sign vectors before it refused M
+        _, out, _ = run_cli(capsys, "generate", "--theorem", "10", "--M", "2",
+                            "--m", "2", "--n", "1")
+        doc = json.loads(out)
+        del doc["pm_coefficients"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "M": M, "b": ["0"] * (M + 2),
+                                    "betas": ["0"] * (M + 2)}))
+
+        def product(*args, **kwargs):
+            raise AssertionError("sign vectors built before M was checked")
+        monkeypatch.setattr("isolab.cli.itertools.product", product)
+        code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                 "--numeric", "--a", "2,3.5")
+        assert code == 2 and out == ""
+        assert err == ("error: explicit Hamiltonians are implemented for "
+                       "M = 2 only\n")
+
     @pytest.mark.parametrize("version", [2, True, "1", 1.0])
     def test_other_schema_version_is_a_usage_error(self, capsys, tmp_path,
                                                    version):

@@ -149,6 +149,22 @@ class TestPeriodMatrix:
         assert np.abs(B.entries).max() < 1e-12
         assert rank_check(B) == 0
 
+    def test_rank_floor_follows_the_scale_of_the_curve(self):
+        # entries of 1e-16 are periods, not noise, on a curve this small,
+        # and a loose tol moves no floor: the rank stays N - 1
+        pts = [0.0, 0.05, 0.1 + 0.05j, 0.04 - 0.03j, 0.07 + 0.08j]
+        curve = SuperellipticCurve(2, pts, 5)
+        for tol in (1e-10, 1e-3):
+            B = period_matrix(curve, 1, build_cycle_basis(curve), tol)
+            assert np.abs(B.entries).max() < 1e-15
+            assert rank_check(B) == 4
+        # the noise of the exact pair stays noise at any scale
+        for scale in (1e-3, 1.0, 1e3):
+            curve = SuperellipticCurve(2, [scale * (0.3 + 0.1j),
+                                           scale * (1.7 - 0.4j)], -1)
+            assert rank_check(period_matrix(curve, 1, build_cycle_basis(curve),
+                                            1e-3)) == 0
+
     def test_rank_n_minus_two_where_m_divides_n(self):
         # n < 0, j n not divisible by m and m | N: one exact relation more,
         # for m = 2, N = 4, n = -1
@@ -456,11 +472,12 @@ def reference_integrate_omega(curve, i, j, cycle, tol=1e-10, stats=None):
                                for part in terms))
         if not np.isfinite(vals).all():
             raise ZeroDivisionError("integrand is singular on the path")
-        return vals, w[-2, 16]
+        sizes = (np.abs(terms[0]) + np.abs(terms[1])).sum(axis=2) * half
+        return vals, sizes[:, -2] + sizes[:, -1], w[-2, 16]
 
     def panel(seg, t0, t1, depth, active, val1):
         start = tracker.state()
-        vals, w_mid = halves(seg, t0, t1, active, val1 is None)
+        vals, sizes, w_mid = halves(seg, t0, t1, active, val1 is None)
         if val1 is None:
             val1 = vals[:, 0]
         left, right = vals[:, -2], vals[:, -1]
@@ -476,6 +493,7 @@ def reference_integrate_omega(curve, i, j, cycle, tol=1e-10, stats=None):
         stats.max_depth = max(stats.max_depth, depth)
         if ok.any():
             stats.max_error = max(stats.max_error, float(err[ok].max()))
+            stats.abs_integral += float(sizes[ok].sum())
             totals[active[ok]] += val2[ok]
         if ok.all():
             return
