@@ -10,11 +10,10 @@ positions, tolerance-based numeric checks (contour integration, quadrature,
 finite differences) for period-integral and quadrature-based solutions.
 """
 
-from .algebra import (Fraction, MultiPoly, RatFunc, FactoredFrac, binom,
-                      parse_poly, parse_ratfunc, poly_gcd)
+from .algebra import (MultiPoly, RatFunc, FactoredFrac, binom, parse_poly,
+                      parse_ratfunc, poly_gcd)
 from .curves import (SuperellipticCurve, CurveInvariants, TruncatedSeries,
-                     curve_invariants, cycle_count, expand_at_infinity,
-                     expand_at_branch_point, residue_series_oracle)
+                     curve_invariants, cycle_count, residue_series_oracle)
 from .schlesinger import (ExponentGrid, TriangularSolution, HypothesisError,
                           build_polynomial_solution, build_rational_solution,
                           schlesinger_residual, residual_is_zero,

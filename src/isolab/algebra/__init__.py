@@ -1,7 +1,5 @@
 """Exact arithmetic kernel: rationals, sparse polynomials, rational functions."""
 
-from fractions import Fraction
-
 from .scalars import binom, binomials, to_rational
 from .multipoly import (MultiPoly, grade, parse_poly, poly_gcd, prove_zero,
                         truncated_product)
@@ -9,7 +7,7 @@ from .ratfunc import RatFunc, parse_fraction, parse_ratfunc
 from .factored import FactoredFrac
 
 __all__ = [
-    "Fraction", "binom", "binomials", "to_rational",
+    "binom", "binomials", "to_rational",
     "MultiPoly", "grade", "parse_poly", "poly_gcd", "prove_zero",
     "truncated_product", "RatFunc", "parse_fraction",
     "parse_ratfunc",

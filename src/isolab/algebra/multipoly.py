@@ -335,10 +335,6 @@ class MultiPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def norm1(self) -> Fraction:
-        """The 1-norm: the sum of the absolute values of the coefficients."""
-        return abs(self._content) * sum(map(abs, self._terms.values()))
-
     def total_degree(self) -> int:
         return max(map(_degree_of, self._terms), default=0)
 
@@ -915,12 +911,14 @@ def parse_poly(text: str) -> MultiPoly:
     """Parse a sum of terms joined by runs of signs ('x - - y' is x + y),
     each term a '*'-product of factors in any order: an integer, p/q, or a
     name with an optional ^exponent (ASCII only). Anything else, such as an
-    implicit product or a dangling sign, is a ValueError."""
+    implicit product, a dangling sign or text with no term, is a ValueError."""
     parts = _SIGNS.split(text)      # [term, signs, term, signs, term, ...]
     if parts[0].strip():
         parts.insert(0, "")
     else:
         del parts[0]
+    if not parts:
+        raise ValueError("polynomial text has no term; write 0 for zero")
     monomials = []
     den = 1
     for signs, term in zip(parts[::2], parts[1::2]):

@@ -3,9 +3,10 @@
 The charts implement the two parametrizations the period/residue machinery
 needs: at the s = gcd(m, N) points above z = infinity and at the finite
 ramification points (a_nu, 0). Fractional powers only ever enter through
-binomial series of (1 + u)^(e/m) in the principal branch; root-of-unity
-prefactors at infinity are carried as exact phase tags (k, s) meaning
-exp(2*pi*i*k/s) and are only materialized as complex numbers in numeric mode.
+binomial series of (1 + u)^(e/m) in the principal branch. The series at the
+k-th point over z = infinity differ from those at the first only by a root
+of unity, which residue_series_oracle returns as an exact phase tag (p, q)
+meaning exp(2*pi*i*p/q).
 
 residue_series_oracle computes residues purely by truncated-series
 multiplication; it is the independent cross-check for the closed-form residue
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-import cmath
 
 from .algebra import MultiPoly, FactoredFrac, binom
 
@@ -53,16 +53,15 @@ def _czero(c) -> bool:
 class TruncatedSeries:
     """Laurent series sum_{k>=v} c_{k} t^k known for exponents < order."""
 
-    __slots__ = ("leading", "coeffs", "order", "phase")
+    __slots__ = ("leading", "coeffs", "order")
 
-    def __init__(self, leading: int, coeffs, order: int, phase=(0, 1)):
+    def __init__(self, leading: int, coeffs, order: int):
         while coeffs and _czero(coeffs[0]):
             coeffs = coeffs[1:]
             leading += 1
         self.leading = leading
         self.coeffs = list(coeffs[:max(0, order - leading)])
         self.order = order
-        self.phase = _phase_norm(phase)
 
     @classmethod
     def monomial(cls, coeff, exponent, order):
@@ -78,8 +77,6 @@ class TruncatedSeries:
         return self.coeffs[k - self.leading]
 
     def __add__(self, other):
-        if self.phase != other.phase:
-            raise ValueError("cannot add series with different phase tags")
         order = min(self.order, other.order)
         lead = min(self.leading, other.leading)
         out = [0] * max(0, order - lead)
@@ -88,11 +85,10 @@ class TruncatedSeries:
                 k = src.leading + i - lead
                 if 0 <= k < len(out):
                     out[k] = out[k] + c
-        return TruncatedSeries(lead, out, order, self.phase)
+        return TruncatedSeries(lead, out, order)
 
     def __neg__(self):
-        return TruncatedSeries(self.leading, [-c for c in self.coeffs],
-                               self.order, self.phase)
+        return TruncatedSeries(self.leading, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -101,27 +97,24 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             order = min(self.leading + other.order, other.leading + self.order)
             lead = self.leading + other.leading
-            return TruncatedSeries(
-                lead, [self.product_coefficient(other, k)
-                       for k in range(lead, order)],
-                order, _phase_add(self.phase, other.phase))
+            return TruncatedSeries(lead, [self.product_coefficient(other, k)
+                                          for k in range(lead, order)], order)
         # scalar
         return TruncatedSeries(self.leading, [c * other for c in self.coeffs],
-                               self.order, self.phase)
+                               self.order)
 
     __rmul__ = __mul__
 
     def shift(self, k: int):
         """Multiply by t^k."""
-        return TruncatedSeries(self.leading + k, self.coeffs,
-                               self.order + k, self.phase)
+        return TruncatedSeries(self.leading + k, self.coeffs, self.order + k)
 
     def derivative(self):
         out = []
         for i, c in enumerate(self.coeffs):
             k = self.leading + i
             out.append(c * k)
-        return TruncatedSeries(self.leading - 1, out, self.order - 1, self.phase)
+        return TruncatedSeries(self.leading - 1, out, self.order - 1)
 
     def product_coefficient(self, other, k: int):
         """Coefficient of t^k in self * other, without forming the product;
@@ -144,15 +137,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(_czero(c) for c in self.coeffs)
 
-    def materialize(self):
-        """Fold the phase tag into complex coefficients (numeric mode only)."""
-        num, den = self.phase
-        if num % den == 0:
-            return self
-        w = cmath.exp(2j * cmath.pi * num / den)
-        return TruncatedSeries(self.leading, [complex(c) * w for c in self.coeffs],
-                               self.order, (0, 1))
-
     def to_text(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -160,32 +144,10 @@ class TruncatedSeries:
                 continue
             parts.append(f"({c})*t^{self.leading + i}")
         body = " + ".join(parts) if parts else "0"
-        tag = ""
-        if self.phase != (0, 1):
-            tag = f" * e(2*pi*i*{self.phase[0]}/{self.phase[1]})"
-        return f"{body}{tag} + O(t^{self.order})"
+        return f"{body} + O(t^{self.order})"
 
     def __repr__(self):
         return f"TruncatedSeries({self.to_text()})"
-
-
-def _phase_norm(p):
-    num, den = p
-    num %= den
-    if num == 0:
-        return (0, 1)
-    g = gcd(num, den)
-    return (num // g, den // g)
-
-
-def _phase_add(p, q):
-    if p == (0, 1):
-        return q
-    if q == (0, 1):
-        return p
-    den = p[1] * q[1] // gcd(p[1], q[1])
-    num = p[0] * (den // p[1]) + q[0] * (den // q[1])
-    return _phase_norm((num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +159,16 @@ class CurveInvariants:
     N1: int
     m1: int
     genus: int
-    infinity_points: int
-    finite_poles: int
 
 
 def curve_invariants(m: int, N: int) -> CurveInvariants:
-    """s = gcd(m,N), N1, m1, genus and pole counts of w^m = prod(z - a_i)."""
+    """s = gcd(m,N), N1, m1 and genus of w^m = prod(z - a_i); s is also the
+    number of points over z = infinity."""
     if m < 1 or N < 2:
         raise ValueError("need m >= 1 and N >= 2")
     s = gcd(m, N)
     genus2 = (m - 1) * (N - 1) - s + 1
-    return CurveInvariants(s=s, N1=N // s, m1=m // s, genus=genus2 // 2,
-                           infinity_points=s, finite_poles=N)
+    return CurveInvariants(s=s, N1=N // s, m1=m // s, genus=genus2 // 2)
 
 
 def cycle_count(m: int, N: int, n: int) -> int:
@@ -223,8 +183,9 @@ class SuperellipticCurve:
     """Curve data (m, branch points a_1..a_N, differential exponent n).
 
     Branch points may be exact rationals, complex numbers, or variable names
-    (strings); any variable makes the curve symbolic. In symbolic mode the
-    charts produce exact MultiPoly/FactoredFrac coefficients.
+    (strings); any variable makes the curve symbolic. A symbolic curve, or
+    one whose points are all ints or Fractions, is exact: its charts produce
+    exact MultiPoly/FactoredFrac coefficients.
 
     The curve is treated as immutable after construction: `chart` caches the
     local charts, and their series, on the instance.
@@ -252,7 +213,7 @@ class SuperellipticCurve:
                 for j in range(i + 1, len(vals)):
                     if abs(vals[i] - vals[j]) < 1e-12:
                         raise ValueError(f"branch points {i+1} and {j+1} coincide")
-        self.numeric_exact = not self.symbolic and all(
+        self.exact = self.symbolic or all(
             isinstance(a, (int, Fraction)) for a in pts)
         self._charts = {}
 
@@ -283,7 +244,7 @@ class SuperellipticCurve:
         if isinstance(a, str):
             return MultiPoly.var(a)
         if isinstance(a, (int, Fraction)):
-            return MultiPoly.const(a) if (self.symbolic or self.numeric_exact) else complex(a)
+            return MultiPoly.const(a) if self.exact else complex(a)
         return complex(a)
 
     def point_numeric(self, i: int) -> complex:
@@ -336,24 +297,23 @@ class _Chart:
             raise TruncationError("truncation order beyond the internal cap")
         self.curve = curve
         self.order = order
-        self.exact = curve.symbolic or curve.numeric_exact
+        self.exact = curve.exact
         self.one = MultiPoly.const(1) if self.exact else 1.0 + 0j
         self._w_dz = {}
 
     def omega_residue(self, i: int, j: int):
-        """(residue, phase tag) of Omega_i^{(j)} = w^{jn} dz / (z - a_i):
-        only the t^-1 coefficient of the product is summed."""
+        """Residue of Omega_i^{(j)} = w^{jn} dz / (z - a_i) in the chart's
+        series: only the t^-1 coefficient of the product is summed."""
         e = j * self.curve.n
         w_dz = self._w_dz.get(e)
         if w_dz is None:
             w_dz = self._w_dz[e] = self.w_power(e) * self.dz_series()
-        over = self.one_over_z_minus(i)
-        return (w_dz.product_coefficient(over, -1),
-                _phase_add(w_dz.phase, over.phase))
+        return w_dz.product_coefficient(self.one_over_z_minus(i), -1)
 
 
 class InfinityChart(_Chart):
-    """Chart at the k-th point over z = infinity: z = 1/t^{m1}."""
+    """Chart at the k-th point over z = infinity: z = 1/t^{m1}. Its series
+    are those of the first point; w_power says what k changes."""
 
     def __init__(self, curve: SuperellipticCurve, k: int, order: int):
         inv = curve.invariants()
@@ -363,26 +323,22 @@ class InfinityChart(_Chart):
         self.k = k
         self.inv = inv
 
-    def z_series(self) -> TruncatedSeries:
-        return TruncatedSeries.monomial(self.one, -self.inv.m1,
-                                        self.order - self.inv.m1)
-
     def dz_series(self) -> TruncatedSeries:
         m1 = self.inv.m1
         c = MultiPoly.const(Fraction(-m1)) if self.exact else complex(-m1)
         return TruncatedSeries.monomial(c, -m1 - 1, self.order - m1 - 1)
 
     def w_power(self, e: int) -> TruncatedSeries:
-        """Series of w^e; phase tag e^{2 pi i (k-1) e / s} carried separately."""
+        """Series of w^e on the sheet of the first point over infinity. At
+        the k-th point w^e is this series times e^{2 pi i (k-1) e / s}, a
+        factor that residue_series_oracle returns as its phase tag."""
         inv = self.inv
         out = TruncatedSeries.monomial(self.one, 0, self.order)
         for i in range(1, self.curve.N + 1):
             out = out * _binomial_factor_series(
                 -self.curve.point(i), Fraction(e, self.curve.m), inv.m1,
                 self.order, self.exact)
-        out = out.shift(-e * inv.N1)
-        phase = ((self.k - 1) * e, inv.s)
-        return TruncatedSeries(out.leading, out.coeffs, out.order, phase)
+        return out.shift(-e * inv.N1)
 
     def one_over_z_minus(self, i: int) -> TruncatedSeries:
         """1/(z - a_i) = t^{m1} * sum_q (a_i t^{m1})^q."""
@@ -408,7 +364,7 @@ class BranchChart(_Chart):
 
     def _inv_gap(self, h: int, exact: bool):
         """1/(a_nu - a_h): a FactoredFrac, or a complex from the numeric
-        points (which a numeric-exact curve also has)."""
+        points (which an exact curve of ints and Fractions also has)."""
         if exact:
             return FactoredFrac.quotient(
                 self.one, self.curve.point(self.nu) - self.curve.point(h), 1)
@@ -417,13 +373,6 @@ class BranchChart(_Chart):
     def _numeric_gap(self, h: int) -> complex:
         return complex(self.curve.point_numeric(self.nu)
                        - self.curve.point_numeric(h))
-
-    def z_series(self) -> TruncatedSeries:
-        m = self.curve.m
-        anu = self.curve.point(self.nu)
-        coeffs = ([anu * self.one if self.exact else complex(anu)]
-                  + [0] * (m - 1) + [self.one])
-        return TruncatedSeries(0, coeffs, max(self.order, m + 1))
 
     def dz_series(self) -> TruncatedSeries:
         m = self.curve.m
@@ -464,45 +413,16 @@ class BranchChart(_Chart):
         return ser * TruncatedSeries.monomial(inv, 0, self.order)
 
 
-# ---------------------------------------------------------------------------
-# public chart API
-
-
-def expand_at_infinity(curve: SuperellipticCurve, k: int, order: int):
-    """(z(t), w(t)) at the k-th infinity point, truncated to `order` terms
-    past the leading exponent of w."""
-    chart = InfinityChart(curve, k, order)
-    z = chart.z_series()
-    w = chart.w_power(1)
-    if not chart.exact:
-        w = w.materialize()
-    return z, w
-
-
-def expand_at_branch_point(curve: SuperellipticCurve, nu: int, order: int):
-    """(z(t), w(t)) at (a_nu, 0), truncated to `order` terms past leading.
-
-    w itself involves m-th roots of the branch point gaps, so this expansion
-    requires numeric branch points; integer powers of w (as used by the
-    residue oracle) stay exact in symbolic mode.
-    """
-    if curve.symbolic:
-        raise ValueError("w-expansion at a branch point needs numeric branch points")
-    numeric = SuperellipticCurve(curve.m, [complex(a) for a in curve.branch_points],
-                                 curve.n)
-    chart = BranchChart(numeric, nu, order)
-    return chart.z_series(), chart.w_power(1)
-
-
 def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
                           order: int = 1):
     """Residue of Omega_i^{(j)} = w^{jn} dz/(z - a_i) at the given pole,
     computed purely from truncated local series.
 
-    For n > 0 the pole is the infinity-point index (1..s) and the value is a
-    polynomial in the branch points (returned as (value, phase) where phase
-    tags the exact root-of-unity factor e^{2 pi i jn(k-1)/s}). For n < 0 the
-    pole is a branch-point index and the value is a rational function.
+    Returns (value, phase). For n > 0 the pole is the infinity-point index
+    k in 1..s and the value is a polynomial in the branch points; the
+    residue is value * e^{2 pi i p/q}, where (p, q) = phase is (k - 1) j n
+    mod s over s in lowest terms. For n < 0 the pole is a branch-point index,
+    the value is a rational function and phase is (0, 1).
 
     The residue is read from one chart, truncated at max(order, K), where K
     is the least order at which the t^-1 coefficient is known. With e = jn,
@@ -527,17 +447,21 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     summed, by the product_coefficient that full products are built from.
     """
     n = curve.n
+    phase = (0, 1)
     if n > 0:
-        kind, least = InfinityChart, j * n * curve.invariants().N1 + 1
+        inv = curve.invariants()
+        kind, least = InfinityChart, j * n * inv.N1 + 1
+        turn = Fraction((pole - 1) * j * n % inv.s, inv.s)
+        phase = (turn.numerator, turn.denominator)
     elif (j * abs(n)) % curve.m != 0:
-        return _oracle_zero(curve), (0, 1)
+        return _oracle_zero(curve), phase
     else:
         kind, least = BranchChart, j * abs(n) + 1
-    val, phase = curve.chart(kind, pole, max(order, least)).omega_residue(i, j)
+    val = curve.chart(kind, pole, max(order, least)).omega_residue(i, j)
     if isinstance(val, int) and val == 0:
         val = _oracle_zero(curve)
     return val, phase
 
 
 def _oracle_zero(curve):
-    return MultiPoly.zero() if (curve.symbolic or curve.numeric_exact) else 0j
+    return MultiPoly.zero() if curve.exact else 0j

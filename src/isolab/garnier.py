@@ -28,7 +28,7 @@ from .schlesinger import (SCHEMA_VERSION, HypothesisError, default_variables,
 __all__ = ["GarnierSpec", "GarnierAlgebraicSolution", "HypothesisError",
            "pm_polynomial", "thm10_solution", "thm11_family",
            "residue_basis_vector", "u_roots", "v_momenta", "theta_from_eps",
-           "garnier_hamiltonians_m2", "garnier_residual_m2", "check_m2_inputs"]
+           "garnier_residual_m2", "check_m2_inputs"]
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,6 @@ def _T_prime(x, a):
     c2 = a1 + a2 + a1 * a2
     c1 = -a1 * a2
     return 4 * x ** 3 + 3 * c3 * x ** 2 + 2 * c2 * x + c1
-
-
-def garnier_hamiltonians_m2(a, u, v, spec: GarnierSpec):
-    """H_1, H_2 of the bivariate system, exactly as displayed."""
-    th, kappa = _theta_kappa(spec)
-    return [_hamiltonian_m2(which, a, u, v, th, kappa) for which in (0, 1)]
 
 
 def _theta_kappa(spec: GarnierSpec):

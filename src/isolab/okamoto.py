@@ -41,11 +41,6 @@ class OkamotoCoords:
         return cls(to_rational(b1), to_rational(b2), to_rational(b3),
                    to_rational(b4))
 
-    @classmethod
-    def from_theta(cls, t: ThetaTuple) -> "OkamotoCoords":
-        return cls(t.beta1 + t.beta2, t.beta1 - t.beta2,
-                   t.beta3 + t.beta_inf - 1, t.beta3 - t.beta_inf)
-
     def theta(self) -> ThetaTuple:
         return ThetaTuple(
             beta1=(self.b1 + self.b2) / 2,

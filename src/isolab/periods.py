@@ -80,9 +80,6 @@ class LineSegment:
     def at(self, t: float) -> complex:
         return self.z0 + (self.z1 - self.z0) * t
 
-    def velocity(self, t: float) -> complex:
-        return self.z1 - self.z0
-
     at_array = at  # the same expression maps an array of t
 
     def velocity_array(self, t: np.ndarray) -> np.ndarray:
@@ -99,10 +96,6 @@ class ArcSegment:
     def at(self, t: float) -> complex:
         ang = self.angle0 + (self.angle1 - self.angle0) * t
         return self.center + self.radius * cmath.exp(1j * ang)
-
-    def velocity(self, t: float) -> complex:
-        ang = self.angle0 + (self.angle1 - self.angle0) * t
-        return (self.angle1 - self.angle0) * 1j * self.radius * cmath.exp(1j * ang)
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         ang = self.angle0 + (self.angle1 - self.angle0) * t
@@ -124,9 +117,6 @@ class PathSpec:
 
     def end(self) -> complex:
         return self.segments[-1].at(1.0)
-
-    def is_closed(self) -> bool:
-        return abs(self.start() - self.end()) < 1e-9
 
 
 # ---------------------------------------------------------------------------

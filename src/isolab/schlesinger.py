@@ -77,11 +77,6 @@ class ExponentGrid:
         row = tuple((Fraction(p + 1, 2) - k) * q for k in range(1, p + 1))
         return cls(p, N, tuple(row for _ in range(N)))
 
-    def step(self) -> Fraction:
-        if self.p == 1:
-            return Fraction(0)
-        return self.beta[0][0] - self.beta[0][1]
-
     def value(self, i: int, k: int) -> Fraction:
         return self.beta[i - 1][k - 1]
 

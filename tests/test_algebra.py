@@ -171,7 +171,7 @@ class TestMultiPoly:
         names, degrees, bits = _box(lambda p: p, (p,), ())
         assert names == p.vars
         assert degrees == [p.degree_in(v) for v in names]
-        assert bits == int(p.norm1()).bit_length() + 2
+        assert bits == int(sum(abs(c) for _, c in p.terms())).bit_length() + 2
 
     def test_box_past_the_exponent_limit_is_refused(self):
         with pytest.raises(ExponentOverflowError):
@@ -797,7 +797,6 @@ class TestTextRoundTrip:
         ("x*x", x ** 2),
         ("2*3*x*1/4", F(3, 2) * x),
         ("  -1/2  ", MultiPoly.const(F(-1, 2))),
-        ("", MultiPoly.zero()),
     ])
     def test_non_canonical_forms(self, text, value):
         p = parse_poly(text)
@@ -805,7 +804,8 @@ class TestTextRoundTrip:
 
     @pytest.mark.parametrize("text", [
         "2 3*x", "x y", "2x", "1e5*x", "x +", "-", "x^", "x^-1", "(x)*y",
-        "2*-x", "x*", "*x", "1/0*x", "1.5*x", "\u0663*x", "x\u00b2", "x % y"])
+        "2*-x", "x*", "*x", "1/0*x", "1.5*x", "\u0663*x", "x\u00b2", "x % y",
+        "", "  \t"])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError):
             parse_poly(text)

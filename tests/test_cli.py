@@ -497,6 +497,30 @@ class TestVerifyInputValidation:
         assert err == (f"error: pvi-family document's 'parameter' {name!r} "
                        "names no variable of y\n")
 
+    @pytest.mark.parametrize("y", ["", " "])
+    def test_pvi_y_with_no_term_is_a_usage_error(self, capsys, tmp_path, y):
+        # read as 0, this y would pass as the degenerate y = 0
+        doc = {"kind": "pvi-family", "y": y, "theta": ["0", "1/2", "0", "-1/2"],
+               "params": ["1/2", "0", "1/2", "1/2"], "parameter": None}
+        code, out, err = self.verify_doc(capsys, tmp_path, doc)
+        assert code == 2 and out == ""
+        assert err == ("error: polynomial text has no term; write 0 for "
+                       "zero\n")
+
+    @pytest.mark.parametrize("extra", [(), ("--numeric", "--a", "2,3.5",
+                                            "--eps", "++++")])
+    def test_garnier_b_with_a_foreign_variable(self, capsys, tmp_path, extra):
+        # this b sums to zero, so P_2 can be built, but no a-point gives x a
+        # value
+        doc = {"kind": "garnier-algebraic", "M": 2, "b": ["x", "-x", "0", "0"],
+               "betas": ["1/4"] * 4, "beta_inf": "-1"}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err == ("error: garnier-algebraic document's b names x, "
+                       "outside a1..a2\n")
+
     def test_top_level_not_an_object(self, capsys, tmp_path):
         code, _, err = self.verify_doc(capsys, tmp_path, ["garnier-algebraic"])
         assert code == 2 and "JSON object" in err
@@ -556,6 +580,7 @@ class TestVerifyInputValidation:
                "bare caret": ("entries", {**entries, "1,1,2": "a1^"}),
                "parentheses": ("entries", {**entries, "1,1,2": "(a1)*a2"}),
                "non-ASCII digit": ("entries", {**entries, "1,1,2": "\u0663*a1"}),
+               "no term": ("entries", {**entries, "1,1,2": ""}),
                "p >= 1": ("p", 0)}
         for label, (key, value) in bad.items():
             code, out, err = self.verify_doc(capsys, tmp_path,

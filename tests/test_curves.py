@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import MultiPoly, RatFunc, binom
 from isolab.curves import (SuperellipticCurve, TruncatedSeries, TruncationError,
-                           curve_invariants, cycle_count, expand_at_infinity,
-                           expand_at_branch_point, residue_series_oracle,
+                           curve_invariants, cycle_count, residue_series_oracle,
                            InfinityChart, BranchChart)
 
 
 class TestInvariants:
     def test_worked_values(self):
         inv = curve_invariants(3, 3)
-        assert (inv.s, inv.genus, inv.infinity_points) == (3, 1, 3)
+        assert (inv.s, inv.genus) == (3, 1)
         assert curve_invariants(2, 3).genus == 1
         assert curve_invariants(3, 5).genus == 4
 
@@ -52,17 +51,18 @@ class TestCurveValidation:
 
 class TestCharts:
     def test_infinity_leading_exponents(self):
+        # z = t^-m1 and w ~ t^-N1: m1 = N1 = 1 for (3, 3), 2 and 3 for (2, 3)
         c33 = SuperellipticCurve(3, [0, 1, "x"], 1)
-        z, w = expand_at_infinity(c33, 1, 4)
-        assert z.leading == -1 and w.leading == -1
+        assert c33.invariants().m1 == 1
+        assert InfinityChart(c33, 1, 4).w_power(1).leading == -1
         c23 = SuperellipticCurve(2, [0.0, 1.0, 2.0 + 1.0j], 1)
-        z2, w2 = expand_at_infinity(c23, 1, 3)
-        assert z2.leading == -2 and w2.leading == -3
+        assert c23.invariants().m1 == 2
+        assert InfinityChart(c23, 1, 3).w_power(1).leading == -3
 
     def test_infinity_third_order_vs_brute_force(self):
         # brute force: multiply the three binomial series for (1 - a_i t)^{1/3}
         c = SuperellipticCurve(3, [F(0), F(1), "x"], 1)
-        _, w = expand_at_infinity(c, 1, 5)
+        w = InfinityChart(c, 1, 5).w_power(1)
         xv = MultiPoly.var("x")
         third = F(1, 3)
         series = {0: MultiPoly.const(1)}
@@ -80,26 +80,21 @@ class TestCharts:
 
     def test_branch_point_leading_term(self):
         # leading coefficient of w is prod (a_nu - a_h)^{1/m} (principal branch)
+        # z = a_2 + t^3
         c = SuperellipticCurve(3, [0.0, 1.0, 2.5 + 0.5j], -1)
-        z, w = expand_at_branch_point(c, 2, 4)
+        w = BranchChart(c, 2, 4).w_power(1)
         lead = w.coefficient(1)
         want = ((1.0 - 0.0) ** (1 / 3)) * complex(1.0 - (2.5 + 0.5j)) ** (1 / 3)
         assert abs(lead - want) < 1e-12
 
     def test_branch_point_square_root_series(self):
-        c = SuperellipticCurve(2, [0, 1], -1)
-        zs, w = expand_at_branch_point(c, 1, 5)
-        # w = t(t^2 - 1)^{1/2} = i(t - t^3/2 - ...) in the principal branch
+        c = SuperellipticCurve(2, [0.0, 1.0], -1)
+        w = BranchChart(c, 1, 5).w_power(1)
+        # z = t^2, w = t(t^2 - 1)^{1/2} = i(t - t^3/2 - ...) in the principal
+        # branch
         assert abs(w.coefficient(1) - 1j) < 1e-13
         assert abs(w.coefficient(3) + 0.5j) < 1e-13
         assert w.coefficient(2) == 0
-
-    def test_z_series_two_terms(self):
-        c = SuperellipticCurve(2, [0.0, 1.0, 3.0], -1)
-        zs, _ = expand_at_branch_point(c, 3, 6)
-        terms = [k for k in range(zs.leading, zs.order)
-                 if k - zs.leading < len(zs.coeffs) and zs.coefficient(k) != 0]
-        assert terms == [0, 2]
 
     def test_truncation_error(self):
         s = TruncatedSeries(0, [1, 2, 3], 3)
@@ -146,9 +141,7 @@ def reference_mul(a, b):
             if is_zero(cj):
                 continue
             out[k] = out[k] + ci * cj
-    phase = (a.phase[0] * b.phase[1] + b.phase[0] * a.phase[1],
-             a.phase[1] * b.phase[1])
-    return TruncatedSeries(lead, out, order, phase)
+    return TruncatedSeries(lead, out, order)
 
 
 _X, _Y = MultiPoly.var("x"), MultiPoly.var("y")
@@ -175,13 +168,12 @@ def _series_pair(draw):
         coeffs = draw(st.lists(coeff, max_size=8))
         lead = draw(st.integers(-5, 3))
         order = lead + draw(st.integers(-2, 10))
-        phase = (draw(st.integers(0, 5)), draw(st.integers(1, 6)))
-        return TruncatedSeries(lead, coeffs, order, phase)
+        return TruncatedSeries(lead, coeffs, order)
     return series(), series()
 
 
 def _series_key(s):
-    return s.leading, s.order, s.phase, [repr(c) for c in s.coeffs]
+    return s.leading, s.order, [repr(c) for c in s.coeffs]
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,9 +6,7 @@ import pytest
 from isolab.algebra import FactoredFrac, MultiPoly, RatFunc
 from isolab.schlesinger import build_polynomial_solution, build_rational_solution
 from isolab.garnier import (GarnierAlgebraicSolution, GarnierSpec, HypothesisError,
-                            _hamiltonian_m2, _theta_kappa,
-                            garnier_hamiltonians_m2, garnier_residual_m2,
-                            pm_polynomial,
+                            garnier_residual_m2, pm_polynomial,
                             residue_basis_vector, theta_from_eps, thm10_solution,
                             thm11_family, u_roots, v_momenta)
 
@@ -380,21 +378,6 @@ class TestHamiltonianResidual:
                            match=f"M = 2 needs an a-point with 2 coordinates, "
                                  f"got {len(a_point)}"):
             garnier_residual_m2(s1, a_point, (1, 1, 1, 1))
-
-    def test_single_hamiltonian_matches_the_pair(self):
-        # the residual differentiates H_k alone; it must be the k-th entry of
-        # the displayed pair, bit for bit, also off the solution's (u, v)
-        for sol, a in ((thm10_solution(2, 2, 1), (2.0, 3.5)),
-                       (thm11_family(2, -1, [F(2), F(-1)]), (-0.8 + 0.1j, 1.7))):
-            for eps in ((1, 1, 1, 1), (-1, 1, -1, 1)):
-                spec = sol.spec_for(eps)
-                u = u_roots(sol.pm_coefficients(), a).roots
-                v = v_momenta(u, sol.betas, spec.eps, a)
-                th, kappa = _theta_kappa(spec)
-                for uu, vv in ((u, v), ([u[0] + 1e-5, u[1]], [v[0], v[1] - 1e-5])):
-                    pair = garnier_hamiltonians_m2(a, uu, vv, spec)
-                    for k in (0, 1):
-                        assert _hamiltonian_m2(k, a, uu, vv, th, kappa) == pair[k]
 
     def test_higher_m_exact_layer_only(self):
         s = thm10_solution(4, 2, 1)

@@ -16,6 +16,12 @@ from isolab.painleve import (PVIParams, conjugate_momentum,
 x = MultiPoly.var("x")
 c = MultiPoly.var("c")
 
+
+def from_theta(t):
+    """Okamoto's b of a ThetaTuple, the inverse of OkamotoCoords.theta."""
+    return OkamotoCoords(t.beta1 + t.beta2, t.beta1 - t.beta2,
+                         t.beta3 + t.beta_inf - 1, t.beta3 - t.beta_inf)
+
 # Okamoto's generators on b as printed, the reference for apply_word.
 REFERENCE_GENERATORS = {
     "w0": lambda b: (b[0], b[1], -b[3] - 1, -b[2] - 1),
@@ -40,7 +46,7 @@ def trajectory(name):
     """(y, p, b) of a named PVI family, p its Hamiltonian momentum."""
     fam = FAMILIES[name]()
     return (fam.y, conjugate_momentum(fam.y, fam.theta),
-            OkamotoCoords.from_theta(fam.theta))
+            from_theta(fam.theta))
 
 
 # The reflection s_i as w-letters: s0, s1, s3, s4 are w0, w3, w1, w4, and s2
@@ -58,7 +64,7 @@ class TestCoordinates:
         th = b.theta()
         assert (th.beta1, th.beta2, th.beta3, th.beta_inf) == (F(0), F(-1),
                                                                F(1), F(0))
-        assert OkamotoCoords.from_theta(th) == b
+        assert from_theta(th) == b
 
     def test_words(self):
         b = OkamotoCoords.of(1, 2, 3, 4)
@@ -86,7 +92,7 @@ class TestGeneratorsOnTrajectories:
         self.fam = thm5_solution(2)
         self.y = self.fam.y
         self.p = conjugate_momentum(self.y, self.fam.theta)
-        self.b = OkamotoCoords.from_theta(self.fam.theta)
+        self.b = from_theta(self.fam.theta)
 
     def test_w3_is_identity(self):
         yw, pw, _ = okamoto_apply("w3", self.y, self.p, self.b)
@@ -124,9 +130,9 @@ class TestOrbits:
         yw, _, bw = okamoto_apply(
             s_word("0 1 2 3 2 0 4 2 0 3 1 2 4 1 2 3 0 2"), fam.y,
             conjugate_momentum(fam.y, fam.theta),
-            OkamotoCoords.from_theta(fam.theta))
+            from_theta(fam.theta))
         assert yw == target.y
-        assert bw == OkamotoCoords.from_theta(target.theta)
+        assert bw == from_theta(target.theta)
 
     @pytest.mark.parametrize("n", [-1, -2])
     def test_thm6_steps_down_by_one(self, n):
@@ -134,9 +140,9 @@ class TestOrbits:
         yw, _, bw = okamoto_apply(
             s_word("2 0 3 2 1 4 2 0 1 3 2 4 0 2 3 2 1 0"), fam.y,
             conjugate_momentum(fam.y, fam.theta),
-            OkamotoCoords.from_theta(fam.theta))
+            from_theta(fam.theta))
         assert yw == target.y
-        assert bw == OkamotoCoords.from_theta(target.theta)
+        assert bw == from_theta(target.theta)
 
 
 class TestSandwichOnFormalVariables:

@@ -68,7 +68,7 @@ class TestCycles:
 
     def test_cycles_are_closed(self):
         for cyc in build_cycle_basis(CURVE_33):
-            assert cyc.is_closed()
+            assert abs(cyc.start() - cyc.end()) < 1e-9
 
     @pytest.mark.parametrize("points", [(0, 10, 10.1 + 2j), (0, 1, 1 + 0.01j)])
     @pytest.mark.parametrize("m", [2, 3])
@@ -102,6 +102,25 @@ class TestIntegration:
         val, _ = residue_series_oracle(CURVE_33, 1, 1, 1)
         per = integrate_omega(CURVE_33, 1, 1, infinity_loop(CURVE_33, 1))
         assert abs(per - (-2j * math.pi * val)) < 1e-8 * abs(val)
+
+    # s = m = N points over infinity; j = 2 on w^2 would integrate a
+    # polynomial, whose residue is 0
+    @pytest.mark.parametrize("m, pts, js", [
+        (2, [0.0, 1.0, 2.0 + 1.0j, -1.0 + 0.5j], (1,)),
+        (4, [0.0, 1.0, 2.0 + 1.0j, -1.0 + 0.5j], (1, 2)),
+        (6, [0.0, 1.0, 2.0 + 1.0j, -1.0 + 0.5j, 0.5 - 1.5j, 3.0], (1, 2))])
+    def test_phase_tag_at_every_infinity_point(self, m, pts, js):
+        # the residue at the k-th point is the oracle's value times
+        # e^{2 pi i p/q}, (p, q) its tag for (k - 1) j n / s
+        curve = SuperellipticCurve(m, pts, 1)
+        assert curve.invariants().s == m
+        for k in range(1, m + 1):
+            for j in js:
+                got = integrate_omega(curve, [1, 2], j, infinity_loop(curve, k))
+                for i, per in zip((1, 2), got):
+                    val, (p, q) = residue_series_oracle(curve, i, j, k)
+                    want = -2j * math.pi * val * cmath.exp(2j * math.pi * p / q)
+                    assert abs(per - want) < 1e-8 * abs(want), (k, i, j)
 
     def test_puncture_loop_residue_bridge(self):
         cneg = SuperellipticCurve(2, [0.0, 1.0, 2.0 + 1.0j], -1)
@@ -256,7 +275,7 @@ def _scalar_integral(curve, i, j, cycle, tol=1e-10):
             t = mid + half * node
             z = seg.at(t)
             val += weight * (tracker.advance(z) ** (j * curve.n) / (z - ai)) \
-                * seg.velocity(t)
+                * complex(seg.velocity_array(np.asarray(t)))
         tracker.advance(seg.at(t1))
         return val * half
 
