@@ -264,13 +264,8 @@ def _verify_garnier_doc(doc, args, tol) -> list:
                                      f"collides with {taken[z]}")
             taken[z] = f"a{k}"
     b = [parse_ratfunc(t) for t in doc["b"]]
-    foreign = sorted({v for bi in b for v in bi.variables}
-                     - {f"a{k}" for k in range(1, M + 1)})
-    if foreign:
-        raise ParameterError(f"garnier-algebraic document's b names "
-                             f"{', '.join(foreign)}, outside a1..a{M}")
     betas = [Fraction(s) for s in doc["betas"]]
-    sol = garnier.GarnierAlgebraicSolution(
+    sol = garnier.GarnierAlgebraicSolution(  # refuses a b outside a1..aM
         M=M, b=b, betas=betas, beta_inf=Fraction(doc["beta_inf"]))
     s = sol.sum_b()
     built = s.is_zero()  # P_M exists only when the b_i sum to zero

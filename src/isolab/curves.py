@@ -227,13 +227,15 @@ class SuperellipticCurve:
     def cycle_count(self) -> int:
         return cycle_count(self.m, self.N, self.n)
 
-    def chart(self, kind, pole: int, order: int):
-        """The chart `kind` (InfinityChart or BranchChart) at `pole`, truncated
-        at `order`, built on first use and kept for the life of the curve."""
-        key = (kind, pole, order)
+    def chart(self, kind, order: int, nu: int = None):
+        """The InfinityChart, or the BranchChart at branch point `nu`,
+        truncated at `order`, built on first use and kept for the life of
+        the curve. Every point over infinity reads the one InfinityChart."""
+        key = (kind, order, nu)
         chart = self._charts.get(key)
         if chart is None:
-            chart = self._charts[key] = kind(self, pole, order)
+            chart = self._charts[key] = (kind(self, order) if nu is None
+                                         else kind(self, nu, order))
         return chart
 
     def point(self, i: int):
@@ -312,16 +314,12 @@ class _Chart:
 
 
 class InfinityChart(_Chart):
-    """Chart at the k-th point over z = infinity: z = 1/t^{m1}. Its series
-    are those of the first point; w_power says what k changes."""
+    """Chart at the points over z = infinity: z = 1/t^{m1}. Its series are
+    those of the first point; w_power says what the k-th point changes."""
 
-    def __init__(self, curve: SuperellipticCurve, k: int, order: int):
-        inv = curve.invariants()
-        if not (1 <= k <= inv.s):
-            raise ValueError(f"infinity point index must be in 1..{inv.s}")
+    def __init__(self, curve: SuperellipticCurve, order: int):
         super().__init__(curve, order)
-        self.k = k
-        self.inv = inv
+        self.inv = curve.invariants()
 
     def dz_series(self) -> TruncatedSeries:
         m1 = self.inv.m1
@@ -442,22 +440,25 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     the known coefficients: the oracle raises, it never returns a wrong value.
 
     The charts come from `curve.chart`, so calls on one curve object for
-    different i (and the same pole, j and order) build the w^{jn} dz series
-    once. Against 1/(z - a_i) only the t^-1 coefficient of the product is
-    summed, by the product_coefficient that full products are built from.
+    different i (and the same j, order and branch-point pole, or any point
+    over infinity) build the w^{jn} dz series once. Against 1/(z - a_i)
+    only the t^-1 coefficient of the product is summed, by the
+    product_coefficient that full products are built from.
     """
     n = curve.n
     phase = (0, 1)
     if n > 0:
         inv = curve.invariants()
-        kind, least = InfinityChart, j * n * inv.N1 + 1
+        if not (1 <= pole <= inv.s):
+            raise ValueError(f"infinity point index must be in 1..{inv.s}")
+        chart = curve.chart(InfinityChart, max(order, j * n * inv.N1 + 1))
         turn = Fraction((pole - 1) * j * n % inv.s, inv.s)
         phase = (turn.numerator, turn.denominator)
     elif (j * abs(n)) % curve.m != 0:
         return _oracle_zero(curve), phase
     else:
-        kind, least = BranchChart, j * abs(n) + 1
-    val = curve.chart(kind, pole, max(order, least)).omega_residue(i, j)
+        chart = curve.chart(BranchChart, max(order, j * abs(n) + 1), pole)
+    val = chart.omega_residue(i, j)
     if isinstance(val, int) and val == 0:
         val = _oracle_zero(curve)
     return val, phase

@@ -59,16 +59,26 @@ class GarnierAlgebraicSolution:
     """Exact b-vector plus the data needed for numeric verification.
 
     The b-vector is treated as immutable after construction: b over its lcm
-    and P_M are built from it once and kept on the instance."""
+    and P_M are built from it once and kept on the instance, and so are the
+    roots of P_M at each a-point where garnier_residual_m2 solved it. A b
+    that names a variable outside a_1..a_M raises ValueError."""
     M: int
     b: list                    # M + 2 entries, RatFunc in a_1..a_M
     betas: list                # the M + 2 eigenvalues beta_i
     beta_inf: Fraction
     provenance: dict = field(default_factory=dict)
     _pm: list = field(default=None, init=False, repr=False, compare=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)  # a-point tuple -> roots of P_M
 
     def __post_init__(self):
-        self._lcm = _over_lcm(self.b)
+        b = [RatFunc._coerce(bi) for bi in self.b]
+        foreign = sorted({v for bi in b for v in bi.variables}
+                         - set(default_variables(self.M)))
+        if foreign:
+            raise ValueError(f"garnier-algebraic document's b names "
+                             f"{', '.join(foreign)}, outside a1..a{self.M}")
+        self._lcm = _over_lcm(b)
 
     def sum_b(self) -> RatFunc:
         nums, L = self._lcm
@@ -339,7 +349,13 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     explicit Hamiltonians. A residual that is not finite raises
     ArithmeticError: max() would drop a NaN and read it as a pass. Inputs
     that break check_m2_inputs raise ValueError before P_2 is evaluated, an
-    a-point at which P_2 has fewer than two roots or overflows float64 too."""
+    a-point at which P_2 has fewer than two roots or overflows float64 too.
+
+    The roots u do not depend on eps, so the sign vectors at one a-point
+    share one u_roots call per point of the stencil (a0 and a0 +- h e_k):
+    the solution records each successful solve under the exact a-tuple.
+    The momenta v, the matching to the roots at a0 and every raise are
+    still worked out on each call."""
     check_m2_inputs(solution.M, a_numeric)
     a0 = [complex(x) for x in a_numeric]
     spec = solution.spec_for(eps)
@@ -348,12 +364,16 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     h = 1e-5  # the central-difference step
 
     def uv(a, base=None):  # at a0, or beside it matched to the base roots
-        try:
-            u = u_roots(pm, a).roots
-        except OverflowError:
-            if base is not None:
-                raise
-            raise ValueError(f"P_2 overflows float64 at a = {a}") from None
+        key = tuple(a)
+        u = solution._roots.get(key)
+        if u is None:
+            try:
+                u = u_roots(pm, a).roots
+            except OverflowError:
+                if base is not None:
+                    raise
+                raise ValueError(f"P_2 overflows float64 at a = {a}") from None
+            solution._roots[key] = u
         if len(u) < 2:  # also where P_2 drops degree
             if base is not None:
                 raise ArithmeticError(f"root collision near a = {a}")

@@ -503,7 +503,13 @@ def is_palindromic(coeffs) -> bool:
 
 def polynomial_zeros(p: MultiPoly, tol: float = 1e-8) -> ZerosReport:
     """All complex roots (companion-matrix eigenvalues + one Newton step)
-    with the two symmetry reports used for the zero-distribution export."""
+    with the two symmetry reports used for the zero-distribution export.
+
+    The Newton step is one array pass: f and f' at every root by one
+    np.polyval each, stepped where f' != 0. A root is conjugate-paired
+    (inversion-paired) when the least distance from conj(z) (1/conj(z)) to
+    a root, read from one n x n distance array, is below tol (tol scaled
+    by max(1, |1/conj(z)|))."""
     import numpy as np
     coeffs = coefficient_list(p)
     if all(c == 0 for c in coeffs):
@@ -514,26 +520,21 @@ def polynomial_zeros(p: MultiPoly, tol: float = 1e-8) -> ZerosReport:
     if deg < 1:
         raise ValueError("need degree >= 1")
     arr = np.array([float(c) for c in reversed(coeffs)], dtype=float)
-    roots = np.roots(arr)
-    dp = np.polyder(arr)
-    polished = []
-    for r in roots:
-        fr = np.polyval(arr, r)
-        fpr = np.polyval(dp, r)
-        if fpr != 0:
-            r = r - fr / fpr
-        polished.append(complex(r))
-    polished.sort(key=lambda z: (z.real, z.imag))
-    conj_ok = []
-    inv_ok = []
-    for z in polished:
-        conj_ok.append(min(abs(w - z.conjugate()) for w in polished) < tol)
-        if abs(z) < tol:
-            inv_ok.append(True)
-        else:
-            target = 1 / z.conjugate()
-            inv_ok.append(min(abs(w - target) for w in polished)
-                          < tol * max(1.0, abs(target)))
-    return ZerosReport(degree=deg, roots=polished, conj_paired=conj_ok,
-                       inversion_paired=inv_ok,
+    roots = np.roots(arr)  # float64 when every root is real, else complex128
+    fr = np.polyval(arr, roots)
+    fpr = np.polyval(np.polyder(arr), roots)
+    step = fpr != 0
+    roots[step] -= fr[step] / fpr[step]
+    polished = sorted(map(complex, roots.tolist()),
+                      key=lambda z: (z.real, z.imag))
+    zs = np.array(polished)
+    conj_ok = np.abs(zs[None, :] - zs.conj()[:, None]).min(axis=1) < tol
+    small = np.abs(zs) < tol
+    # 1/conj(z) by Python's complex division, which rounds unlike numpy's
+    target = np.array([0j if s else 1 / z.conjugate()
+                       for z, s in zip(polished, small)])
+    near = np.abs(zs[None, :] - target[:, None]).min(axis=1)
+    inv_ok = small | (near < tol * np.maximum(1.0, np.abs(target)))
+    return ZerosReport(degree=deg, roots=polished, conj_paired=conj_ok.tolist(),
+                       inversion_paired=inv_ok.tolist(),
                        palindromic=is_palindromic(coeffs))

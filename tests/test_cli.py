@@ -846,6 +846,21 @@ class TestZeros:
             assert sorted(round(float(r[2]), 6) for r in rows
                           if r[0] == "Q3") == [1.0, 1.0, 4.0]
 
+    def test_double_root_csv_text(self, capsys):
+        # np.roots splits Q3's double root x = 1 into two nearby simple roots;
+        # pinned so that a change to the polish or pairing shows here
+        code, out, err = run_cli(capsys, "zeros", "--n", "2", "--b=-3", "--c=-3")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "poly_id,degree,re,im,conj_paired,inversion_paired",
+            "P3,3,0.0,0.0,True,True",
+            "P3,3,1.0,0.0,True,True",
+            "P3,3,1.0,0.0,True,True",
+            "Q3,3,0.9999999896583344,0.0,True,True",
+            "Q3,3,1.0000000141814747,0.0,True,True",
+            "Q3,3,4.0,0.0,True,False",
+        ]
+
 
 class TestPeriods:
     def test_rank_row(self, capsys):

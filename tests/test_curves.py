@@ -54,15 +54,15 @@ class TestCharts:
         # z = t^-m1 and w ~ t^-N1: m1 = N1 = 1 for (3, 3), 2 and 3 for (2, 3)
         c33 = SuperellipticCurve(3, [0, 1, "x"], 1)
         assert c33.invariants().m1 == 1
-        assert InfinityChart(c33, 1, 4).w_power(1).leading == -1
+        assert InfinityChart(c33, 4).w_power(1).leading == -1
         c23 = SuperellipticCurve(2, [0.0, 1.0, 2.0 + 1.0j], 1)
         assert c23.invariants().m1 == 2
-        assert InfinityChart(c23, 1, 3).w_power(1).leading == -3
+        assert InfinityChart(c23, 3).w_power(1).leading == -3
 
     def test_infinity_third_order_vs_brute_force(self):
         # brute force: multiply the three binomial series for (1 - a_i t)^{1/3}
         c = SuperellipticCurve(3, [F(0), F(1), "x"], 1)
-        w = InfinityChart(c, 1, 5).w_power(1)
+        w = InfinityChart(c, 5).w_power(1)
         xv = MultiPoly.var("x")
         third = F(1, 3)
         series = {0: MultiPoly.const(1)}
@@ -281,16 +281,16 @@ class TestOracleSharing:
         orig = InfinityChart.w_power
 
         def counted(chart, e):
-            calls.append((chart.k, chart.order, e))
+            calls.append((chart.order, e))
             return orig(chart, e)
         monkeypatch.setattr(InfinityChart, "w_power", counted)
         curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)
         for j in (1, 2):
-            for pole in (1, 2):
+            for pole in (1, 2):  # both points over infinity read one chart
                 for i in range(1, 5):
                     residue_series_oracle(curve, i, j, pole)
-        assert len(calls) == len(set(calls)) == 4
-        assert curve.chart(InfinityChart, 1, 8) is curve.chart(InfinityChart, 1, 8)
+        assert len(calls) == len(set(calls)) == 2
+        assert curve.chart(InfinityChart, 8) is curve.chart(InfinityChart, 8)
 
 
 def _criterion5_cases():
@@ -327,7 +327,9 @@ def _least_order(curve, j):
 
 
 def _chart_orders(curve, pole):
-    return {order for (_, p, order) in curve._charts if p == pole}
+    # the orders of the charts that serve `pole`: every point over infinity
+    # reads the one InfinityChart (nu None), a branch point its BranchChart
+    return {order for (_, order, nu) in curve._charts if nu in (None, pole)}
 
 
 class TestOracleTruncation:
@@ -380,6 +382,13 @@ class TestOracleTruncation:
             assert _exact_key(*got) == _exact_key(*want), order
             assert _chart_orders(curve, 1) == {46}
 
+    def test_infinity_point_index_out_of_range(self):
+        curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)  # s = 2
+        for pole in (0, 3):
+            with pytest.raises(ValueError, match=r"must be in 1\.\.2"):
+                residue_series_oracle(curve, 1, 1, pole)
+        assert not curve._charts
+
     def test_order_past_the_cap_raises(self):
         curve = SuperellipticCurve(2, ["a1", "a2", "a3", "a4"], 1)
         with pytest.raises(TruncationError, match="internal cap"):
@@ -405,12 +414,11 @@ class TestDwIdentity:
 
     def test_infinity_chart_symbolic(self):
         c = SuperellipticCurve(3, [F(0), F(1), "x"], 1)
-        self._check(InfinityChart(c, 1, 6), 3)
-        self._check(InfinityChart(c, 2, 6), 3)
+        self._check(InfinityChart(c, 6), 3)
 
     def test_infinity_chart_numeric(self):
         c = SuperellipticCurve(2, [0.0, 1.0, 2.0 + 1.0j], 1)
-        chart = InfinityChart(c, 1, 8)
+        chart = InfinityChart(c, 8)
         m = 2
         lhs = chart.w_power(1).derivative() * chart.w_power(1) * m
         dz = chart.dz_series()

@@ -379,9 +379,62 @@ class TestHamiltonianResidual:
                                  f"got {len(a_point)}"):
             garnier_residual_m2(s1, a_point, (1, 1, 1, 1))
 
+    def test_b_with_a_foreign_variable_rejected(self):
+        x = RatFunc.var("x")
+        with pytest.raises(ValueError, match="^garnier-algebraic document's b "
+                                             "names x, outside a1..a2$"):
+            GarnierAlgebraicSolution(M=2, b=[x, -x, RatFunc.zero(), RatFunc.zero()],
+                                     betas=[F(1, 4)] * 4, beta_inf=F(-1))
+
     def test_higher_m_exact_layer_only(self):
         s = thm10_solution(4, 2, 1)
         assert s.sum_b().is_zero()
         assert len(s.pm_coefficients()) == 5
         with pytest.raises(ValueError):
             garnier_residual_m2(s, (2.0, 3.0), (1,) * 6)
+
+
+class TestRootRecord:
+    """The roots of P_2 do not depend on eps: the sign vectors at one
+    a-point share one u_roots call per stencil point."""
+
+    def counted_roots(self, monkeypatch):
+        import isolab.garnier as garnier
+        calls = []
+
+        def counting(pm, a):
+            calls.append(tuple(a))
+            return u_roots(pm, a)
+        monkeypatch.setattr(garnier, "u_roots", counting)
+        return calls
+
+    def test_one_solve_per_stencil_point(self, monkeypatch):
+        calls = self.counted_roots(monkeypatch)
+        s = thm10_solution(2, 4, 1)
+        for eps in itertools.product((1, -1), repeat=4):
+            garnier_residual_m2(s, (-1.41 - 1.4j, 1.21 - 1.71j), eps)
+        assert len(calls) == len(set(calls)) == 5
+
+    @pytest.mark.parametrize("build, a", [
+        (lambda: thm10_solution(2, 2, 1), (-1.5, 2.25)),
+        (lambda: thm10_solution(2, 4, 1), (3.81 - 1.81j, 2.87 - 0.84j)),
+        (lambda: thm11_family(2, -1, [F(2), F(-1)]), (-0.8, 1.7))])
+    def test_residuals_equal_fresh_solutions(self, build, a):
+        shared = build()
+        for eps in itertools.product((1, -1), repeat=4):
+            got = garnier_residual_m2(shared, a, eps)
+            assert repr(got) == repr(garnier_residual_m2(build(), a, eps)), eps
+
+    # an overflow is no solve and is not recorded; a degree drop is a solve
+    # with one root, recorded and refused again on the next call
+    @pytest.mark.parametrize("a, message, solves", [
+        ((1e200, 3), "P_2 overflows float64 at a = ", 2),
+        ((2, 3), "P_2 degenerates at a = ", 1)])
+    def test_failed_points_raise_on_every_call(self, a, message, solves,
+                                               monkeypatch):
+        calls = self.counted_roots(monkeypatch)
+        s = thm10_solution(2, 2, 1)
+        for eps in ((1, 1, 1, 1), (1, -1, 1, -1)):
+            with pytest.raises(ValueError, match=message):
+                garnier_residual_m2(s, a, eps)
+        assert len(calls) == solves

@@ -650,3 +650,62 @@ class TestZeros:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             polynomial_zeros(MultiPoly.zero())
+
+
+def reference_zeros(p, tol=1e-8):
+    """The scalar polish and pairing loop that polynomial_zeros replaced:
+    (roots, conj_paired, inversion_paired)."""
+    import numpy as np
+    coeffs = coefficient_list(p)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    arr = np.array([float(c) for c in reversed(coeffs)], dtype=float)
+    dp = np.polyder(arr)
+    polished = []
+    for r in np.roots(arr):
+        fr = np.polyval(arr, r)
+        fpr = np.polyval(dp, r)
+        if fpr != 0:
+            r = r - fr / fpr
+        polished.append(complex(r))
+    polished.sort(key=lambda z: (z.real, z.imag))
+    conj_ok = []
+    inv_ok = []
+    for z in polished:
+        conj_ok.append(min(abs(w - z.conjugate()) for w in polished) < tol)
+        if abs(z) < tol:
+            inv_ok.append(True)
+        else:
+            target = 1 / z.conjugate()
+            inv_ok.append(min(abs(w - target) for w in polished)
+                          < tol * max(1.0, abs(target)))
+    return polished, conj_ok, inv_ok
+
+
+def _zeros_cases():
+    from isolab.painleve import _thm7_check_params, _thm7_pq
+    for n in range(1, 81):
+        if n % 3:
+            P, Q = pq_polynomials(n)
+            yield f"thm5 P n={n}", P
+            yield f"thm5 Q n={n}", Q
+    for n, b, c in ((9, F(1, 3), F(1, 4)), (9, F(-2, 5), F(3, 7)),
+                    (9, F(5, 2), F(-1, 3)), (2, F(-3), F(-3))):
+        P, Q = _thm7_pq(n, *_thm7_check_params(n, b, c))
+        yield f"thm7 P n={n} b={b} c={c}", P
+        yield f"thm7 Q n={n} b={b} c={c}", Q
+
+
+class TestZerosAgainstScalarLoop:
+    """The array polish and n x n pairing give the scalar loop's roots bit
+    for bit and its pairing flags, double roots and lost pairings included."""
+
+    def test_bit_identical(self):
+        for label, poly in _zeros_cases():
+            rep = polynomial_zeros(poly)
+            roots, conj_ok, inv_ok = reference_zeros(poly)
+            assert [repr(z) for z in rep.roots] == [repr(z) for z in roots], label
+            assert rep.conj_paired == conj_ok, label
+            assert rep.inversion_paired == inv_ok, label
+            assert all(type(f) is bool for f in rep.conj_paired
+                       + rep.inversion_paired), label
