@@ -350,7 +350,7 @@ def cmd_zeros(args) -> int:
         P, Q = painleve.pq_polynomials(n)
     names = [f"P{n + 1}", f"Q{n + 1}"]
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["poly_id", "degree", "re", "im",
                      "conj_paired", "inversion_paired"])
     for name, poly in zip(names, (P, Q)):
@@ -376,7 +376,7 @@ def cmd_periods(args) -> int:
     j = int(args.j or 1)
     cycles = periods.build_cycle_basis(curve)
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     if args.trace is not None:
         idx = int(args.trace)
         if not (0 <= idx < len(cycles)):

@@ -41,8 +41,7 @@ class GarnierSpec:
 
     def __post_init__(self):
         _check_lengths(self.M, self.theta, self.eps)
-        if any(e not in (1, -1) for e in self.eps):
-            raise ValueError("eps entries must be +-1")
+        _check_signs(self.eps)
 
 
 def theta_from_eps(betas, eps, beta_inf) -> GarnierSpec:
@@ -60,14 +59,16 @@ class GarnierAlgebraicSolution:
 
     The b-vector is treated as immutable after construction: b over its lcm
     and P_M are built from it once and kept on the instance, and so are the
-    roots of P_M at each a-point where garnier_residual_m2 solved it. A b
-    that names a variable outside a_1..a_M raises ValueError."""
+    float beta_i and theta_inf and the roots of P_M at each a-point where
+    garnier_residual_m2 solved it. A b that names a variable outside
+    a_1..a_M raises ValueError."""
     M: int
     b: list                    # M + 2 entries, RatFunc in a_1..a_M
     betas: list                # the M + 2 eigenvalues beta_i
     beta_inf: Fraction
     provenance: dict = field(default_factory=dict)
     _pm: list = field(default=None, init=False, repr=False, compare=False)
+    _floats: tuple = field(default=None, init=False, repr=False, compare=False)
     _roots: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)  # a-point tuple -> roots of P_M
 
@@ -91,6 +92,17 @@ class GarnierAlgebraicSolution:
         if self._pm is None:
             self._pm = pm_polynomial(self._lcm, _points(self.M))
         return list(self._pm)
+
+    def _float_constants(self) -> tuple:
+        """(float beta_i, float theta_inf), taken once from the exact values.
+
+        The theta_i = 2 eps_i beta_i are then exact in float: scaling a
+        correctly rounded float by +-2 rounds nothing."""
+        if self._floats is None:
+            _check_lengths(self.M, self.betas)
+            self._floats = (tuple(float(to_rational(b)) for b in self.betas),
+                            float(2 * to_rational(self.beta_inf) - 1))
+        return self._floats
 
     def spec_for(self, eps) -> GarnierSpec:
         return theta_from_eps(self.betas, eps, self.beta_inf)
@@ -265,21 +277,30 @@ def u_roots(pm_coeffs, a_numeric) -> RootResult:
 
 def v_momenta(u, betas, eps, a_numeric) -> list:
     """v_j = sum_i (1 + eps_i) beta_i / (u_j - a_i) over the M + 2 poles
-    (a_1..a_M, 0, 1)."""
+    (a_1..a_M, 0, 1); each weight (1 + eps_i) beta_i is formed in float."""
     poles = [complex(x) for x in a_numeric] + [0j, 1 + 0j]
+    weights = [(1 + e) * float(beta) for beta, e in zip(betas, eps)]
     out = []
     for uj in u:
         val = 0j
-        for pi, beta, e in zip(poles, betas, eps):
+        for pi, w in zip(poles, weights):
             gap = uj - pi
             if abs(gap) < 1e-12:
                 raise ZeroDivisionError(f"root {uj} collides with pole {pi}")
-            val += (1 + e) * float(beta) / gap
+            val += w / gap
         out.append(val)
     return out
 
 
 # -- the M = 2 Hamiltonians (explicit) --------------------------------------
+#
+#   H_k = -lam(a_k)/T'(a_k) * sum_j T(u_j)/((u_j - a_k) lam'(u_j))
+#                               * (v_j^2 - S_kj v_j + kappa/(u_j (u_j - 1))),
+#   S_kj = sum_i (theta_i - delta_ik)/(u_j - a_i),
+#
+# with lam(x) = (x - u_1)(x - u_2) and T(x) = x(x - 1)(x - a_1)(x - a_2).
+# H_k is quadratic in v with coefficients that depend on u only, so it is
+# split into its u-dependent parts (_u_parts) and their value at v (_at_v).
 
 
 def _lam(x, u):
@@ -300,28 +321,41 @@ def _T_prime(x, a):
     return 4 * x ** 3 + 3 * c3 * x ** 2 + 2 * c2 * x + c1
 
 
-def _theta_kappa(spec: GarnierSpec):
-    th = [float(t) for t in spec.theta]
-    return th, ((sum(th) - 1) ** 2 - float(spec.theta_inf) ** 2) / 4
-
-
-def _hamiltonian_m2(which: int, a, u, v, th, kappa) -> complex:
-    """H_{which + 1} alone, given the float theta and kappa of the spec."""
-    a = [complex(x) for x in a]
-    u = [complex(x) for x in u]
-    v = [complex(x) for x in v]
+def _k_constants(which: int, a, th) -> tuple:
+    """What H_{which + 1} takes from neither u nor v: a_k, T'(a_k) and the
+    thetas less delta_ik."""
     ak = a[which]
-    pref = -_lam(ak, u) / _T_prime(ak, a)
-    total = 0j
+    shifted = (th[0] - (1 if which == 0 else 0),
+               th[1] - (1 if which == 1 else 0), th[2], th[3])
+    return ak, _T_prime(ak, a), shifted
+
+
+def _u_parts(kc, a, u, kappa) -> tuple:
+    """The prefactor of H_k and, per j, T(u_j)/((u_j - a_k) lam'(u_j)), S_kj
+    and kappa/(u_j (u_j - 1))."""
+    ak, tp, th = kc
+    terms = []
     for j in (0, 1):
         uj = u[j]
         lamp = uj - u[1 - j]
-        theta_terms = ((th[0] - (1 if which == 0 else 0)) / (uj - a[0])
-                       + (th[1] - (1 if which == 1 else 0)) / (uj - a[1])
-                       + th[2] / uj + th[3] / (uj - 1))
-        bracket = v[j] ** 2 - theta_terms * v[j] + kappa / (uj * (uj - 1))
-        total += _T(uj, a) / ((uj - ak) * lamp) * bracket
+        s = (th[0] / (uj - a[0]) + th[1] / (uj - a[1]) + th[2] / uj
+             + th[3] / (uj - 1))
+        terms.append((_T(uj, a) / ((uj - ak) * lamp), s,
+                      kappa / (uj * (uj - 1))))
+    return -_lam(ak, u) / tp, terms
+
+
+def _at_v(parts, v) -> complex:
+    pref, terms = parts
+    total = 0j
+    for (c, s, q), vj in zip(terms, v):
+        total += c * (vj ** 2 - s * vj + q)
     return pref * total
+
+
+def _hamiltonian_m2(kc, a, u, v, kappa) -> complex:
+    """H_k at complex a, u and v, given _k_constants(k - 1, a, theta)."""
+    return _at_v(_u_parts(kc, a, u, kappa), v)
 
 
 def _check_lengths(M: int, *vectors):
@@ -329,15 +363,21 @@ def _check_lengths(M: int, *vectors):
         raise ValueError("need M + 2 thetas and signs")
 
 
+def _check_signs(*eps_vectors):
+    if any(e not in (1, -1) for eps in eps_vectors for e in eps):
+        raise ValueError("eps entries must be +-1")
+
+
 def check_m2_inputs(M: int, a_point, eps_vectors=()):
     """The input rules of garnier_residual_m2, each a ValueError: M = 2, an
-    a-point of two coordinates and sign vectors of M + 2 entries."""
+    a-point of two coordinates and sign vectors of M + 2 entries +-1."""
     if M != 2:
         raise ValueError("explicit Hamiltonians are implemented for M = 2 only")
     if len(a_point) != 2:
         raise ValueError(f"M = 2 needs an a-point with 2 coordinates, "
                          f"got {len(a_point)}")
     _check_lengths(M, *eps_vectors)
+    _check_signs(*eps_vectors)
 
 
 def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
@@ -355,11 +395,14 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
     share one u_roots call per point of the stencil (a0 and a0 +- h e_k):
     the solution records each successful solve under the exact a-tuple.
     The momenta v, the matching to the roots at a0 and every raise are
-    still worked out on each call."""
-    check_m2_inputs(solution.M, a_numeric)
+    still worked out on each call. The float thetas equal float(2 eps_i
+    beta_i), and the dH_k/dv_i differences share the parts of H_k at u0."""
+    check_m2_inputs(solution.M, a_numeric, [eps])
     a0 = [complex(x) for x in a_numeric]
-    spec = solution.spec_for(eps)
-    th, kappa = _theta_kappa(spec)
+    eps = [int(e) for e in eps]
+    betas, theta_inf = solution._float_constants()
+    th = [2 * e * b + 0.0 for e, b in zip(eps, betas)]  # as float(0), not -0.0
+    kappa = ((sum(th) - 1) ** 2 - theta_inf ** 2) / 4
     pm = solution.pm_coefficients()
     h = 1e-5  # the central-difference step
 
@@ -381,7 +424,7 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
         if base is not None and not (abs(u[0] - base[0]) + abs(u[1] - base[1])
                                      <= abs(u[1] - base[0]) + abs(u[0] - base[1])):
             u = [u[1], u[0]]
-        return u, v_momenta(u, solution.betas, spec.eps, a)
+        return u, v_momenta(u, betas, eps, a)
 
     u0, v0 = uv(a0)
     worst = 0.0
@@ -392,11 +435,13 @@ def garnier_residual_m2(solution: GarnierAlgebraicSolution, a_numeric,
         um, vm = uv(am, u0)
         du = [(up[i] - um[i]) / (2 * h) for i in (0, 1)]
         dv = [(vp[i] - vm[i]) / (2 * h) for i in (0, 1)]
+        kc = _k_constants(k, a0, th)
+        at_u0 = _u_parts(kc, a0, u0, kappa)
         for i in (0, 1):
-            dH_dv = _fd_partial(lambda vv, i=i, k=k: _hamiltonian_m2(
-                k, a0, u0, _replace(v0, i, vv), th, kappa), v0[i], h)
-            dH_du = _fd_partial(lambda uu, i=i, k=k: _hamiltonian_m2(
-                k, a0, _replace(u0, i, uu), v0, th, kappa), u0[i], h)
+            dH_dv = _fd_partial(lambda vv, i=i: _at_v(
+                at_u0, _replace(v0, i, vv)), v0[i], h)
+            dH_du = _fd_partial(lambda uu, i=i: _hamiltonian_m2(
+                kc, a0, _replace(u0, i, uu), v0, kappa), u0[i], h)
             res = (abs(du[i] - dH_dv), abs(dv[i] + dH_du))
             if not (isfinite(res[0]) and isfinite(res[1])):
                 raise ArithmeticError(

@@ -862,6 +862,20 @@ class TestZeros:
         ]
 
 
+@pytest.mark.parametrize("args", [
+    ("zeros", "--n", "2", "--b=-3", "--c=-3"),
+    ("periods", "--m", "2", "--n", "-1", "--a", "0,1,2+1i,3-1i"),
+    ("periods", "--m", "2", "--n", "1", "--a", "0,1,2+1i", "--trace", "0")])
+def test_csv_rows_end_in_lf(capsys, tmp_path, args):
+    # csv.writer's default terminator is CRLF: a line-based reader such as
+    # grep ',True$' then matches no row
+    path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, *args, "--out", str(path))
+    data = path.read_bytes()
+    assert code == 0 and err == ""
+    assert b"\r" not in data and data.endswith(b"\n") and data.count(b"\n") > 3
+
+
 class TestPeriods:
     def test_rank_row(self, capsys):
         code, out, _ = run_cli(capsys, "periods", "--m", "2", "--n", "1",

@@ -1,12 +1,16 @@
 import itertools
+import random
+import re
 from fractions import Fraction as F
+from math import isfinite
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isolab.algebra import FactoredFrac, MultiPoly, RatFunc
 from isolab.schlesinger import build_polynomial_solution, build_rational_solution
 from isolab.garnier import (GarnierAlgebraicSolution, GarnierSpec, HypothesisError,
-                            garnier_residual_m2, pm_polynomial,
+                            check_m2_inputs, garnier_residual_m2, pm_polynomial,
                             residue_basis_vector, theta_from_eps, thm10_solution,
                             thm11_family, u_roots, v_momenta)
 
@@ -368,6 +372,17 @@ class TestHamiltonianResidual:
         with pytest.raises(ArithmeticError, match="not finite"):
             garnier_residual_m2(s1, (float("nan"), 3.5), (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("eps, message", [
+        ((1, 0, 1, 1), "eps entries must be +-1"),
+        ((1, 1, 1), "need M + 2 thetas and signs")])
+    def test_bad_eps_rejected(self, eps, message, monkeypatch):
+        # the check comes before P_2 is built or evaluated
+        s1 = thm10_solution(2, 2, 1)
+        monkeypatch.setattr(GarnierAlgebraicSolution, "pm_coefficients",
+                            lambda self: pytest.fail("P_2 evaluated"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            garnier_residual_m2(s1, (2.0, 3.5), eps)
+
     @pytest.mark.parametrize("a_point", [(2.0,), (2.0, 3.5, 4.0)])
     def test_a_point_of_wrong_length_rejected(self, a_point, monkeypatch):
         # the check comes before P_2 is built or evaluated
@@ -438,3 +453,170 @@ class TestRootRecord:
             with pytest.raises(ValueError, match=message):
                 garnier_residual_m2(s, a, eps)
         assert len(calls) == solves
+
+
+def reference_v_momenta(u, betas, eps, a_numeric):
+    """v_j = sum_i (1 + eps_i) beta_i / (u_j - a_i), one float(beta) a term."""
+    poles = [complex(x) for x in a_numeric] + [0j, 1 + 0j]
+    out = []
+    for uj in u:
+        val = 0j
+        for pi, beta, e in zip(poles, betas, eps):
+            gap = uj - pi
+            if abs(gap) < 1e-12:
+                raise ZeroDivisionError(f"root {uj} collides with pole {pi}")
+            val += (1 + e) * float(beta) / gap
+        out.append(val)
+    return out
+
+
+def reference_hamiltonian_m2(which, a, u, v, th, kappa):
+    """H_{which + 1} from scratch: no part shared between calls."""
+    a = [complex(x) for x in a]
+    u = [complex(x) for x in u]
+    v = [complex(x) for x in v]
+    ak = a[which]
+    a1, a2 = a
+    tp = (4 * ak ** 3 + 3 * -(1 + a1 + a2) * ak ** 2
+          + 2 * (a1 + a2 + a1 * a2) * ak + -a1 * a2)
+    pref = -((ak - u[0]) * (ak - u[1])) / tp
+    total = 0j
+    for j in (0, 1):
+        uj = u[j]
+        lamp = uj - u[1 - j]
+        theta_terms = ((th[0] - (1 if which == 0 else 0)) / (uj - a[0])
+                       + (th[1] - (1 if which == 1 else 0)) / (uj - a[1])
+                       + th[2] / uj + th[3] / (uj - 1))
+        bracket = v[j] ** 2 - theta_terms * v[j] + kappa / (uj * (uj - 1))
+        t = uj * (uj - 1) * (uj - a[0]) * (uj - a[1])
+        total += t / ((uj - ak) * lamp) * bracket
+    return pref * total
+
+
+def reference_garnier_residual_m2(solution, a_numeric, eps):
+    """The Hamilton check worked out whole on every call: an exact
+    GarnierSpec per sign vector, float(beta) per momentum term, every H_k
+    from scratch and a fresh u_roots solve per stencil point."""
+    check_m2_inputs(solution.M, a_numeric)
+    a0 = [complex(x) for x in a_numeric]
+    spec = solution.spec_for(eps)
+    th = [float(t) for t in spec.theta]
+    kappa = ((sum(th) - 1) ** 2 - float(spec.theta_inf) ** 2) / 4
+    pm = solution.pm_coefficients()
+    h = 1e-5
+
+    def uv(a, base=None):
+        try:
+            u = u_roots(pm, a).roots
+        except OverflowError:
+            if base is not None:
+                raise
+            raise ValueError(f"P_2 overflows float64 at a = {a}") from None
+        if len(u) < 2:
+            if base is not None:
+                raise ArithmeticError(f"root collision near a = {a}")
+            raise ValueError(f"P_2 degenerates at a = {a}; pick a generic point")
+        if base is not None and not (abs(u[0] - base[0]) + abs(u[1] - base[1])
+                                     <= abs(u[1] - base[0]) + abs(u[0] - base[1])):
+            u = [u[1], u[0]]
+        return u, reference_v_momenta(u, solution.betas, spec.eps, a)
+
+    def replace(seq, i, val):
+        out = list(seq)
+        out[i] = val
+        return out
+
+    def fd(f, z0):
+        return (f(z0 + h) - f(z0 - h)) / (2 * h)
+
+    u0, v0 = uv(a0)
+    worst = 0.0
+    for k in (0, 1):
+        ap = list(a0); ap[k] += h
+        am = list(a0); am[k] -= h
+        up, vp = uv(ap, u0)
+        um, vm = uv(am, u0)
+        du = [(up[i] - um[i]) / (2 * h) for i in (0, 1)]
+        dv = [(vp[i] - vm[i]) / (2 * h) for i in (0, 1)]
+        for i in (0, 1):
+            dH_dv = fd(lambda vv: reference_hamiltonian_m2(
+                k, a0, u0, replace(v0, i, vv), th, kappa), v0[i])
+            dH_du = fd(lambda uu: reference_hamiltonian_m2(
+                k, a0, replace(u0, i, uu), v0, th, kappa), u0[i])
+            res = (abs(du[i] - dH_dv), abs(dv[i] + dH_du))
+            if not (isfinite(res[0]) and isfinite(res[1])):
+                raise ArithmeticError(
+                    f"Hamilton residual is not finite at a = {a_numeric}")
+            worst = max(worst, *res)
+    return worst
+
+
+def outcome(check, solution, a, eps):
+    """repr of the residual, or the type and message of what was raised."""
+    try:
+        return repr(check(solution, a, eps))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+EPS_ALL = list(itertools.product((1, -1), repeat=4))
+# the four solutions the numeric benchmark checks, at the acceptance a-points
+REFERENCE_CASES = {
+    "thm10 m=2": (lambda: thm10_solution(2, 2, 1),
+                  [(2.0, 3.5), (-1.5, 2.25), (2.5, -1.25), (1.3, 2.1)]),
+    "thm10 m=4": (lambda: thm10_solution(2, 4, 1),
+                  [(-1.41 - 1.4j, 1.21 - 1.71j), (-3.7 - 0.27j, -3.44 - 1.64j),
+                   (3.81 - 1.81j, 2.87 - 0.84j), (2.0 + 0.5j, 3.5 - 0.5j)]),
+    "thm11 (1,1)": (lambda: thm11_family(2, -1, [F(1), F(1)]),
+                    [(-1.5, 2.25), (1.3, 2.1), (2.5, -1.25)]),
+    "thm11 (2,-1)": (lambda: thm11_family(2, -1, [F(2), F(-1)]),
+                     [(2.0, 3.5), (-0.8, 1.7), (1.3, 2.1)]),
+}
+SOLUTIONS = {label: build() for label, (build, _) in REFERENCE_CASES.items()}
+# no solution, but every float rule shows: a zero beta, betas and a theta_inf
+# that float rounds, weights that are not powers of two
+SOLUTIONS["odd betas"] = GarnierAlgebraicSolution(
+    M=2, b=SOLUTIONS["thm10 m=2"].b, betas=[F(1, 3), F(0), F(-1, 5), F(2, 7)],
+    beta_inf=F(-3, 7))
+
+
+class TestAgainstReferenceResidual:
+    """garnier_residual_m2 shares its float constants and the parts of H_k;
+    every residual and every raise is the whole-per-call reference's."""
+
+    @pytest.mark.parametrize("label", sorted(REFERENCE_CASES))
+    def test_jittered_acceptance_points(self, label):
+        rng = random.Random(label)
+        sol = SOLUTIONS[label]
+        for a in REFERENCE_CASES[label][1]:
+            for _ in range(2):  # jitters of at most 0.05, as the benchmark's
+                pt = tuple(complex(z) + complex(round(rng.uniform(-0.05, 0.05), 3),
+                                                round(rng.uniform(-0.05, 0.05), 3))
+                           for z in a)
+                for eps in EPS_ALL:
+                    got = outcome(garnier_residual_m2, sol, pt, eps)
+                    assert isinstance(got, str), (pt, eps, got)
+                    assert got == outcome(reference_garnier_residual_m2, sol,
+                                          pt, eps), (label, pt, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(label=st.sampled_from(sorted(SOLUTIONS)),
+           parts=st.lists(st.floats(-4, 4, allow_nan=False), min_size=4,
+                          max_size=4),
+           eps=st.sampled_from(EPS_ALL))
+    def test_swept_a_points(self, label, parts, eps):
+        pt = (complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+        sol = SOLUTIONS[label]
+        assert (outcome(garnier_residual_m2, sol, pt, eps)
+                == outcome(reference_garnier_residual_m2, sol, pt, eps))
+
+    @pytest.mark.parametrize("a, raised", [
+        ((2, 3), ValueError), ((1e200, 3), ValueError),
+        ((float("nan"), 3.5), ArithmeticError),
+        ((2.25, 0.25), ZeroDivisionError)])  # P_2 has the root 0 there
+    def test_same_raises(self, a, raised):
+        sol = thm10_solution(2, 2, 1)
+        for eps in ((1, 1, 1, 1), (-1, 1, -1, 1)):
+            got = outcome(garnier_residual_m2, sol, a, eps)
+            assert got[0] is raised, got
+            assert got == outcome(reference_garnier_residual_m2, sol, a, eps)
