@@ -25,7 +25,7 @@ for n in (25, 28):
     P, Q = pq_polynomials(n)
     path = os.path.join(here, f"zeros_n{n}.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["poly_id", "degree", "re", "im",
                          "conj_paired", "inversion_paired"])
         for name, poly in ((f"P{n+1}", P), (f"Q{n+1}", Q)):

@@ -5,16 +5,29 @@ fractions whose denominators are huge when expanded but are products of a
 handful of known factors. FactoredFrac keeps the denominator as a
 {primitive poly: exponent} bag, so sums only ever multiply numerators by small
 deficit products, and the final zero test is a zero test on one numerator.
-Values are exact. This is the package's one implementation of
-rational-function arithmetic: RatFunc's operators compute here, and
-to_ratfunc() gives the canonical reduced form for output and equality.
+Values are exact.
+
+A one-term factor is a monomial: the shifted Schlesinger frame's gaps
+D_h = a_nu - a_h, and a Garnier gap a_i - 0. Multiplying by a monomial adds
+its packed key to every key of the numerator (see multipoly), so a sum adds
+up each side's monomial deficit powers into one key and shifts the
+numerator once, after the non-monomial deficit powers are multiplied in.
+The shift keeps the term order, so the result is the one the expanded
+product gives, term for term, and it checks the degree bound as every
+product does. A derivative whose live factors are all monomials is one pass
+over the numerator's terms (see partial).
+
+This is the package's one implementation of rational-function arithmetic:
+RatFunc's operators compute here, and to_ratfunc() gives the canonical
+reduced form for output and equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _FIELD, _MAX_EXP, _SLOTS, _checked, _new, \
+    _renormalized
 from .ratfunc import RatFunc
 
 
@@ -103,11 +116,13 @@ class FactoredFrac:
             return other
         if other.is_zero():
             return self
-        keys = set(self.den) | set(other.den)
-        den = {f: max(self.den.get(f, 0), other.den.get(f, 0)) for f in keys}
-        n1 = self.num * _expanded_deficit(den, self.den)
-        n2 = other.num * _expanded_deficit(den, other.den)
-        return FactoredFrac(n1 + n2, den)
+        d1, d2 = self.den, other.den
+        keys = set(d1) | set(d2)
+        den = {f: max(d1.get(f, 0), d2.get(f, 0)) for f in keys}
+        if d1 == d2:
+            return FactoredFrac(self.num + other.num, den)
+        return FactoredFrac(_lifted(self.num, d1, den)
+                            + _lifted(other.num, d2, den), den)
 
     __radd__ = __add__
 
@@ -124,6 +139,11 @@ class FactoredFrac:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            # a polynomial factor scales the numerator and keeps the den
+            if self.is_zero() or not other:
+                return FactoredFrac.zero()
+            return FactoredFrac(self.num * other, self.den)
         other = FactoredFrac._coerce(other)
         if other is None:
             return NotImplemented
@@ -178,12 +198,31 @@ class FactoredFrac:
         return FactoredFrac(self.num ** n,
                             {f: e * n for f, e in self.den.items()})
 
-    def partial(self, name: str) -> "FactoredFrac":
-        """Quotient rule without expanding the denominator powers."""
-        live = [(f, e) for f, e in self.den.items() if name in f.vars]
+    def partial(self, *names) -> "FactoredFrac":
+        """The sum of the partial derivatives in `names` (one name: the
+        partial derivative), without expanding the denominator powers.
+
+        If every live factor (one holding a name) is a monomial, write the
+        fraction as n / (M R) with M the product of the live powers and
+        A_x = deg_x M. Then d/dx gives (x dn/dx - A_x n) / (M R x), whose
+        numerator has the keys of n and coefficients (alpha_x - A_x) c: one
+        pass over n's terms. Over the common den M R prod_{A_y > 0} y of
+        several names each name's part is shifted by the other y. The terms
+        come in the order of the quotient rule's expansion: first those with
+        alpha_x > 0, then the subtraction of each live factor's share, each
+        in n's order. Otherwise the quotient rule runs, name by name."""
+        wanted = set(names)
+        live = [(f, e) for f, e in self.den.items()
+                if not wanted.isdisjoint(f.vars)]
+        if all(len(f._terms) == 1 for f, _ in live):
+            return self._monomial_partial(names, live)
+        if len(names) > 1:
+            out = FactoredFrac.zero()
+            for name in names:
+                out = out + self.partial(name)
+            return out
+        name, = names
         dn = self.num.partial(name)
-        if not live:
-            return FactoredFrac(dn, dict(self.den))
         # d(n / prod f^e) = [n' prod f  -  n sum e_k f_k' prod_{j != k} f_j] / prod f^(e+1)
         prod_all = MultiPoly.const(1)
         for f, _ in live:
@@ -199,6 +238,70 @@ class FactoredFrac:
         for f, e in live:
             den[f] = e + 1
         return FactoredFrac(acc, den)
+
+    def _monomial_partial(self, names, live) -> "FactoredFrac":
+        num = self.num
+        t = num._terms
+        parts = []      # (name, field offset, its nonzero e * deg_x f)
+        lifted = 0      # the packed key of prod_{A_y > 0} y
+        for name in names:
+            off = _SLOTS.get(name)
+            if off is None:     # a name no polynomial has used
+                continue
+            shares = [w for w in (e * ((next(iter(f._terms)) >> off) & _FIELD)
+                                  for f, e in live) if w]
+            if shares:
+                lifted += 1 << off
+            parts.append((name, off, shares))
+        out = {}
+        if len(parts) == 1:
+            # x dn/dx, then minus each live factor's share of A_x as the
+            # quotient rule subtracts it; the first share folds into one pass
+            _, off, shares = parts[0]
+            shift = lifted - (1 << off)
+            s0 = shares[0] if shares else 0
+            for k, v in t.items():
+                a = (k >> off) & _FIELD
+                if a and a != s0:
+                    out[k + shift] = (a - s0) * v
+            if s0:
+                for k, v in t.items():
+                    if not (k >> off) & _FIELD:
+                        out[k] = -s0 * v
+            get = out.get
+            for s in shares[1:]:    # x in more than one live factor
+                for k, v in t.items():
+                    w = get(k, 0) - s * v
+                    if w:
+                        out[k] = w
+                    else:
+                        del out[k]
+        else:
+            for _, off, shares in parts:
+                shift = lifted - (1 << off)
+                total = sum(shares)
+                get = out.get
+                for k, v in t.items():
+                    c = ((k >> off) & _FIELD) - total
+                    if c:
+                        w = get(k + shift, 0) + c * v
+                        if w:
+                            out[k + shift] = w
+                        else:
+                            del out[k + shift]
+        den = dict(self.den)
+        grown = 0
+        for name, _, shares in parts:
+            if shares:
+                y = MultiPoly.var(name)
+                den[y] = den.get(y, 0) + 1
+                grown += 1
+        if not out:
+            return FactoredFrac(MultiPoly.zero(), den)
+        deg = num._deg + max(grown - 1, 0)
+        if deg > _MAX_EXP:
+            deg = _checked(num.total_degree() + grown - 1)
+        return FactoredFrac(_renormalized(out, num._content, deg), den)
 
     # ---------------- simplification / export ----------------
 
@@ -251,10 +354,32 @@ class FactoredFrac:
         return f"FactoredFrac(({self.num}) / {dens or '1'})"
 
 
-def _expanded_deficit(target: dict, have: dict) -> MultiPoly:
-    out = MultiPoly.const(1)
-    for f, e in target.items():
+def _lifted(num: MultiPoly, have: dict, den: dict) -> MultiPoly:
+    """num times the deficit prod f^(den[f] - have[f]) of a denominator
+    `have` below `den`: the non-monomial powers multiplied in den order, then
+    the monomial ones as one shift by the sum of their packed keys. A shift
+    keeps the term order, so the terms come in the order of the expanded
+    product."""
+    rest = None
+    key = deg = 0
+    for f, e in den.items():
         d = e - have.get(f, 0)
         if d:
-            out = out * f ** d
-    return out
+            t = f._terms
+            if len(t) == 1:     # primitive, so the monomial itself
+                key += d * next(iter(t))
+                deg += d * f._deg
+            else:
+                p = f ** d
+                rest = p if rest is None else rest * p
+    if rest is not None:
+        num = num * rest
+    if not key:
+        return num
+    bound = num._deg + deg
+    if bound > _MAX_EXP:  # the bounds may be loose: check the exact degrees
+        bound = _checked(num.total_degree() + sum(
+            (e - have.get(f, 0)) * f.total_degree()
+            for f, e in den.items() if len(f._terms) == 1))
+    return _new({k + key: v for k, v in num._terms.items()}, num._content,
+                bound)

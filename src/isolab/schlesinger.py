@@ -24,10 +24,21 @@ signs cancel before any product is formed. This is sound for any solution,
 perturbed or parsed: the same object has the same value, and a changed
 entry is a new object with its own rows. The memos live for one call.
 
+Each row (i, j) is multiplied through by its gap g = a_min(i,j) - a_max(i,j)
+before any sum: db_i/da_j g - [B_min, B_max] has no gap in its den, and a
+row is divided by g only if it is nonzero. Row (i, i) comes from the
+translation identity: it is sum_h db_i/da_h - sum_{j != i} row (i, j),
+exactly, and sum_h d/da_h is zero on every entry of the shifted frame
+below, so a solution whose off-diagonal rows vanish there needs no
+diagonal work at all.
+
 Solutions built around a single pole nu keep their entries in shifted
 coordinates D_h = a_nu - a_h, where every denominator is a monomial; this is
 only a representation choice (the map is a ring embedding), and entries are
 converted back to rational functions of a_1..a_N once each, when printed.
+With the rows multiplied through by their gaps, every den the shifted
+frame's residual meets is a monomial, which FactoredFrac sums and
+differentiates by shifting packed keys.
 """
 
 from __future__ import annotations
@@ -103,6 +114,14 @@ class IdentityFrame:
         """[df/da_1, ..., df/da_N]."""
         return [f.partial(v) for v in self.variables]
 
+    def drift(self, grad: list) -> FactoredFrac:
+        """sum_h df/da_h from f's gradient: the derivative of f when every
+        pole moves by the same amount."""
+        out = FactoredFrac.zero()
+        for d in grad:
+            out = out + d
+        return out
+
     def gap(self, i: int, j: int) -> MultiPoly:
         return MultiPoly.var(self.variables[i - 1]) - MultiPoly.var(self.variables[j - 1])
 
@@ -146,15 +165,18 @@ class ShiftedFrame:
 
     def gradient(self, f: FactoredFrac) -> list:
         """[df/da_1, ..., df/da_N]. d/da_h = -d/dD_h for h != nu, and every
-        D_h holds a_nu with coefficient +1, so d/da_nu is minus the sum of
-        the other N - 1 partials."""
+        D_h holds a_nu with coefficient +1, so d/da_nu is the sum of the
+        N - 1 partials d/dD_h (one pass when the dens are monomials)."""
         out = [None] * len(self.variables)
-        total = FactoredFrac.zero()
         for h, name in self.dvars.items():
             out[h - 1] = -f.partial(name)
-            total = total + out[h - 1]
-        out[self.nu - 1] = -total
+        out[self.nu - 1] = f.partial(*self.dvars.values())
         return out
+
+    def drift(self, grad: list) -> FactoredFrac:
+        """sum_h df/da_h, zero: every entry is a function of the differences
+        D_h, which a common move of all poles leaves fixed."""
+        return FactoredFrac.zero()
 
     def gap(self, i: int, j: int) -> MultiPoly:
         if i == self.nu:
@@ -418,12 +440,13 @@ def _rational_class_entries(gaps: dict, ds, nu: int) -> list:
 
 def commutator_entry(sol: TriangularSolution, i: int, j: int, k: int,
                      l: int) -> FactoredFrac:
-    """[B_i, B_j]_{kl} for k < l, with constant diagonals beta."""
+    """[B_i, B_j]_{kl} for k < l, with constant diagonals beta. Its diagonal
+    part b_j^{kl} (beta_i^k - beta_i^l) - b_i^{kl} (beta_j^k - beta_j^l) is
+    (b_j^{kl} - b_i^{kl}) (beta_i^k - beta_i^l): every row of the grid steps
+    by the same difference."""
     g = sol.grid
-    bi = sol.entry(i, k, l)
-    bj = sol.entry(j, k, l)
-    out = (bj * (g.value(i, k) - g.value(i, l))
-           - bi * (g.value(j, k) - g.value(j, l)))
+    out = ((sol.entry(j, k, l) - sol.entry(i, k, l))
+           * (g.value(i, k) - g.value(i, l)))
     return out + cross_terms(sol, i, j, k, l)
 
 
@@ -468,17 +491,20 @@ def schlesinger_residual(sol: TriangularSolution) -> dict:
     The signature of (k, l) is, for each i, id(b_i^{kl}), beta_i^k - beta_i^l
     and the ids of (b_i^{ks}, b_i^{sl}) for k < s < l: everything its rows
     read. Pairs with equal signatures share one block of rows (see the
-    module docstring). [B_j,B_i]/(a_j-a_i) equals [B_i,B_j]/(a_i-a_j) and is
-    formed once per unordered pair. The memos hold ids of entries that
-    sol.entries keeps alive for the whole call.
+    module docstring). [B_j,B_i]/(a_j-a_i) equals [B_i,B_j]/(a_i-a_j), so
+    with g = a_min - a_max and C = [B_min, B_max]_{kl} formed once per
+    unordered pair, row (i, j) times g is d b_i^{kl}/da_j g - C: no gap in
+    any den, so over the shifted frame every den stays a monomial. A row is
+    divided by g only when it is nonzero. Row (i, i) is
+    sum_h d b_i^{kl}/da_h - sum_{j != i} row (i, j), and the frame's drift
+    gives the first sum (zero on the shifted frame). The memos hold ids of
+    entries that sol.entries keeps alive for the whole call.
     """
     frame, grid = sol.frame, sol.grid
     N, p = sol.N, sol.p
     poles = range(1, N + 1)
     pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
-    inv_gaps = {(i, j): FactoredFrac.quotient(MultiPoly.const(1),
-                                              frame.gap(i, j), 1)
-                for i in poles for j in poles if i < j}
+    gaps = {(i, j): frame.gap(i, j) for i in poles for j in poles if i < j}
     gradients, blocks = {}, {}
 
     def gradient(f):
@@ -487,17 +513,20 @@ def schlesinger_residual(sol: TriangularSolution) -> dict:
         return gradients[id(f)]
 
     def block(k, l):
-        comm = {(i, j): commutator_entry(sol, i, j, k, l) * inv
-                for (i, j), inv in inv_gaps.items()}
+        comm = {ij: commutator_entry(sol, *ij, k, l) for ij in gaps}
         rows = {}
         for i in poles:
             d = gradient(sol.entry(i, k, l))
-            own = d[i - 1]
+            own = frame.drift(d)
             for j in poles:
                 if j != i:
-                    x = comm[(min(i, j), max(i, j))]
-                    rows[(i, j)] = d[j - 1] - x
-                    own = own + x
+                    ij = (min(i, j), max(i, j))
+                    g = gaps[ij]
+                    row = d[j - 1] * g - comm[ij]
+                    if not row.is_zero():
+                        row = row * FactoredFrac.quotient(MultiPoly.const(1), g)
+                        own = own - row
+                    rows[(i, j)] = row
             rows[(i, i)] = own
         return rows
 

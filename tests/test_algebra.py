@@ -910,3 +910,124 @@ class TestFactoredFrac:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             FactoredFrac.quotient(x, MultiPoly.zero(), 1)
+
+
+# ---------------------------------------------------------------------------
+# FactoredFrac's monomial paths against the expanded-product forms
+
+
+def _reference_deficit(target: dict, have: dict) -> MultiPoly:
+    out = MultiPoly.const(1)
+    for f, e in target.items():
+        d = e - have.get(f, 0)
+        if d:
+            out = out * f ** d
+    return out
+
+
+def reference_add(a: FactoredFrac, b: FactoredFrac) -> FactoredFrac:
+    """Every deficit expanded into one product, then multiplied in."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    keys = set(a.den) | set(b.den)
+    den = {f: max(a.den.get(f, 0), b.den.get(f, 0)) for f in keys}
+    return FactoredFrac(a.num * _reference_deficit(den, a.den)
+                        + b.num * _reference_deficit(den, b.den), den)
+
+
+def reference_partial(f: FactoredFrac, name: str) -> FactoredFrac:
+    """The quotient rule with every live factor, monomial or not."""
+    live = [(g, e) for g, e in f.den.items() if name in g.vars]
+    dn = f.num.partial(name)
+    if not live:
+        return FactoredFrac(dn, dict(f.den))
+    prod_all = MultiPoly.const(1)
+    for g, _ in live:
+        prod_all = prod_all * g
+    acc = dn * prod_all
+    for k, (g, e) in enumerate(live):
+        part = f.num * (e * g.partial(name))
+        for j, (h, _) in enumerate(live):
+            if j != k:
+                part = part * h
+        acc = acc - part
+    den = dict(f.den)
+    for g, e in live:
+        den[g] = e + 1
+    return FactoredFrac(acc, den)
+
+
+def reference_scalar_mul(f: FactoredFrac, q) -> FactoredFrac:
+    """Through a constant FactoredFrac."""
+    other = FactoredFrac.const(q)
+    if f.is_zero() or other.is_zero():
+        return FactoredFrac.zero()
+    return FactoredFrac(f.num * other.num, dict(f.den))
+
+
+_MIXED_FACTORS = [x, y, x * y, (x - y).primitive(), x + 1]
+
+
+@st.composite
+def mixed_fracs(draw):
+    """A fraction whose den mixes the monomials x, y, x y with x - y and
+    x + 1."""
+    den = {}
+    for _ in range(draw(st.integers(0, 4))):
+        f = _MIXED_FACTORS[draw(st.integers(0, len(_MIXED_FACTORS) - 1))]
+        den[f] = den.get(f, 0) + draw(st.integers(1, 3))
+    return FactoredFrac(draw(small_polys()), den)
+
+
+def _ordered(p: MultiPoly):
+    """p's terms in dict order, keys relative to the first: a shift by a
+    monomial leaves this unchanged."""
+    items = list(p._terms.items())
+    first = items[0][0] if items else 0
+    return p.content(), [(k - first, v) for k, v in items]
+
+
+class TestFactoredFracAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_fracs(), mixed_fracs())
+    def test_sum_and_difference_term_for_term(self, a, b):
+        for got, want in ((a + b, reference_add(a, b)),
+                          (a - b, reference_add(a, -b))):
+            assert list(got.num._terms.items()) == list(want.num._terms.items())
+            assert got.num == want.num
+            assert got.den == want.den
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_fracs(), st.sampled_from(["x", "y"]))
+    def test_partial_value_and_term_order(self, f, name):
+        got, want = f.partial(name), reference_partial(f, name)
+        assert got.to_ratfunc() == want.to_ratfunc()
+        if not want.is_zero():
+            # the reference keeps each live factor at its power + 1; a
+            # monomial path puts the extra x over its own numerator instead,
+            # which shifts every key by one monomial
+            assert _ordered(got.num) == _ordered(want.num)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_fracs())
+    def test_sum_of_partials(self, f):
+        want = reference_add(reference_partial(f, "x"), reference_partial(f, "y"))
+        assert f.partial("x", "y").to_ratfunc() == want.to_ratfunc()
+        assert f.partial("y", "x").to_ratfunc() == want.to_ratfunc()
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_fracs(), st.sampled_from([0, 1, -1, 3, F(0), F(-2, 3), F(5, 7)]))
+    def test_scalar_product(self, f, q):
+        for got in (f * q, q * f):
+            want = reference_scalar_mul(f, q)
+            assert got.num == want.num and got.den == want.den
+
+    def test_monomial_shift_past_the_exponent_limit(self):
+        a = FactoredFrac(y ** 15000, {x: 1})
+        b = FactoredFrac(MultiPoly.const(1), {y: 20000})
+        with pytest.raises(ExponentOverflowError):
+            reference_add(a, b)
+        with pytest.raises(ExponentOverflowError):
+            a + b

@@ -521,3 +521,69 @@ class TestIdentityKeyedResidual:
         for (k, l) in [(1, 2), (1, 3), (1, 4), (2, 4)]:
             assert (commutator_entry(sol, 1, 2, k, l)
                     + commutator_entry(sol, 2, 1, k, l)).is_zero()
+
+
+# The benchmark's negative families: entry (i, 1, 2) of each is shifted by a
+# seeded monomial in the frame's own variables.
+NEG_FAMILIES = (("poly", (2, 2, 2, 1)), ("poly", (3, 3, 3, 1)),
+                ("poly", (2, 4, 2, 1)), ("rational", (2, 3, 1, -1)),
+                ("rational", (3, 3, 1, -1)), ("rational", (2, 4, 1, -2)))
+
+
+def _seeded_negative(kind, g, rng):
+    sol = (build_polynomial_solution(*g) if kind == "poly"
+           else build_rational_solution(*g, nu=1))
+    frame = sol.frame
+    names = (sorted(frame.dvars.values()) if isinstance(frame, ShiftedFrame)
+             else list(frame.variables))
+    shift = MultiPoly.monomial(F(rng.randint(-8, 8) or 1, rng.randint(2, 5)),
+                               {rng.choice(names): rng.choice((1, 2))})
+    i = rng.randint(1, g[1])
+    return sol.with_entry(i, 1, 2, sol.entry(i, 1, 2) + FactoredFrac.from_poly(shift))
+
+
+def _parses_quickly(g):
+    """Grid points whose documents parse in well under a second: parsing
+    splits every den into gap powers, whose cost grows steeply with the
+    class degree (N - 1) |n| / m."""
+    p, N, m, n = g
+    return (N - 1) * -n <= 4 * m
+
+
+class TestResidualCoverage:
+    """The residual that multiplies each row through by its gap, against
+    the per-key loop, on every kind of solution the verifier meets."""
+
+    def test_theorem4_grid_at_both_end_poles(self):
+        rng = random.Random(29)
+        for g in _theorem4_grid():
+            for nu in (1, g[1]):
+                assert all(v.is_zero() for v in assert_same_residual(
+                    build_rational_solution(*g, constants=_constants(rng, g[0]),
+                                            nu=nu)).values())
+
+    def test_largest_rational_family(self):
+        sol = build_rational_solution(4, 5, 1, -3, nu=1)
+        assert all(v.is_zero() for v in assert_same_residual(sol).values())
+
+    def test_parsed_grid_documents(self):
+        rng = random.Random(30)
+        sols = [build_polynomial_solution(*g, constants=_constants(rng, g[0]))
+                for g in _theorem3_grid()]
+        sols += [build_rational_solution(*g, constants=_constants(rng, g[0]))
+                 for g in _theorem4_grid() if _parses_quickly(g)]
+        assert len(sols) > 40
+        for sol in sols:
+            back = TriangularSolution.from_json_dict(sol.to_json_dict())
+            assert isinstance(back.frame, IdentityFrame)
+            assert all(v.is_zero() for v in assert_same_residual(back).values())
+
+    @pytest.mark.parametrize("seed", [3, 7, 13])
+    def test_seeded_negatives_in_memory_and_parsed(self, seed):
+        rng = random.Random(seed)
+        for kind, g in NEG_FAMILIES:
+            sol = _seeded_negative(kind, g, rng)
+            for s in (sol, TriangularSolution.from_json_dict(sol.to_json_dict())):
+                res = assert_same_residual(s)
+                assert any(not v.is_zero() for v in res.values()), (kind, g)
+                assert not residual_is_zero(s)
