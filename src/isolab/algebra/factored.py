@@ -8,14 +8,16 @@ deficit products, and the final zero test is a zero test on one numerator.
 Values are exact.
 
 A one-term factor is a monomial: the shifted Schlesinger frame's gaps
-D_h = a_nu - a_h, and a Garnier gap a_i - 0. Multiplying by a monomial adds
-its packed key to every key of the numerator (see multipoly), so a sum adds
-up each side's monomial deficit powers into one key and shifts the
-numerator once, after the non-monomial deficit powers are multiplied in.
-The shift keeps the term order, so the result is the one the expanded
-product gives, term for term, and it checks the degree bound as every
-product does. A derivative whose live factors are all monomials is one pass
+D_h = a_nu - a_h, and a Garnier gap a_i - 0. A sum multiplies each side's
+numerator by its deficit powers: the non-monomial ones, then the product of
+the monomial ones, which is one key shift in MultiPoly's product (see
+multipoly). A derivative whose live factors are all monomials is one pass
 over the numerator's terms (see partial).
+
+Term order. MultiPoly.evaluate sums the terms in dict order, so a float
+value can depend on it. A sum keeps the term order of the expanded product:
+the theorem 11 b_i behind the Garnier P_M coefficients are such sums, and
+their floats read that order. A derivative promises no term order.
 
 This is the package's one implementation of rational-function arithmetic:
 RatFunc's operators compute here, and to_ratfunc() gives the canonical
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly, _FIELD, _MAX_EXP, _SLOTS, _checked, _new, \
+from .multipoly import MultiPoly, _FIELD, _MAX_EXP, _SLOTS, _checked, \
     _renormalized
 from .ratfunc import RatFunc
 
@@ -207,10 +209,9 @@ class FactoredFrac:
         A_x = deg_x M. Then d/dx gives (x dn/dx - A_x n) / (M R x), whose
         numerator has the keys of n and coefficients (alpha_x - A_x) c: one
         pass over n's terms. Over the common den M R prod_{A_y > 0} y of
-        several names each name's part is shifted by the other y. The terms
-        come in the order of the quotient rule's expansion: first those with
-        alpha_x > 0, then the subtraction of each live factor's share, each
-        in n's order. Otherwise the quotient rule runs, name by name."""
+        several names each name's part is shifted by the other y. Otherwise
+        the quotient rule runs, name by name. The result promises no term
+        order (see the module docstring)."""
         wanted = set(names)
         live = [(f, e) for f, e in self.den.items()
                 if not wanted.isdisjoint(f.vars)]
@@ -241,61 +242,34 @@ class FactoredFrac:
 
     def _monomial_partial(self, names, live) -> "FactoredFrac":
         num = self.num
-        t = num._terms
-        parts = []      # (name, field offset, its nonzero e * deg_x f)
+        den = dict(self.den)
+        parts = []      # (field offset, A_x = deg_x M) per name
         lifted = 0      # the packed key of prod_{A_y > 0} y
+        grown = 0       # the number of such y
         for name in names:
             off = _SLOTS.get(name)
             if off is None:     # a name no polynomial has used
                 continue
-            shares = [w for w in (e * ((next(iter(f._terms)) >> off) & _FIELD)
-                                  for f, e in live) if w]
-            if shares:
+            total = sum(e * ((next(iter(f._terms)) >> off) & _FIELD)
+                        for f, e in live)
+            if total:
                 lifted += 1 << off
-            parts.append((name, off, shares))
-        out = {}
-        if len(parts) == 1:
-            # x dn/dx, then minus each live factor's share of A_x as the
-            # quotient rule subtracts it; the first share folds into one pass
-            _, off, shares = parts[0]
-            shift = lifted - (1 << off)
-            s0 = shares[0] if shares else 0
-            for k, v in t.items():
-                a = (k >> off) & _FIELD
-                if a and a != s0:
-                    out[k + shift] = (a - s0) * v
-            if s0:
-                for k, v in t.items():
-                    if not (k >> off) & _FIELD:
-                        out[k] = -s0 * v
-            get = out.get
-            for s in shares[1:]:    # x in more than one live factor
-                for k, v in t.items():
-                    w = get(k, 0) - s * v
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
-        else:
-            for _, off, shares in parts:
-                shift = lifted - (1 << off)
-                total = sum(shares)
-                get = out.get
-                for k, v in t.items():
-                    c = ((k >> off) & _FIELD) - total
-                    if c:
-                        w = get(k + shift, 0) + c * v
-                        if w:
-                            out[k + shift] = w
-                        else:
-                            del out[k + shift]
-        den = dict(self.den)
-        grown = 0
-        for name, _, shares in parts:
-            if shares:
                 y = MultiPoly.var(name)
                 den[y] = den.get(y, 0) + 1
                 grown += 1
+            parts.append((off, total))
+        out = {}
+        get = out.get
+        for off, total in parts:
+            shift = lifted - (1 << off)
+            for k, v in num._terms.items():
+                c = ((k >> off) & _FIELD) - total
+                if c:
+                    w = get(k + shift, 0) + c * v
+                    if w:
+                        out[k + shift] = w
+                    else:
+                        del out[k + shift]
         if not out:
             return FactoredFrac(MultiPoly.zero(), den)
         deg = num._deg + max(grown - 1, 0)
@@ -356,30 +330,20 @@ class FactoredFrac:
 
 def _lifted(num: MultiPoly, have: dict, den: dict) -> MultiPoly:
     """num times the deficit prod f^(den[f] - have[f]) of a denominator
-    `have` below `den`: the non-monomial powers multiplied in den order, then
-    the monomial ones as one shift by the sum of their packed keys. A shift
-    keeps the term order, so the terms come in the order of the expanded
-    product."""
-    rest = None
-    key = deg = 0
+    `have` below `den`: first the non-monomial powers, multiplied in den
+    order, then the product of the monomial ones. That product is one
+    monomial, and MultiPoly's product by a one-term operand adds its key to
+    every key of num, in num's order, with the degree check of any product
+    (see the module docstring for why the order matters)."""
+    rest = mono = None
     for f, e in den.items():
         d = e - have.get(f, 0)
         if d:
-            t = f._terms
-            if len(t) == 1:     # primitive, so the monomial itself
-                key += d * next(iter(t))
-                deg += d * f._deg
+            p = f if d == 1 else f ** d
+            if len(f._terms) == 1:     # primitive, so the monomial itself
+                mono = p if mono is None else mono * p
             else:
-                p = f ** d
                 rest = p if rest is None else rest * p
     if rest is not None:
         num = num * rest
-    if not key:
-        return num
-    bound = num._deg + deg
-    if bound > _MAX_EXP:  # the bounds may be loose: check the exact degrees
-        bound = _checked(num.total_degree() + sum(
-            (e - have.get(f, 0)) * f.total_degree()
-            for f, e in den.items() if len(f._terms) == 1))
-    return _new({k + key: v for k, v in num._terms.items()}, num._content,
-                bound)
+    return num if mono is None else num * mono

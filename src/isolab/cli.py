@@ -305,6 +305,10 @@ def _verify_garnier_doc(doc, args, tol) -> list:
 
 
 def cmd_verify(args) -> int:
+    # numeric options that no check would read are refused before any
+    # family is built or document parsed beyond its kind
+    if not args.numeric and (args.eps, args.tol) != (None, None):
+        raise ParameterError("--eps and --tol need --numeric")
     tol = _tol(args.tol, 1e-6)
     if args.input:
         try:
@@ -312,7 +316,15 @@ def cmd_verify(args) -> int:
                 doc = json.load(fh)
         except OSError as e:
             raise ParameterError(f"cannot read {args.input}: {e.strerror}")
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        exact = kind in ("pvi-family", "triangular-schlesinger") and \
+            f"a {kind} document"
     else:
+        exact = args.theorem in range(3, 9) and f"theorem {args.theorem}"
+    if args.numeric and exact:
+        raise ParameterError(f"--numeric checks only Garnier documents "
+                             f"(theorems 10, 11), not {exact}")
+    if not args.input:
         doc = _generate_doc(args)
     kind = _check_doc(doc)
     if kind == "pvi-family":

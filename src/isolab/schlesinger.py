@@ -18,8 +18,8 @@ depends only on the class l - k, and equal-class entries are one object.
 The rows of (k, l) read only the entries b_i^{kl}, b_i^{ks}, b_i^{sl}
 (k < s < l) and the steps beta_i^k - beta_i^l, so pairs (k, l) that read
 the same objects get one shared block of rows; within a block each
-commutator is formed once per unordered pair of poles, and each entry's
-gradient is taken once. Cross terms with the same two factors and opposite
+commutator is formed once per unordered pair of poles, and each derivative
+of an entry at most once. Cross terms with the same two factors and opposite
 signs cancel before any product is formed. This is sound for any solution,
 perturbed or parsed: the same object has the same value, and a changed
 entry is a new object with its own rows. The memos live for one call.
@@ -30,7 +30,7 @@ row is divided by g only if it is nonzero. Row (i, i) comes from the
 translation identity: it is sum_h db_i/da_h - sum_{j != i} row (i, j),
 exactly, and sum_h d/da_h is zero on every entry of the shifted frame
 below, so a solution whose off-diagonal rows vanish there needs no
-diagonal work at all.
+diagonal work at all, and no row of pole i there reads db_i/da_i.
 
 Solutions built around a single pole nu keep their entries in shifted
 coordinates D_h = a_nu - a_h, where every denominator is a monomial; this is
@@ -110,17 +110,15 @@ class IdentityFrame:
     def __init__(self, variables):
         self.variables = tuple(variables)
 
-    def gradient(self, f: FactoredFrac) -> list:
-        """[df/da_1, ..., df/da_N]."""
-        return [f.partial(v) for v in self.variables]
+    def derivative(self, f: FactoredFrac, h: int) -> FactoredFrac:
+        """df/da_h."""
+        return f.partial(self.variables[h - 1])
 
-    def drift(self, grad: list) -> FactoredFrac:
-        """sum_h df/da_h from f's gradient: the derivative of f when every
-        pole moves by the same amount."""
-        out = FactoredFrac.zero()
-        for d in grad:
-            out = out + d
-        return out
+    def drift(self, f: FactoredFrac, derivative) -> FactoredFrac:
+        """sum_h df/da_h, the derivative of f when every pole moves by the
+        same amount, summed from derivative(f, h) (a caller's memo)."""
+        return sum((derivative(f, h) for h in range(1, len(self.variables) + 1)),
+                   FactoredFrac.zero())
 
     def gap(self, i: int, j: int) -> MultiPoly:
         return MultiPoly.var(self.variables[i - 1]) - MultiPoly.var(self.variables[j - 1])
@@ -163,17 +161,15 @@ class ShiftedFrame:
     def dvar(self, h: int) -> MultiPoly:
         return MultiPoly.var(self.dvars[h])
 
-    def gradient(self, f: FactoredFrac) -> list:
-        """[df/da_1, ..., df/da_N]. d/da_h = -d/dD_h for h != nu, and every
-        D_h holds a_nu with coefficient +1, so d/da_nu is the sum of the
-        N - 1 partials d/dD_h (one pass when the dens are monomials)."""
-        out = [None] * len(self.variables)
-        for h, name in self.dvars.items():
-            out[h - 1] = -f.partial(name)
-        out[self.nu - 1] = f.partial(*self.dvars.values())
-        return out
+    def derivative(self, f: FactoredFrac, h: int) -> FactoredFrac:
+        """df/da_h. d/da_h = -d/dD_h for h != nu, and every D_h holds a_nu
+        with coefficient +1, so d/da_nu is the sum of the N - 1 partials
+        d/dD_h (one pass when the dens are monomials)."""
+        if h != self.nu:
+            return -f.partial(self.dvars[h])
+        return f.partial(*self.dvars.values())
 
-    def drift(self, grad: list) -> FactoredFrac:
+    def drift(self, f: FactoredFrac, derivative) -> FactoredFrac:
         """sum_h df/da_h, zero: every entry is a function of the differences
         D_h, which a common move of all poles leaves fixed."""
         return FactoredFrac.zero()
@@ -497,32 +493,33 @@ def schlesinger_residual(sol: TriangularSolution) -> dict:
     any den, so over the shifted frame every den stays a monomial. A row is
     divided by g only when it is nonzero. Row (i, i) is
     sum_h d b_i^{kl}/da_h - sum_{j != i} row (i, j), and the frame's drift
-    gives the first sum (zero on the shifted frame). The memos hold ids of
-    entries that sol.entries keeps alive for the whole call.
+    gives the first sum (zero on the shifted frame, which so forms no
+    db_i/da_i). Each derivative is memoised on (entry id, pole); the memos
+    hold ids of entries that sol.entries keeps alive for the whole call.
     """
     frame, grid = sol.frame, sol.grid
     N, p = sol.N, sol.p
     poles = range(1, N + 1)
     pairs = [(k, l) for k in range(1, p + 1) for l in range(k + 1, p + 1)]
     gaps = {(i, j): frame.gap(i, j) for i in poles for j in poles if i < j}
-    gradients, blocks = {}, {}
+    derivatives, blocks = {}, {}
 
-    def gradient(f):
-        if id(f) not in gradients:
-            gradients[id(f)] = frame.gradient(f)
-        return gradients[id(f)]
+    def derivative(f, h):
+        if (id(f), h) not in derivatives:
+            derivatives[(id(f), h)] = frame.derivative(f, h)
+        return derivatives[(id(f), h)]
 
     def block(k, l):
         comm = {ij: commutator_entry(sol, *ij, k, l) for ij in gaps}
         rows = {}
         for i in poles:
-            d = gradient(sol.entry(i, k, l))
-            own = frame.drift(d)
+            f = sol.entry(i, k, l)
+            own = frame.drift(f, derivative)
             for j in poles:
                 if j != i:
                     ij = (min(i, j), max(i, j))
                     g = gaps[ij]
-                    row = d[j - 1] * g - comm[ij]
+                    row = derivative(f, j) * g - comm[ij]
                     if not row.is_zero():
                         row = row * FactoredFrac.quotient(MultiPoly.const(1), g)
                         own = own - row

@@ -796,6 +796,44 @@ class TestTolerance:
         assert cli._tol("1e-9", 1e-6) == 1e-9
 
 
+ONLY_GARNIER = "--numeric checks only Garnier documents (theorems 10, 11), not "
+
+
+class TestNumericOptionsRead:
+    """verify refuses a numeric option that no check would read, before it
+    builds a family or parses a document beyond its kind."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (("--theorem", "5", "--n", "1", "--numeric", "--a", "2,3", "--eps",
+          "++++", "--tol", "1e-3"), None, ONLY_GARNIER + "theorem 5"),
+        (("--theorem", "3", "--p", "3", "--N", "4", "--m", "2", "--n", "1",
+          "--numeric", "--a", "2,3.5"), None, ONLY_GARNIER + "theorem 3"),
+        (("--numeric", "--a", "2,3.5"), {"kind": "pvi-family"},
+         ONLY_GARNIER + "a pvi-family document"),
+        (("--numeric",), {"kind": "triangular-schlesinger"},
+         ONLY_GARNIER + "a triangular-schlesinger document"),
+        (("--theorem", "11", "--M", "2", "--n", "-1", "--eps", "++++"), None,
+         "--eps and --tol need --numeric"),
+        (("--theorem", "10", "--M", "2", "--m", "2", "--n", "1", "--tol",
+          "1e-3"), None, "--eps and --tol need --numeric"),
+        (("--a", "2,3.5", "--tol", "1e-3"), {"kind": "garnier-algebraic"},
+         "--eps and --tol need --numeric")])
+    def test_unread_numeric_option_is_a_usage_error(self, capsys, tmp_path,
+                                                    monkeypatch, argv, doc,
+                                                    message):
+        def unreached(*args):
+            raise AssertionError("built or parsed before the usage error")
+        monkeypatch.setattr(cli, "_generate_doc", unreached)
+        monkeypatch.setattr(cli, "_check_doc", unreached)
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = ("--input", str(path), *argv)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("lines", [0, 1])
     def test_no_traceback(self, lines):

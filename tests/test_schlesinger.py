@@ -587,3 +587,29 @@ class TestResidualCoverage:
                 res = assert_same_residual(s)
                 assert any(not v.is_zero() for v in res.values()), (kind, g)
                 assert not residual_is_zero(s)
+
+
+class TestShiftedFrameDerivatives:
+    @pytest.mark.parametrize("nu", [1, 4])
+    def test_no_unread_derivative(self, nu, monkeypatch):
+        # row (i, i) comes from the translation identity, so no row of pole
+        # i reads db_i/da_i: d/dD_i alone for i != nu, and the sum over all
+        # N - 1 names for i = nu
+        sol = build_rational_solution(3, 4, 1, -2, nu=nu)
+        pole = {id(f): i for (i, _, _), f in sol.entries.items()}
+        calls = []
+        partial = FactoredFrac.partial
+
+        def recorded(f, *names):
+            calls.append((pole.get(id(f)), names))
+            return partial(f, *names)
+        monkeypatch.setattr(FactoredFrac, "partial", recorded)
+        schlesinger_residual(sol)
+        monkeypatch.undo()
+        assert calls and all(i is not None for i, _ in calls)
+        for i, names in calls:
+            if i == nu:
+                assert len(names) < sol.N - 1, (i, names)
+            else:
+                assert names != (sol.frame.dvars[i],), (i, names)
+        assert all(v.is_zero() for v in assert_same_residual(sol).values())
