@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .schlesinger import SCHEMA_VERSION
+from .schlesinger import SCHEMA_VERSION, check_keys
 
 
 class ParameterError(ValueError):
@@ -93,49 +93,74 @@ def _pvi_family_doc(fam) -> dict:
     }
 
 
+# the family options of each theorem: those it needs, then those it may take;
+# an option is named by its attribute on the parsed arguments
+_THEOREM_OPTIONS = {
+    3: (("p", "N", "m", "n"), ()),
+    4: (("p", "N", "m", "n"), ("nu",)),
+    5: (("n",), ()),
+    6: (("n",), ()),
+    7: (("n", "b", "c"), ()),
+    8: (("a", "b", "c"), ()),
+    10: (("M", "m", "n"), ()),
+    11: (("M", "n"), ("c",)),
+}
+_FAMILY_OPTIONS = ("theorem", "p", "N", "M", "m", "n", "nu", "a", "b", "c")
+
+
+def _check_family(args):
+    """ParameterError for a family option the request lacks or does not
+    read: a theorem request needs and takes the options of its theorem, a
+    document (--input) takes none. --a is read by theorem 8, and by the
+    numeric checks when --numeric is given. A missing option is reported
+    first."""
+    if getattr(args, "input", None):
+        request, needs, takes = "--input", (), ()
+    else:
+        if args.theorem not in _THEOREM_OPTIONS:
+            raise ParameterError(f"unknown theorem {args.theorem}")
+        request = f"--theorem {args.theorem}"
+        needs, takes = _THEOREM_OPTIONS[args.theorem]
+        if any(getattr(args, o) is None for o in needs):
+            raise ParameterError(f"{request} needs "
+                                 + ", ".join(f"--{o}" for o in needs))
+        takes = ("theorem", *needs, *takes)
+    if getattr(args, "numeric", False):
+        takes = (*takes, "a")
+    unread = [f"--{o}" for o in _FAMILY_OPTIONS
+              if getattr(args, o) is not None and o not in takes]
+    if unread:
+        raise ParameterError(f"{request} does not read {', '.join(unread)}")
+
+
 def _generate_doc(args) -> dict:
+    """The document of a theorem request that _check_family passed."""
     from . import painleve, garnier, schlesinger
     t = args.theorem
     if t == 5:
-        if args.n is None:
-            raise ParameterError("--theorem 5 needs --n")
         return _pvi_family_doc(painleve.thm5_solution(int(args.n)))
     if t == 6:
-        if args.n is None:
-            raise ParameterError("--theorem 6 needs --n (negative)")
         return _pvi_family_doc(painleve.thm6_family(int(args.n)))
     if t == 7:
-        if None in (args.n, args.b, args.c):
-            raise ParameterError("--theorem 7 needs --n, --b, --c")
         return _pvi_family_doc(painleve.thm7_solution(
             int(args.n), _frac(args.b), _frac(args.c)))
     if t == 8:
-        if None in (args.a, args.b, args.c):
-            raise ParameterError("--theorem 8 needs --a, --b, --c (integers)")
         return _pvi_family_doc(painleve.thm8_family(
             int(args.a), int(args.b), int(args.c)))
     if t in (3, 4):
-        if None in (args.p, args.N, args.m, args.n):
-            raise ParameterError(f"--theorem {t} needs --p, --N, --m, --n")
         pNmn = int(args.p), int(args.N), int(args.m), int(args.n)
         sol = (schlesinger.build_polynomial_solution(*pNmn) if t == 3 else
                schlesinger.build_rational_solution(*pNmn, nu=int(args.nu or 1)))
         return sol.to_json_dict()
     if t == 10:
-        if None in (args.deform, args.m, args.n):
-            raise ParameterError("--theorem 10 needs --M, --m, --n")
-        return garnier.thm10_solution(int(args.deform), int(args.m),
+        return garnier.thm10_solution(int(args.M), int(args.m),
                                       int(args.n)).to_json_dict()
-    if t == 11:
-        if None in (args.deform, args.n):
-            raise ParameterError("--theorem 11 needs --M, --n")
-        coeff = [_frac(x) for x in (args.c or "1,1").split(",")]
-        return garnier.thm11_family(int(args.deform), int(args.n),
-                                    coeff).to_json_dict()
-    raise ParameterError(f"unknown theorem {t}")
+    coeff = [_frac(x) for x in (args.c or "1,1").split(",")]
+    return garnier.thm11_family(int(args.M), int(args.n), coeff).to_json_dict()
 
 
 def cmd_generate(args) -> int:
+    _check_family(args)
     doc = _generate_doc(args)
     _emit(args, json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -145,44 +170,15 @@ def cmd_generate(args) -> int:
 # verify
 
 
-# required keys of each verifiable document kind and their JSON types; [t]
-# is a list of t, {str: t} an object with values of type t
-_DOC_SCHEMA = {
-    "pvi-family": {"y": str, "theta": [str], "params": [str]},
-    "triangular-schlesinger": {"p": int, "N": int, "variables": [str],
-                               "exponents": [[str]], "entries": {str: str}},
-    "garnier-algebraic": {"M": int, "b": [str], "betas": [str],
-                          "beta_inf": str},
-}
-
-
-def _matches(value, want) -> bool:
-    if isinstance(want, list):
-        return isinstance(value, list) and all(_matches(v, want[0])
-                                               for v in value)
-    if isinstance(want, dict):
-        return isinstance(value, dict) and all(_matches(v, want[str])
-                                               for v in value.values())
-    return isinstance(value, want) and not isinstance(value, bool)
-
-
 def _check_doc(doc) -> str:
-    """Kind of a verifiable document; ParameterError if it is malformed."""
+    """Kind of a verifiable document; ValueError if it is malformed."""
     if not isinstance(doc, dict):
         raise ParameterError("document must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ParameterError(f"cannot verify schema_version {version!r}")
-    kind = doc.get("kind")
-    schema = _DOC_SCHEMA.get(kind) if isinstance(kind, str) else None
-    if schema is None:
-        raise ParameterError(f"cannot verify document of kind {kind!r}")
-    for key, want in schema.items():
-        if key not in doc:
-            raise ParameterError(f"{kind} document lacks key {key!r}")
-        if not _matches(doc[key], want):
-            raise ParameterError(f"{kind} document has a malformed {key!r}")
-    return kind
+    check_keys(doc, doc.get("kind"))
+    return doc["kind"]
 
 
 def _verify_pvi_doc(doc) -> list:
@@ -324,6 +320,7 @@ def cmd_verify(args) -> int:
     if args.numeric and exact:
         raise ParameterError(f"--numeric checks only Garnier documents "
                              f"(theorems 10, 11), not {exact}")
+    _check_family(args)
     if not args.input:
         doc = _generate_doc(args)
     kind = _check_doc(doc)
@@ -383,6 +380,9 @@ def cmd_periods(args) -> int:
     from . import periods
     if None in (args.m, args.n) or not args.a:
         raise ParameterError("periods needs --m, --n and --a")
+    unread = [f"--{o}" for o in ("j", "tol") if getattr(args, o) is not None]
+    if args.trace is not None and unread:
+        raise ParameterError(f"--trace does not read {', '.join(unread)}")
     tol = _tol(args.tol, periods.DEFAULT_TOL)
     curve = SuperellipticCurve(int(args.m), _parse_points(args.a), int(args.n))
     j = int(args.j or 1)
@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "5,6,7,8 (PVI), 10,11 (Garnier)"),
         "--n": dict(help="integer index n of the family"),
         "--m": dict(help="root order m of the curve"),
-        "--M": dict(dest="deform", help="number of Garnier variables"),
+        "--M": dict(help="number of Garnier variables"),
         "--p": dict(help="matrix size (Schlesinger)"),
         "--N": dict(help="pole count (Schlesinger)"),
         "--nu": dict(help="pole choice for rational families"),

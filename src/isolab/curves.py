@@ -2,11 +2,13 @@
 
 The charts implement the two parametrizations the period/residue machinery
 needs: at the s = gcd(m, N) points above z = infinity and at the finite
-ramification points (a_nu, 0). Fractional powers only ever enter through
-binomial series of (1 + u)^(e/m) in the principal branch. The series at the
-k-th point over z = infinity differ from those at the first only by a root
-of unity, which residue_series_oracle returns as an exact phase tag (p, q)
-meaning exp(2*pi*i*p/q).
+ramification points (a_nu, 0). Their series are exact. Fractional powers
+enter only at infinity, through binomial series of (1 + u)^(e/m) in the
+principal branch; a branch point has the series of w^e for m | e only. The
+series at the k-th point over z = infinity differ from those at the first
+only by a root of unity, which residue_series_oracle returns as an exact
+phase tag (p, q) meaning exp(2*pi*i*p/q). A float branch point a_i enters
+the charts as the symbol `_a{i}`: the oracle evaluates the exact residue.
 
 residue_series_oracle computes residues purely by truncated-series
 multiplication; it is the independent cross-check for the closed-form residue
@@ -182,10 +184,10 @@ def cycle_count(m: int, N: int, n: int) -> int:
 class SuperellipticCurve:
     """Curve data (m, branch points a_1..a_N, differential exponent n).
 
-    Branch points may be exact rationals, complex numbers, or variable names
-    (strings); any variable makes the curve symbolic. A symbolic curve, or
-    one whose points are all ints or Fractions, is exact: its charts produce
-    exact MultiPoly/FactoredFrac coefficients.
+    Branch points are ints, Fractions, variable names (strings or
+    MultiPoly), or floats and complex numbers, which must not mix with
+    names. The charts are exact: a float point a_i enters them as the
+    symbol `_a{i}`, and residue_series_oracle evaluates the exact residue.
 
     The curve is treated as immutable after construction: `chart` caches the
     local charts, and their series, on the instance.
@@ -206,15 +208,17 @@ class SuperellipticCurve:
         self.m = m
         self.n = n
         self.branch_points = pts
-        self.symbolic = any(isinstance(a, (str, MultiPoly)) for a in pts)
-        if not self.symbolic:
+        named = any(isinstance(a, (str, MultiPoly)) for a in pts)
+        self._floats = {f"_a{i}": complex(a) for i, a in enumerate(pts, 1)
+                        if not isinstance(a, (str, MultiPoly, int, Fraction))}
+        if named and self._floats:
+            raise ValueError("branch points mix variable names with floats")
+        if not named:
             vals = [complex(a) for a in pts]
             for i in range(len(vals)):
                 for j in range(i + 1, len(vals)):
                     if abs(vals[i] - vals[j]) < 1e-12:
                         raise ValueError(f"branch points {i+1} and {j+1} coincide")
-        self.exact = self.symbolic or all(
-            isinstance(a, (int, Fraction)) for a in pts)
         self._charts = {}
 
     @property
@@ -238,16 +242,17 @@ class SuperellipticCurve:
                                          else kind(self, nu, order))
         return chart
 
-    def point(self, i: int):
-        """Branch point a_i (1-based) as MultiPoly (exact) or complex."""
+    def point(self, i: int) -> MultiPoly:
+        """Branch point a_i (1-based) as an exact MultiPoly: a constant, a
+        variable, or the symbol `_a{i}` of a float point."""
         a = self.branch_points[i - 1]
         if isinstance(a, MultiPoly):
             return a
         if isinstance(a, str):
             return MultiPoly.var(a)
         if isinstance(a, (int, Fraction)):
-            return MultiPoly.const(a) if self.exact else complex(a)
-        return complex(a)
+            return MultiPoly.const(a)
+        return MultiPoly.var(f"_a{i}")
 
     def point_numeric(self, i: int) -> complex:
         a = self.branch_points[i - 1]
@@ -268,20 +273,17 @@ class SuperellipticCurve:
 # ---------------------------------------------------------------------------
 # local charts
 
-
-def _binomial_factor_series(base, exponent: Fraction, step: int,
-                            order: int, exact: bool):
+def _binomial_factor_series(base, exponent: Fraction, step: int, order: int):
     """(1 + base * t^step)^exponent as a truncated series.
 
-    base is an exact MultiPoly or FactoredFrac, or a complex number. Each
-    binomial comes from `binom` on its own, so the oracle built on this
-    shares no code with the closed-form builders it cross-checks.
+    base is an exact MultiPoly or FactoredFrac. Each binomial comes from
+    `binom` on its own, so the oracle built on this shares no code with the
+    closed-form builders it cross-checks.
     """
     kmax = (order - 1) // step if order > 0 else 0
     coeffs = [0] * (kmax * step + 1)
     for k in range(kmax + 1):
-        b = binom(exponent, k)
-        coeffs[k * step] = base ** k * (b if exact else complex(b))
+        coeffs[k * step] = base ** k * binom(exponent, k)
     return TruncatedSeries(0, coeffs, order)
 
 
@@ -299,8 +301,6 @@ class _Chart:
             raise TruncationError("truncation order beyond the internal cap")
         self.curve = curve
         self.order = order
-        self.exact = curve.exact
-        self.one = MultiPoly.const(1) if self.exact else 1.0 + 0j
         self._w_dz = {}
 
     def omega_residue(self, i: int, j: int):
@@ -323,19 +323,19 @@ class InfinityChart(_Chart):
 
     def dz_series(self) -> TruncatedSeries:
         m1 = self.inv.m1
-        c = MultiPoly.const(Fraction(-m1)) if self.exact else complex(-m1)
-        return TruncatedSeries.monomial(c, -m1 - 1, self.order - m1 - 1)
+        return TruncatedSeries.monomial(MultiPoly.const(Fraction(-m1)),
+                                        -m1 - 1, self.order - m1 - 1)
 
     def w_power(self, e: int) -> TruncatedSeries:
         """Series of w^e on the sheet of the first point over infinity. At
         the k-th point w^e is this series times e^{2 pi i (k-1) e / s}, a
         factor that residue_series_oracle returns as its phase tag."""
         inv = self.inv
-        out = TruncatedSeries.monomial(self.one, 0, self.order)
+        out = TruncatedSeries.monomial(MultiPoly.const(1), 0, self.order)
         for i in range(1, self.curve.N + 1):
             out = out * _binomial_factor_series(
                 -self.curve.point(i), Fraction(e, self.curve.m), inv.m1,
-                self.order, self.exact)
+                self.order)
         return out.shift(-e * inv.N1)
 
     def one_over_z_minus(self, i: int) -> TruncatedSeries:
@@ -343,7 +343,7 @@ class InfinityChart(_Chart):
         m1 = self.inv.m1
         a = self.curve.point(i)
         coeffs = [0] * ((self.order - 1) // m1 * m1 + 1)
-        apow = self.one
+        apow = MultiPoly.const(1)
         for q in range(0, len(coeffs), m1):
             if q:
                 apow = apow * a
@@ -360,54 +360,43 @@ class BranchChart(_Chart):
         super().__init__(curve, order)
         self.nu = nu
 
-    def _inv_gap(self, h: int, exact: bool):
-        """1/(a_nu - a_h): a FactoredFrac, or a complex from the numeric
-        points (which an exact curve of ints and Fractions also has)."""
-        if exact:
-            return FactoredFrac.quotient(
-                self.one, self.curve.point(self.nu) - self.curve.point(h), 1)
-        return 1.0 / self._numeric_gap(h)
-
-    def _numeric_gap(self, h: int) -> complex:
-        return complex(self.curve.point_numeric(self.nu)
-                       - self.curve.point_numeric(h))
+    def _inv_gap(self, h: int) -> FactoredFrac:
+        """1/(a_nu - a_h)."""
+        gap = self.curve.point(self.nu) - self.curve.point(h)
+        return FactoredFrac.quotient(MultiPoly.const(1), gap, 1)
 
     def dz_series(self) -> TruncatedSeries:
         m = self.curve.m
-        c = MultiPoly.const(m) if self.exact else complex(m)
-        return TruncatedSeries.monomial(c, m - 1, self.order + m - 1)
+        return TruncatedSeries.monomial(MultiPoly.const(m), m - 1,
+                                        self.order + m - 1)
 
     def w_power(self, e: int) -> TruncatedSeries:
-        """Series of w^e = t^e prod_{h != nu} (a_nu - a_h + t^m)^{e/m}.
-
-        Exact only when m divides e (integer powers of the factors);
-        otherwise requires numeric branch points and uses principal branches.
-        """
+        """Series of w^e = t^e prod_{h != nu} (a_nu - a_h + t^m)^{e/m}, for
+        m dividing e. Otherwise the factors are fractional powers, which
+        have no exact series: ValueError. The oracle never asks for them,
+        since w^e dz / (z - a_i) then has no t^-1 term."""
         m = self.curve.m
-        exact = self.exact and e % m == 0
-        if self.curve.symbolic and e % m != 0:
-            raise ValueError(
-                "fractional w-power at a branch point needs numeric branch points")
-        out = TruncatedSeries.monomial(self.one if exact else 1.0 + 0j, 0,
-                                       self.order)
+        if e % m:
+            raise ValueError(f"w^{e} at a branch point has no exact series: "
+                             f"m = {m} does not divide {e}")
+        out = TruncatedSeries.monomial(MultiPoly.const(1), 0, self.order)
         for h in range(1, self.curve.N + 1):
             if h == self.nu:
                 continue
-            inv = self._inv_gap(h, exact)
-            lead = inv ** (-e // m) if exact else self._numeric_gap(h) ** (e / m)
-            fac = _binomial_factor_series(inv, Fraction(e, m), m, self.order,
-                                          exact)
-            out = out * fac * TruncatedSeries.monomial(lead, 0, self.order)
+            inv = self._inv_gap(h)
+            fac = _binomial_factor_series(inv, Fraction(e, m), m, self.order)
+            out = out * fac * TruncatedSeries.monomial(inv ** (-e // m), 0,
+                                                       self.order)
         return out.shift(e)
 
     def one_over_z_minus(self, i: int) -> TruncatedSeries:
         """1/(z - a_i) around (a_nu, 0)."""
         m = self.curve.m
         if i == self.nu:
-            return TruncatedSeries.monomial(self.one, -m, self.order - m)
-        inv = self._inv_gap(i, self.exact)
-        ser = _binomial_factor_series(inv, Fraction(-1), m, self.order,
-                                      self.exact)
+            return TruncatedSeries.monomial(MultiPoly.const(1), -m,
+                                            self.order - m)
+        inv = self._inv_gap(i)
+        ser = _binomial_factor_series(inv, Fraction(-1), m, self.order)
         return ser * TruncatedSeries.monomial(inv, 0, self.order)
 
 
@@ -420,7 +409,9 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     k in 1..s and the value is a polynomial in the branch points; the
     residue is value * e^{2 pi i p/q}, where (p, q) = phase is (k - 1) j n
     mod s over s in lowest terms. For n < 0 the pole is a branch-point index,
-    the value is a rational function and phase is (0, 1).
+    the value is a rational function and phase is (0, 1). On a curve with
+    float points the value, exact in their symbols `_a{i}`, is returned as
+    complex(value at the points), or 0j when it is zero.
 
     The residue is read from one chart, truncated at max(order, K), where K
     is the least order at which the t^-1 coefficient is known. With e = jn,
@@ -447,6 +438,7 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
     """
     n = curve.n
     phase = (0, 1)
+    val = 0
     if n > 0:
         inv = curve.invariants()
         if not (1 <= pole <= inv.s):
@@ -454,15 +446,12 @@ def residue_series_oracle(curve: SuperellipticCurve, i: int, j: int, pole: int,
         chart = curve.chart(InfinityChart, max(order, j * n * inv.N1 + 1))
         turn = Fraction((pole - 1) * j * n % inv.s, inv.s)
         phase = (turn.numerator, turn.denominator)
-    elif (j * abs(n)) % curve.m != 0:
-        return _oracle_zero(curve), phase
-    else:
+        val = chart.omega_residue(i, j)
+    elif (j * abs(n)) % curve.m == 0:
         chart = curve.chart(BranchChart, max(order, j * abs(n) + 1), pole)
-    val = chart.omega_residue(i, j)
-    if isinstance(val, int) and val == 0:
-        val = _oracle_zero(curve)
+        val = chart.omega_residue(i, j)
+    if isinstance(val, int):  # no chart, or no term in the t^-1 coefficient
+        val = MultiPoly.zero()
+    if curve._floats:
+        val = complex(val.evaluate(curve._floats)) if val else 0j
     return val, phase
-
-
-def _oracle_zero(curve):
-    return MultiPoly.zero() if curve.exact else 0j

@@ -52,6 +52,40 @@ from .algebra import (MultiPoly, RatFunc, FactoredFrac, binomials, grade,
 
 SCHEMA_VERSION = 1  # of every JSON document isolab writes or reads
 
+# required keys of each verifiable document kind and their JSON types; [t]
+# is a list of t, {str: t} an object with values of type t
+_DOC_SCHEMA = {
+    "pvi-family": {"y": str, "theta": [str], "params": [str]},
+    "triangular-schlesinger": {"p": int, "N": int, "variables": [str],
+                               "exponents": [[str]], "entries": {str: str}},
+    "garnier-algebraic": {"M": int, "b": [str], "betas": [str],
+                          "beta_inf": str},
+}
+
+
+def _matches(value, want) -> bool:
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_matches(v, want[0])
+                                               for v in value)
+    if isinstance(want, dict):
+        return isinstance(value, dict) and all(_matches(v, want[str])
+                                               for v in value.values())
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
+def check_keys(doc: dict, kind) -> None:
+    """ValueError unless `kind` is a verifiable kind and `doc` has each of
+    its required keys, of the required JSON type; the message names the
+    kind or the first key that fails."""
+    schema = _DOC_SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise ValueError(f"cannot verify document of kind {kind!r}")
+    for key, want in schema.items():
+        if key not in doc:
+            raise ValueError(f"{kind} document lacks key {key!r}")
+        if not _matches(doc[key], want):
+            raise ValueError(f"{kind} document has a malformed {key!r}")
+
 
 class HypothesisError(ValueError):
     """A theorem hypothesis is violated; the message names it."""
@@ -246,12 +280,14 @@ class TriangularSolution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TriangularSolution":
-        """Parse a document; ValueError names what is malformed. Entries are
-        split into gap powers (IdentityFrame.factored) on the way in, with
-        no gcd: the residual needs only their exact values. Each distinct
-        entry text is parsed once, so equal texts become one object and
-        share their residual rows."""
+        """Parse a document; ValueError names what is malformed, first the
+        required keys and their types as `check_keys` reads them. Entries
+        are split into gap powers (IdentityFrame.factored) on the way in,
+        with no gcd: the residual needs only their exact values. Each
+        distinct entry text is parsed once, so equal texts become one
+        object and share their residual rows."""
         from .algebra import parse_fraction
+        check_keys(doc, "triangular-schlesinger")
         p, N, variables = doc["p"], doc["N"], doc["variables"]
         if p < 1 or N < 1:
             raise ValueError("triangular-schlesinger document needs p >= 1 "

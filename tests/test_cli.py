@@ -834,6 +834,51 @@ class TestNumericOptionsRead:
         assert err == f"error: {message}\n"
 
 
+class TestFamilyOptionsRead:
+    """A family option that the request does not read is a usage error,
+    decided before any family is built or document parsed."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--input", "DOC", "--theorem", "7", "--n", "9"),
+         "--input does not read --theorem, --n"),
+        (("verify", "--input", "DOC", "--a", "2,3.5"),
+         "--input does not read --a"),
+        (("generate", "--theorem", "5", "--n", "1", "--b", "3"),
+         "--theorem 5 does not read --b"),
+        (("generate", "--theorem", "3", "--p", "2", "--N", "2", "--m", "2",
+          "--n", "1", "--c", "5"), "--theorem 3 does not read --c"),
+        (("generate", "--theorem", "10", "--M", "2", "--m", "2", "--n", "1",
+          "--p", "7"), "--theorem 10 does not read --p"),
+        (("generate", "--theorem", "6", "--n", "-2", "--nu", "2"),
+         "--theorem 6 does not read --nu"),
+        (("verify", "--theorem", "10", "--M", "2", "--m", "2", "--n", "1",
+          "--a", "2,3.5"), "--theorem 10 does not read --a"),
+        (("generate", "--theorem", "8", "--a", "5", "--b", "1", "--c", "3",
+          "--n", "2"), "--theorem 8 does not read --n"),
+        (("verify", "--theorem", "11", "--M", "2", "--c", "1,1", "--m", "2"),
+         "--theorem 11 needs --M, --n"),
+        (("periods", "--m", "2", "--n", "1", "--a", "0,1,2+1i", "--trace",
+          "0", "--j", "2", "--tol", "1e-3"), "--trace does not read --j, --tol"),
+        (("periods", "--m", "2", "--n", "1", "--a", "0,1,2+1i", "--trace",
+          "0", "--tol", "1e-3"), "--trace does not read --tol")])
+    def test_unread_family_option_is_a_usage_error(self, capsys, tmp_path,
+                                                   monkeypatch, argv, message):
+        # each once exited 0 and dropped the option (or, for theorem 11,
+        # reported only the missing --n)
+        def unreached(*args):
+            raise AssertionError("built or parsed before the usage error")
+        from isolab import curves
+        monkeypatch.setattr(cli, "_generate_doc", unreached)
+        monkeypatch.setattr(cli, "_check_doc", unreached)
+        monkeypatch.setattr(curves, "SuperellipticCurve", unreached)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "pvi-family"}))
+        argv = [str(path) if a == "DOC" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("lines", [0, 1])
     def test_no_traceback(self, lines):

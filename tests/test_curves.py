@@ -48,6 +48,13 @@ class TestCurveValidation:
         with pytest.raises(ValueError):
             SuperellipticCurve(4, [0, 1, 2], 2)
 
+    @pytest.mark.parametrize("m, n", [(3, 1), (1, -1)])
+    def test_names_mixed_with_floats_rejected(self, m, n):
+        # such a curve once constructed, and the oracle then died with a
+        # TypeError or an AttributeError
+        with pytest.raises(ValueError, match="mix variable names with floats"):
+            SuperellipticCurve(m, [0.0, 1.0, "x"], n)
+
 
 class TestCharts:
     def test_infinity_leading_exponents(self):
@@ -78,23 +85,16 @@ class TestCharts:
         for k in range(4):
             assert w.coefficient(-1 + k) == series[k]
 
-    def test_branch_point_leading_term(self):
-        # leading coefficient of w is prod (a_nu - a_h)^{1/m} (principal branch)
-        # z = a_2 + t^3
-        c = SuperellipticCurve(3, [0.0, 1.0, 2.5 + 0.5j], -1)
-        w = BranchChart(c, 2, 4).w_power(1)
-        lead = w.coefficient(1)
-        want = ((1.0 - 0.0) ** (1 / 3)) * complex(1.0 - (2.5 + 0.5j)) ** (1 / 3)
-        assert abs(lead - want) < 1e-12
-
-    def test_branch_point_square_root_series(self):
-        c = SuperellipticCurve(2, [0.0, 1.0], -1)
-        w = BranchChart(c, 1, 5).w_power(1)
-        # z = t^2, w = t(t^2 - 1)^{1/2} = i(t - t^3/2 - ...) in the principal
-        # branch
-        assert abs(w.coefficient(1) - 1j) < 1e-13
-        assert abs(w.coefficient(3) + 0.5j) < 1e-13
-        assert w.coefficient(2) == 0
+    @pytest.mark.parametrize("pts", [[0, 1, "x"], [F(0), F(1), F(5, 2)],
+                                     [0.0, 1.0, 2.5 + 0.5j]])
+    def test_fractional_branch_point_power_refused(self, pts):
+        # (a_nu - a_h + t^m)^{e/m} has no exact series when m does not
+        # divide e; the float curve once got a principal-branch float one
+        c = SuperellipticCurve(3, pts, -1)
+        for e in (1, 2, -4):
+            with pytest.raises(ValueError, match="does not divide"):
+                BranchChart(c, 2, 4).w_power(e)
+        assert BranchChart(c, 2, 4).w_power(3).leading == 3
 
     def test_truncation_error(self):
         s = TruncatedSeries(0, [1, 2, 3], 3)
@@ -210,6 +210,26 @@ class TestResidueOracle:
         _, p1 = residue_series_oracle(c, 1, 1, 1)
         _, p2 = residue_series_oracle(c, 1, 1, 2)
         assert p1 == (0, 1) and p2 == (1, 3)
+
+    def test_float_curve_exact_zero_reads_zero(self):
+        # w^6 = P^3, so w^6 dz / (z - a_i) has no residue at infinity; the
+        # float series once read up to 8.0e-9 here
+        c = SuperellipticCurve(2, [0.3 + 0.1j, 1.7 - 0.4j, 2.2 + 0.9j,
+                                   -0.6 + 0.2j, 1.1 - 1.3j], 3)
+        for i in range(1, 6):
+            assert residue_series_oracle(c, i, 2, 1) == (0j, (0, 1)), i
+
+    def test_float_curve_reads_the_named_residue(self):
+        # a float curve's residue is the named curve's residue at its points
+        pts = [0.0, 1.0, 2.0 + 1.0j]
+        named = SuperellipticCurve(3, ["b1", "b2", "b3"], 1)
+        c = SuperellipticCurve(3, pts, 1)
+        at = {f"b{h}": z for h, z in enumerate(pts, 1)}
+        for i in (1, 2, 3):
+            val, phase = residue_series_oracle(named, i, 1, 2)
+            got = residue_series_oracle(c, i, 1, 2)
+            assert got == (complex(val.evaluate(at)), phase)
+            assert type(got[0]) is complex
 
     def test_zero_when_m_does_not_divide(self):
         c = SuperellipticCurve(2, [0.0, 1.0, 2.0], -1)
@@ -428,18 +448,4 @@ class TestDwIdentity:
             term = wm * chart.one_over_z_minus(i) * dz
             rhs = term if rhs is None else rhs + term
         diff = (lhs - rhs)
-        assert all(abs(complex(v)) < 1e-10 for v in diff.coeffs)
-
-    def test_branch_chart_numeric(self):
-        c = SuperellipticCurve(2, [0.0, 1.0, 3.0], -1)
-        chart = BranchChart(c, 1, 8)
-        m = 2
-        lhs = chart.w_power(1).derivative() * chart.w_power(1) * m
-        dz = chart.dz_series()
-        wm = chart.w_power(2)
-        rhs = None
-        for i in (1, 2, 3):
-            term = wm * chart.one_over_z_minus(i) * dz
-            rhs = term if rhs is None else rhs + term
-        diff = lhs - rhs
         assert all(abs(complex(v)) < 1e-10 for v in diff.coeffs)

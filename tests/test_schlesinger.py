@@ -311,6 +311,32 @@ class TestSerialization:
             assert doc["entries"][f"{i},{k},{l}"] == real(v).to_text()
 
 
+class TestFromJsonDict:
+    """from_json_dict refuses a malformed key with the ValueError that
+    verify --input gives for the same document."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("p", "2", "has a malformed 'p'"),
+        ("entries", ["x"], "has a malformed 'entries'"),
+        ("N", None, "lacks key 'N'"),
+        ("variables", "a1", "has a malformed 'variables'")])
+    def test_malformed_key_is_a_value_error(self, key, value, message):
+        # these once raised TypeError, AttributeError and KeyError, and "a1"
+        # was read as the two variables a and 1
+        from isolab import cli
+        doc = build_rational_solution(2, 2, 1, -1).to_json_dict()
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError) as got:
+            TriangularSolution.from_json_dict(doc)
+        with pytest.raises(ValueError) as want:
+            cli._check_doc(doc)
+        assert str(got.value) == str(want.value) == (
+            f"triangular-schlesinger document {message}")
+
+
 class TestDocumentPath:
     """Parsed documents carry their denominators as powers of the gaps."""
 
