@@ -312,10 +312,18 @@ class FactoredFrac:
             return RatFunc.zero()
         if any(f.total_degree() != 1 for f in self.den):
             return RatFunc(self.num, self.den_expanded())
-        reduced = self.cancel()
-        den = reduced.den_expanded()
-        scale = 1 / den.leading()[1]
-        return RatFunc(reduced.num * scale, den * scale, _normalized=True)
+        return self.cancel()._reduced_ratfunc()
+
+    def _reduced_ratfunc(self) -> RatFunc:
+        """The canonical form of a fraction known to be reduced: the
+        expanded den made monic in graded lex, with no gcd. Graded lex is a
+        monomial order, so the den's leading coefficient is the product of
+        its factors' leading coefficients."""
+        scale = Fraction(1)
+        for f, e in self.den.items():
+            scale /= f.leading()[1] ** e
+        return RatFunc(self.num * scale, self.den_expanded() * scale,
+                       _normalized=True)
 
     def evaluate(self, assignment: dict):
         val = self.num.evaluate(assignment)

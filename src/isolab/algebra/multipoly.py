@@ -17,7 +17,17 @@ bounds, the maximum for sums), which bounds every exponent in it. Every
 product and power checks the bound of its result, and raises
 ExponentOverflowError before any exponent could pass `_MAX_EXP`; the top
 bit of each field therefore stays clear, which divexact uses as a borrow
-guard. A tuple-keyed construction checks the same limit.
+guard. A tuple-keyed construction and parse_poly check the same limit.
+
+Division. divexact, the gcd's divisibility check and FactoredFrac.cancel
+run `_quotient` on the integer terms, which keeps the remainder's keys in a
+heap of negated packed keys (Monagan & Pearce, "Sparse polynomial division
+using a heap", JSC 46, 2011): each quotient term costs a heap step, not a
+scan of the remainder. A borrow into a guard bit or a coefficient remainder
+proves a division inexact. A linear gap x - y is divided out by
+`gap_power`, which tests divisibility by evaluation at x = y and divides by
+synthetic division, and a monomial by `var_power`, a shift of every key.
+Text is printed and read on the packed keys (`to_text`, `parse_poly`).
 
 The table is append-only and nothing the public view shows depends on the
 order of its slots. Packed keys mean something only within one process, so
@@ -83,6 +93,8 @@ import sys
 import threading
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
+from heapq import heapify, heappop, heappush
 from cmath import isfinite
 from math import nan, gcd as _igcd, lcm as _ilcm
 
@@ -199,31 +211,50 @@ def _quotient(t1: dict, t2: dict):
     borrows from no field, which the guard bits show. An exact division
     only meets monomials of q * t2, whose exponents are those of t1 at most,
     so a remainder monomial with a guard bit set proves the division
-    inexact, before any field could carry."""
+    inexact, before any field could carry.
+
+    The remainder's keys wait in a heap of negated keys (after Monagan &
+    Pearce, "Sparse polynomial division using a heap", JSC 46, 2011), so
+    each step finds the leading term without a scan of the remainder. A key
+    enters the heap when it enters the remainder; one that cancels stays in
+    the heap and is skipped when it surfaces (lazy deletion). Every key a
+    step adds is below the step's leading key, so a skipped key never
+    returns above the current lead."""
     rem = dict(t1)
+    heap = [-e for e in rem]
+    heapify(heap)
     lt2 = max(t2)
     lc2 = t2[lt2]
+    rest = [(e2, v2) for e2, v2 in t2.items() if e2 != lt2]
     guard = _GUARD
     quot = {}
-    while rem:
-        lt1 = max(rem)
+    while heap:
+        lt1 = -heappop(heap)
+        c1 = rem.pop(lt1, 0)
+        if not c1:
+            continue
         if ((lt1 | guard) - lt2) & guard != guard:
             return None
-        qc, r = divmod(rem[lt1], lc2)
+        qc, r = divmod(c1, lc2)
         if r:
             return None
         qe = lt1 - lt2
         quot[qe] = qc
         get = rem.get
-        for e2, v2 in t2.items():
+        for e2, v2 in rest:
             e = qe + e2
             if e & guard:
                 return None
-            w = get(e, 0) - qc * v2
-            if w:
-                rem[e] = w
+            w = get(e)
+            if w is None:
+                rem[e] = -qc * v2
+                heappush(heap, -e)
             else:
-                del rem[e]
+                w -= qc * v2
+                if w:
+                    rem[e] = w
+                else:
+                    del rem[e]
     return quot
 
 
@@ -734,6 +765,73 @@ class MultiPoly:
         return _new(quot, self._content / other._content,
                     max(0, self._deg - _degree_of(max(t2))))
 
+    def gap_power(self, x: str, y: str):
+        """(k, q) with self = (x - y)^k q and x - y not dividing q, for two
+        names x != y (k = 0 for the zero polynomial).
+
+        Let u - w be x - y or y - x, whichever has its positive term at the
+        larger packed key. Moving each key's w exponent j onto u sorts the
+        terms into diagonals, each a polynomial in j. By the factor theorem
+        u - w divides self exactly when self vanishes at u = w, which is
+        when each diagonal's coefficients sum to zero: one pass over the
+        packed keys (no field can carry, the sum is at most the total
+        degree), and a failed test proves non-divisibility. Dividing a
+        diagonal by u - w takes its prefix sums (synthetic division), so
+        the k divisions run on dense rows of the diagonals, and the
+        quotient's terms are formed once. Like self's, its integer terms are
+        primitive (Gauss) and positive at the largest key, since u - w is."""
+        ox, oy = _SLOTS.get(x), _SLOTS.get(y)
+        if ox is None or oy is None or not self._terms:
+            return 0, self
+        ou, ow = (ox, oy) if ox > oy else (oy, ox)
+        uu, step = 1 << ou, (1 << ow) - (1 << ou)
+        diagonals = {}
+        get = diagonals.get
+        for e, v in self._terms.items():
+            j = (e >> ow) & _FIELD
+            d = e - j * step
+            row = get(d)
+            if row is None:
+                diagonals[d] = {j: v}
+            else:
+                row[j] = v
+        if any(sum(row.values()) for row in diagonals.values()):
+            return 0, self
+        rows = []
+        for d, row in diagonals.items():
+            lo = min(row)
+            dense = [0] * (max(row) - lo + 1)
+            for j, v in row.items():
+                dense[j - lo] = v
+            rows.append((d + lo * step, dense))
+        k = 0
+        while not any(sum(row) for _, row in rows):
+            rows = [(d, list(accumulate(row))[:-1]) for d, row in rows]
+            k += 1
+        q = {}
+        for e, row in rows:
+            e -= k * uu
+            for v in row:
+                if v:
+                    q[e] = v
+                e += step
+        c = self._content
+        return k, _new(q, -c if ox < oy and k % 2 else c, self._deg - k)
+
+    def var_power(self, name: str, limit: int):
+        """(k, self / name^k) for the largest k <= limit with name^k dividing
+        self: k is the least exponent of name over the terms, and the
+        quotient shifts every key down, keeping the term order."""
+        off = _SLOTS.get(name)
+        if off is None or not self._terms:
+            return 0, self
+        k = min(limit, min((e >> off) & _FIELD for e in self._terms))
+        if not k:
+            return 0, self
+        shift = k << off
+        return k, _new({e - shift: v for e, v in self._terms.items()},
+                       self._content, self._deg - k)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -745,23 +843,43 @@ class MultiPoly:
     # ---------------- text form ----------------
 
     def to_text(self) -> str:
-        """Canonical text: graded-lex descending, exact integer/fraction coefficients."""
-        if self.is_zero():
+        """Canonical text: graded-lex descending, exact integer/fraction
+        coefficients. The integer terms are sorted once, each on one int
+        key read from its packed monomial (the total degree above the
+        exponents in name order, _W bits each), and each coefficient is
+        printed from the content's numerator and denominator with int
+        arithmetic."""
+        t = self._terms
+        if not t:
             return "0"
+        fields = [(n, _SLOTS[n]) for n in self.vars]
+        top = _W * len(fields)
+        rows = []
+        for e, v in t.items():
+            key = deg = 0
+            mono = []
+            for n, o in fields:
+                p = (e >> o) & _FIELD
+                key = key << _W | p
+                if p:
+                    deg += p
+                    mono.append(n if p == 1 else f"{n}^{p}")
+            rows.append((deg << top | key, "*".join(mono), v))
+        rows.sort(reverse=True)
+        n, d = self._content.numerator, self._content.denominator
         pieces = []
-        for e, c in self.terms():
-            mono = "*".join(
-                v if p == 1 else f"{v}^{p}"
-                for v, p in zip(self.vars, e) if p)
-            mag = abs(c)
+        for _, mono, v in rows:
+            g = _igcd(v, d) if d != 1 else 1
+            num, den = v // g * n, d // g
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
+                body = mono if mag == "1" else f"{mag}*{mono}"
             else:
-                body = str(mag)
+                body = mag
             if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+                pieces.append(body if num > 0 else f"-{body}")
             else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+                pieces.append(("+ " if num > 0 else "- ") + body)
         return " ".join(pieces)
 
     def __str__(self):
@@ -911,7 +1029,15 @@ def parse_poly(text: str) -> MultiPoly:
     """Parse a sum of terms joined by runs of signs ('x - - y' is x + y),
     each term a '*'-product of factors in any order: an integer, p/q, or a
     name with an optional ^exponent (ASCII only). Anything else, such as an
-    implicit product, a dangling sign or text with no term, is a ValueError."""
+    implicit product, a dangling sign or text with no term, is a ValueError,
+    and a term of total degree above the packed limit an
+    ExponentOverflowError.
+
+    Each distinct factor text is matched once. The terms are packed
+    straight into integer numerators over one denominator, keyed in the
+    order their monomials first appear (evaluate sums in that order), and
+    canonicalised once; names new to the slot table take their slots in
+    sorted order."""
     parts = _SIGNS.split(text)      # [term, signs, term, signs, term, ...]
     if parts[0].strip():
         parts.insert(0, "")
@@ -921,34 +1047,48 @@ def parse_poly(text: str) -> MultiPoly:
         raise ValueError("polynomial text has no term; write 0 for zero")
     monomials = []
     den = 1
+    seen = {}   # factor text -> (name, exponent) or (numerator, denominator)
     for signs, term in zip(parts[::2], parts[1::2]):
-        num, d, powers = (-1) ** signs.count("-"), 1, {}
+        num, d, powers = -1 if signs.count("-") & 1 else 1, 1, []
         for factor in term.split("*"):
-            m = _FACTOR.fullmatch(factor)
-            if m is None:
-                raise ValueError(f"bad factor {factor.strip()!r} in "
-                                 f"polynomial term {(signs + term).strip()!r}")
-            n, q, name, exp = m.groups()
-            if name:
-                powers[name] = powers.get(name, 0) + int(exp or 1)
+            f = seen.get(factor)
+            if f is None:
+                m = _FACTOR.fullmatch(factor)
+                if m is None:
+                    raise ValueError(f"bad factor {factor.strip()!r} in "
+                                     f"polynomial term {(signs + term).strip()!r}")
+                n, q, name, exp = m.groups()
+                f = seen[factor] = ((name, int(exp or 1)) if name
+                                    else (int(n), int(q or 1)))
+            if isinstance(f[0], str):
+                powers.append(f)
             else:
-                num *= int(n)
-                d *= int(q or 1)
+                num *= f[0]
+                d *= f[1]
         if not d:
             raise ValueError(f"zero denominator in polynomial term "
                              f"{(signs + term).strip()!r}")
         monomials.append((num, d, powers))
         den = _ilcm(den, d)
-    # integer numerators over one denominator, one construction
-    names = sorted({v for _, _, powers in monomials for v in powers})
+    for name in sorted({f[0] for f in seen.values() if isinstance(f[0], str)}):
+        _offset(name)
     terms = {}
+    get = terms.get
+    top = 0
     for num, d, powers in monomials:
-        e = tuple(powers.get(v, 0) for v in names)
-        terms[e] = terms.get(e, 0) + num * (den // d)
-    p = MultiPoly(names, terms)
-    return _new(p._terms, p._content / den, p._deg) if p._terms else p
-
-
+        e = deg = 0
+        for name, p in powers:
+            e += p << _SLOTS[name]
+            deg += p
+        top = max(top, deg)
+        terms[e] = get(e, 0) + num * (den // d)
+    # a field above the limit makes its term's degree pass it too, so the
+    # one degree check also refuses every key that a field overflowed
+    _checked(top)
+    terms = {e: v for e, v in terms.items() if v}
+    if not terms:
+        return _ZERO
+    return _renormalized(terms, Fraction(1, den), top)
 
 
 # ---------------- heuristic gcd ----------------

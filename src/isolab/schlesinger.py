@@ -165,6 +165,9 @@ class IdentityFrame:
 
         The factors are the primitive gaps that the residual's 1/(a_i - a_j)
         uses, so parsed entries take part in sums by small deficits only. A
+        gap is tried only when den vanishes at a_i = a_j, a one-pass test on
+        the packed keys that proves non-divisibility when it fails, and is
+        then divided out on the term dicts (MultiPoly.gap_power). A
         cofactor that is no product of gaps stays behind as one more factor;
         the value is num/den exactly in every case, reduced or not."""
         if den.is_zero():
@@ -174,12 +177,12 @@ class IdentityFrame:
         N = len(self.variables)
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
-                g = self.gap(i, j).primitive()
-                q = rest.divexact(g)
-                while q is not None:
-                    gaps[g] = gaps.get(g, 0) + 1
-                    rest = q
-                    q = rest.divexact(g)
+                # the primitive gap is the alphabetically first name minus
+                # the other
+                k, rest = rest.gap_power(*sorted((self.variables[i - 1],
+                                                  self.variables[j - 1])))
+                if k:
+                    gaps[self.gap(i, j).primitive()] = k
         out = FactoredFrac.quotient(num, rest)
         return FactoredFrac(out.num, {**out.den, **gaps})
 
@@ -191,6 +194,7 @@ class ShiftedFrame:
         self.variables = tuple(variables)
         self.nu = nu
         self.dvars = {h + 1: f"_D{h + 1}" for h in range(len(variables)) if h + 1 != nu}
+        self._names = {MultiPoly.var(name): name for name in self.dvars.values()}
 
     def dvar(self, h: int) -> MultiPoly:
         return MultiPoly.var(self.dvars[h])
@@ -216,6 +220,16 @@ class ShiftedFrame:
         return self.dvar(j) - self.dvar(i)
 
     def to_a(self, f: FactoredFrac) -> RatFunc:
+        """f as a reduced rational function of a_1..a_N. Each den factor
+        D_h^e first cancels D_h^k from the numerator, k the least D_h
+        exponent over its keys (at most e), and then D_h = a_nu - a_h is
+        substituted. (a_nu, D_h) is a linear change of coordinates, so
+        a_nu - a_h divides the substituted numerator exactly when D_h
+        divides the numerator: with every den factor a D_h the result is
+        reduced, and to_ratfunc's trial divisions are skipped."""
+        if f.is_zero():
+            return RatFunc.zero()
+        names = self._names
         subs = {name: (MultiPoly.var(self.variables[self.nu - 1])
                        - MultiPoly.var(self.variables[h - 1]))
                 for h, name in self.dvars.items()}
@@ -225,9 +239,18 @@ class ShiftedFrame:
                 poly = poly.substitute(name, val)
             return poly
 
-        out = FactoredFrac.from_poly(in_a(f.num))
+        num, den = f.num, {}
         for fac, e in f.den.items():
+            if fac in names:
+                k, num = num.var_power(names[fac], e)
+                e -= k
+            if e:
+                den[fac] = e
+        out = FactoredFrac.from_poly(in_a(num))
+        for fac, e in den.items():
             out = out * FactoredFrac.quotient(MultiPoly.const(1), in_a(fac), e)
+        if all(fac in names for fac in den):
+            return out._reduced_ratfunc()
         return out.to_ratfunc()
 
 

@@ -1,7 +1,9 @@
+import itertools
 import math
 import operator
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isolab.algebra import (MultiPoly, RatFunc, FactoredFrac, binom, binomials,
                             grade, parse_poly, parse_ratfunc,
                             poly_gcd, prove_zero, truncated_product)
+from isolab.algebra import multipoly as mp
 from isolab.algebra.multipoly import ExponentOverflowError, _W, _box
 
 x = MultiPoly.var("x")
@@ -1031,3 +1034,255 @@ class TestFactoredFracAgainstReference:
             reference_add(a, b)
         with pytest.raises(ExponentOverflowError):
             a + b
+
+
+# ---------------------------------------------------------------------------
+# heap division against the max() loop it replaced
+
+def reference_quotient(t1: dict, t2: dict):
+    """The division loop before the heap: one max() over the remainder per
+    quotient term."""
+    rem = dict(t1)
+    lt2 = max(t2)
+    lc2 = t2[lt2]
+    guard = mp._GUARD
+    quot = {}
+    while rem:
+        lt1 = max(rem)
+        if ((lt1 | guard) - lt2) & guard != guard:
+            return None
+        qc, r = divmod(rem[lt1], lc2)
+        if r:
+            return None
+        qe = lt1 - lt2
+        quot[qe] = qc
+        get = rem.get
+        for e2, v2 in t2.items():
+            e = qe + e2
+            if e & guard:
+                return None
+            w = get(e, 0) - qc * v2
+            if w:
+                rem[e] = w
+            else:
+                del rem[e]
+    return quot
+
+
+for _name in NAMES:
+    MultiPoly.var(_name)
+# allocated after every name of NAMES, so its field is above all of theirs
+WIDE = MultiPoly.var("_wide_top")
+# the packed monomials of degree at most 4 in each of x, y and a1
+PACKED_BOX = [sum(p << mp._SLOTS[n] for n, p in zip(("x", "y", "a1"), exps))
+              for exps in itertools.product(range(5), repeat=3)]
+
+
+@st.composite
+def packed_terms(draw, max_terms=20):
+    """The primitive integer terms of a nonzero polynomial over up to three
+    names of NAMES, exponents up to 6."""
+    used = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                         unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = tuple(draw(st.integers(0, 6)) if n in used else 0
+                     for n in NAMES)
+        terms[exps] = draw(st.integers(-9, 9).filter(bool))
+    p = MultiPoly(NAMES, terms)
+    return p._terms if p else {0: 1}
+
+
+def quotient_agrees(t1, t2):
+    got, want = mp._quotient(t1, t2), reference_quotient(t1, t2)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+    return got
+
+
+class TestHeapDivision:
+    @settings(max_examples=80, deadline=None)
+    @given(packed_terms(), packed_terms())
+    def test_exact_products(self, q, g):
+        t1 = (mp._new(q, F(1), 0) * mp._new(g, F(1), 0))._terms
+        assert quotient_agrees(t1, g) == q
+
+    def test_products_of_a_few_hundred_terms(self):
+        rng = random.Random(7)
+        for _ in range(5):
+            q = {e: rng.choice((-3, -1, 1, 2, 5))
+                 for e in rng.sample(PACKED_BOX, 20)}
+            g = {e: rng.choice((-2, 1, 4)) for e in rng.sample(PACKED_BOX, 20)}
+            t1 = (mp._new(q, F(1), 0) * mp._new(g, F(1), 0))._terms
+            assert len(t1) > 200
+            assert quotient_agrees(t1, g) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_terms(), packed_terms())
+    def test_leading_coefficient_that_does_not_divide(self, q, g):
+        t1 = dict((mp._new(q, F(1), 0) * mp._new(g, F(1), 0))._terms)
+        t2 = {e: 2 * v for e, v in g.items()}
+        t1[max(t1)] = 6 * t2[max(t2)] + 1
+        assert quotient_agrees(t1, t2) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_terms(), packed_terms())
+    def test_remainder(self, q, g):
+        if len(g) == 1 and 0 in g:
+            g = {1 << mp._SLOTS["x"]: 1, 0: 1}
+        t1 = (mp._new(q, F(1), 0) * mp._new(g, F(1), 0) + 1)._terms
+        assert quotient_agrees(t1, g) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_terms(), packed_terms())
+    def test_monomial_that_borrows_across_a_field(self, q, g):
+        if len(g) == 1 and 0 in g:
+            g = {1 << mp._SLOTS["y"]: 1, 0: 1}
+        # WIDE^3 leads and lacks a variable of g's leading monomial
+        t1 = (mp._new(q, F(1), 0) * mp._new(g, F(1), 0) + WIDE ** 3)._terms
+        assert max(t1) == 3 << mp._SLOTS["_wide_top"]
+        assert quotient_agrees(t1, g) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_terms(max_terms=8), st.integers(0, 4),
+           st.sampled_from([("x", "y"), ("y", "x"), ("a1", "_D2"), ("z", "x")]))
+    def test_gap_power_against_trial_division(self, f, k, names):
+        u, w = (MultiPoly.var(n) for n in names)
+        p = mp._new(f, F(-3, 2), 0) * (u - w) ** k
+        want, rest = 0, p
+        while (q := rest.divexact(u - w)) is not None:
+            want, rest = want + 1, q
+        got, quo = p.gap_power(*names)
+        assert got == want >= k
+        assert quo == rest and (u - w) ** got * quo == p
+
+
+# ---------------------------------------------------------------------------
+# text on packed keys against the tuple-keyed text and parse they replaced
+
+def reference_to_text(p: MultiPoly) -> str:
+    """to_text before packed keys: graded lex through terms() Fractions."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for e, c in p.terms():
+        mono = "*".join(
+            v if q == 1 else f"{v}^{q}"
+            for v, q in zip(p.vars, e) if q)
+        mag = abs(c)
+        if mono:
+            body = mono if mag == 1 else f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(pieces)
+
+
+def reference_parse_poly(text: str) -> MultiPoly:
+    """parse_poly before packed keys: one tuple-keyed construction."""
+    parts = mp._SIGNS.split(text)
+    if parts[0].strip():
+        parts.insert(0, "")
+    else:
+        del parts[0]
+    if not parts:
+        raise ValueError("polynomial text has no term; write 0 for zero")
+    monomials = []
+    den = 1
+    for signs, term in zip(parts[::2], parts[1::2]):
+        num, d, powers = (-1) ** signs.count("-"), 1, {}
+        for factor in term.split("*"):
+            m = mp._FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"bad factor {factor.strip()!r} in "
+                                 f"polynomial term {(signs + term).strip()!r}")
+            n, q, name, exp = m.groups()
+            if name:
+                powers[name] = powers.get(name, 0) + int(exp or 1)
+            else:
+                num *= int(n)
+                d *= int(q or 1)
+        if not d:
+            raise ValueError(f"zero denominator in polynomial term "
+                             f"{(signs + term).strip()!r}")
+        monomials.append((num, d, powers))
+        den = math.lcm(den, d)
+    names = sorted({v for _, _, powers in monomials for v in powers})
+    terms = {}
+    for num, d, powers in monomials:
+        e = tuple(powers.get(v, 0) for v in names)
+        terms[e] = terms.get(e, 0) + num * (den // d)
+    p = MultiPoly(names, terms)
+    return mp._new(p._terms, p._content / den, p._deg) if p._terms else p
+
+
+# first allocated out of alphabetical order: slot order tz, tb10, ta, tb2
+TEXT_NAMES = ("tz", "tb10", "ta", "tb2")
+for _name in TEXT_NAMES:
+    MultiPoly.var(_name)
+
+
+@st.composite
+def text_polys(draw):
+    """A polynomial over TEXT_NAMES with a Fraction content, of either sign
+    at its leading term."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in TEXT_NAMES)
+        terms[exps] = F(draw(st.integers(-20, 20)), draw(st.integers(1, 12)))
+    return MultiPoly(TEXT_NAMES, terms) * draw(st.sampled_from(
+        (1, -1, F(-3, 4), F(7, 6))))
+
+
+@st.composite
+def term_texts(draw):
+    """A sum written out of canonical order: shuffled names, repeated and
+    cancelling monomials, zero and unit coefficients."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 8))):
+        c = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        names = draw(st.lists(st.sampled_from(TEXT_NAMES), max_size=3))
+        factors = [f"{n}^{draw(st.integers(1, 3))}" for n in names]
+        factors.insert(draw(st.integers(0, len(factors))), str(abs(c)))
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    return " ".join(pieces)
+
+
+def parse_agrees(text):
+    got, want = parse_poly(text), reference_parse_poly(text)
+    assert got == want and got._content == want._content
+    assert list(got._terms) == list(want._terms)
+    return got
+
+
+class TestPackedText:
+    @settings(max_examples=150, deadline=None)
+    @given(text_polys())
+    def test_text_and_parse_match_reference(self, p):
+        text = p.to_text()
+        assert text == reference_to_text(p)
+        assert parse_agrees(text) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_texts())
+    def test_parse_keeps_first_appearance_order(self, text):
+        p = parse_agrees(text)
+        assert p.to_text() == reference_to_text(p)
+
+    def test_order_of_first_appearance(self):
+        p = parse_agrees("tb2 + 1/2*tz - 3 + 0*ta + tz*tb10 - tb2")
+        assert list(p._terms) == [1 << mp._SLOTS["tz"], 0,
+                                  (1 << mp._SLOTS["tz"]) + (1 << mp._SLOTS["tb10"])]
+        assert p.to_text() == "tb10*tz + 1/2*tz - 3"
+
+    def test_degree_past_the_limit_is_refused(self):
+        limit = 2 ** (_W - 1) - 1
+        assert parse_poly(f"tz^{limit}").degree_in("tz") == limit
+        for text in (f"tz^{limit + 1}", f"tz^{limit}*tz", f"ta^{limit}*tb2",
+                     f"tz^{2 ** _W + 1}*ta^0"):
+            with pytest.raises(ExponentOverflowError):
+                parse_poly(text)

@@ -337,6 +337,41 @@ class TestFromJsonDict:
             f"triangular-schlesinger document {message}")
 
 
+def reference_factored(frame, num, den):
+    """IdentityFrame.factored by trial division: every gap divided while
+    divexact succeeds."""
+    rest = den
+    gaps = {}
+    N = len(frame.variables)
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            g = frame.gap(i, j).primitive()
+            q = rest.divexact(g)
+            while q is not None:
+                gaps[g] = gaps.get(g, 0) + 1
+                rest = q
+                q = rest.divexact(g)
+    out = FactoredFrac.quotient(num, rest)
+    return FactoredFrac(out.num, {**out.den, **gaps})
+
+
+def reference_to_a(frame, f):
+    """ShiftedFrame.to_a as substitution then to_ratfunc's trial divisions."""
+    subs = {name: (MultiPoly.var(frame.variables[frame.nu - 1])
+                   - MultiPoly.var(frame.variables[h - 1]))
+            for h, name in frame.dvars.items()}
+
+    def in_a(poly):
+        for name, val in subs.items():
+            poly = poly.substitute(name, val)
+        return poly
+
+    out = FactoredFrac.from_poly(in_a(f.num))
+    for fac, e in f.den.items():
+        out = out * FactoredFrac.quotient(MultiPoly.const(1), in_a(fac), e)
+    return out.to_ratfunc()
+
+
 class TestDocumentPath:
     """Parsed documents carry their denominators as powers of the gaps."""
 
@@ -386,6 +421,45 @@ class TestDocumentPath:
             f = frame.factored(r.num, r.den)
             assert f.to_ratfunc() == r
             assert all(fac.content() == 1 for fac in f.den)
+
+    @pytest.mark.parametrize("variables", [("a1", "a2", "a3"),
+                                           ("a3", "a1", "a2")])
+    @pytest.mark.parametrize("fraction", [
+        # a non-gap cofactor
+        lambda a1, a2, a3: (a3 + 1, (a1 + a2) * (a1 - a2) ** 2 * (a2 - a3)),
+        # a reversed gap
+        lambda a1, a2, a3: (a1, (a2 - a1) ** 3),
+        # a content of -3/2
+        lambda a1, a2, a3: (a2 ** 2 - 1, (a1 - a3) ** 2 * (a2 - a3) * F(-3, 2)),
+        # a gap that divides the numerator as well
+        lambda a1, a2, a3: ((a1 - a2) * (a3 + 2), (a1 - a2) ** 2 * (a1 - a3)),
+        lambda a1, a2, a3: (MultiPoly.const(5),
+                            (a1 - a3) * (a1 ** 2 + a2 ** 2 + 1)),
+    ])
+    def test_factored_matches_trial_division(self, variables, fraction):
+        frame = IdentityFrame(variables)
+        num, den = fraction(*(MultiPoly.var(n) for n in ("a1", "a2", "a3")))
+        got = frame.factored(num, den)
+        want = reference_factored(frame, num, den)
+        assert list(got.den.items()) == list(want.den.items())
+        assert got.num == want.num
+        assert got.to_ratfunc() == want.to_ratfunc()
+
+    def test_shifted_to_a_matches_the_substituted_quotient(self):
+        sol = build_rational_solution(3, 3, 1, -1, nu=2)
+        frame = sol.frame
+        d1, d3 = frame.dvar(1), frame.dvar(3)
+        f = sol.entry(1, 1, 2)
+        assert set(f.den) == {d1, d3}
+        cases = [f,
+                 FactoredFrac(f.num * d1 ** 2 * (d1 + d3), f.den),  # D_1 divides
+                 f + FactoredFrac.from_poly(F(2, 3) * d3),          # perturbed
+                 FactoredFrac(d1 ** 5, {d1: 2}),                    # all of D_1
+                 f * FactoredFrac.quotient(d1 ** 2, d1 - d3),       # non-monomial
+                 FactoredFrac.zero()]
+        for g in cases:
+            got, want = frame.to_a(g), reference_to_a(frame, g)
+            assert got == want and got.to_text() == want.to_text(), g
 
 
 # ---------------------------------------------------------------------------
